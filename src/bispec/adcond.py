@@ -18,9 +18,9 @@ from .diffop import (
     XPoly,
     XRat,
     XR_ZERO,
-    commutator,
     common_numerators,
     equals,
+    schrodinger_commutator,
 )
 
 
@@ -148,17 +148,28 @@ def ad_power(op: DiffOp, theta, j: int) -> DiffOp:
     return ad_tower(op, theta, j)[j]
 
 def ad_tower(op: DiffOp, theta, up_to: int) -> list:
-    """[A_0, ..., A_up_to] with A_{j+1} = [op, A_j].
+    """[A_0, ..., A_up_to] with A_{j+1} = [op, A_j], for op = -D^2 + V.
+
+    Each step uses the closed form of the Schrodinger commutator,
+
+        [L, sum_r b_r D^r] = sum_r ( -b_r'' D^r - 2 b_r' D^(r+1)
+                                     - sum_{m>=1} C(r,m) b_r V^(m) D^(r-m) ),
+
+    so the b_r D^(r+2) and V b_r D^r terms of L A and A L, which cancel, are
+    never formed (see :func:`schrodinger_commutator`).  Every derivative V^(m)
+    is computed once per tower.  Raises ExactError when op is not of the form
+    -D^2 + V.
 
     Every step cancels denominator factors that divide the numerator so chains
     of commutators do not accumulate spurious denominator powers.
     """
     if up_to < 0:
         raise ExactError("commutator order must be >= 0")
+    v_derivs = [op.potential()]
     current = as_operator(theta)
     tower = [current]
     for _ in range(up_to):
-        current = commutator(op, current).reduced()
+        current = schrodinger_commutator(v_derivs, current).reduced()
         tower.append(current)
     return tower
 

@@ -53,31 +53,11 @@ class AnsatzSystem:
     def substitute(self, mapping: dict) -> list:
         """Evaluate every equation at a (partial) assignment of unknowns;
         values may be ParamScalar, MPoly or rationals."""
-        out = []
-        for eq in self.equations:
-            out.append(_eval_mpoly(eq, mapping))
-        return out
+        return [eq.substitute_scalar(mapping) for eq in self.equations]
 
     def residual_norm(self, mapping: dict) -> int:
         """Number of equations that do not vanish under the assignment."""
         return sum(0 if v.is_zero() else 1 for v in self.substitute(mapping))
-
-
-def _eval_mpoly(poly: MPoly, mapping: dict) -> ParamScalar:
-    total = PS_ZERO
-    for key, coeff in poly.terms.items():
-        term = ParamScalar.const(coeff)
-        for name, exp in key:
-            value = mapping.get(name)
-            if value is None:
-                term = term * ParamScalar.var(name) ** exp
-            else:
-                if not isinstance(value, ParamScalar):
-                    value = ParamScalar.const(value) if not isinstance(value, MPoly) \
-                        else ParamScalar.from_poly(value)
-                term = term * value ** exp
-        total = total + term
-    return total
 
 
 def generate_system(w: WeightVector, include_constant: bool = False) -> AnsatzSystem:
@@ -111,15 +91,12 @@ def generate_system(w: WeightVector, include_constant: bool = False) -> AnsatzSy
             cleared_parts.append(f"order {r}: denominator ({base})^{exp}")
         for d in sorted(num.coeffs, reverse=True):
             entry = num.coeffs[d]
-            poly = entry.num if entry.den.is_constant() else entry.num
-            if entry.den.is_constant():
-                poly = entry.num._scaled(1 / entry.den.const_value()) \
-                    if entry.den.const_value() != 1 else entry.num
-            else:
-                # denominators here are monomials in the unknowns (from the
-                # monic normalization of Theta'); clearing them multiplies the
-                # equation by a nonzero monomial
-                poly = entry.num
+            # a non-constant denominator here is a monomial in the unknowns
+            # (from the monic normalization of Theta'); clearing it multiplies
+            # the equation by a nonzero monomial
+            poly = (entry.num._scaled(1 / entry.den.const_value())
+                    if entry.den.is_constant() and entry.den.const_value() != 1
+                    else entry.num)
             if not poly.is_zero():
                 equations.append(poly)
     forced = _forced_relations(equations, set(p_names))

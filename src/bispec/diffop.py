@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 
 from .exact import (
     MPoly,
@@ -280,14 +281,6 @@ class XPoly:
                 out[d] = c
         return XPoly(out)
 
-    def eval_scalar(self, value) -> ParamScalar:
-        """Evaluate at a ParamScalar point (Horner)."""
-        value = _coerce_ps(value)
-        acc = PS_ZERO
-        for d in range(self.degree(), -1, -1):
-            acc = acc * value + self.coeffs.get(d, PS_ZERO)
-        return acc
-
     def __str__(self):
         return render_xpoly(self)
 
@@ -308,20 +301,14 @@ def _int_list(p: XPoly) -> list:
     for q in qs:
         if q is not None:
             d = int(q.denominator)
-            lcm = lcm // _igcd(lcm, d) * d
+            lcm = lcm // math.gcd(lcm, d) * d
     return [0 if q is None else int(q * lcm) for q in qs]
-
-
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _primitive(c: list) -> list:
     g = 0
     for v in c:
-        g = _igcd(g, abs(v))
+        g = math.gcd(g, v)
         if g == 1:
             return c
     return [v // g for v in c] if g > 1 else c
@@ -547,12 +534,6 @@ class XRat:
         self._deriv = result
         return result
 
-    def nth_derivative(self, n: int) -> "XRat":
-        out = self
-        for _ in range(n):
-            out = out.derivative()
-        return out
-
     def reduced(self) -> "XRat":
         """Cancel the numerator against the denominator.
 
@@ -612,12 +593,6 @@ class XRat:
         if den.is_zero():
             raise ExactError("substitution makes a denominator vanish identically")
         return XRat.from_ratio(num, den)
-
-    def eval_scalar(self, value) -> ParamScalar:
-        den = self.den.eval_scalar(value)
-        if den.is_zero():
-            raise ExactError("evaluation at a pole")
-        return self.num.eval_scalar(value) / den
 
     def constant_value(self):
         """The ParamScalar value if this rational function is x-free, else None."""
@@ -865,6 +840,60 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b] = a b - b a."""
     return compose(a, b) - compose(b, a)
+
+
+def schrodinger_commutator(v_derivs: list, a: DiffOp) -> DiffOp:
+    """[-D**2 + V, a] by the closed form, with v_derivs[m] = V^(m).
+
+    [L, sum_r b_r D^r] = sum_r (-b_r'' D^r - 2 b_r' D^(r+1)
+                                - sum_{m>=1} C(r,m) b_r V^(m) D^(r-m)).
+    ``v_derivs`` starts as [V] and is extended in place as orders need it.
+
+    Each coefficient comes back over the denominator factor list that
+    compose(L, a) - compose(a, L) would give it, V's bases included.  The
+    reduction that follows only cancels the bases it is offered, and a
+    potential's list may hold a base next to its square (the Laguerre chain's
+    do); over the closed-form terms' own list such a coefficient keeps a
+    spurious factor and the tower grows.  The same list also keeps the reduced
+    denominators as :func:`commutator` gives them.
+    """
+    while len(v_derivs) <= max(a.coeffs, default=0):
+        v_derivs.append(v_derivs[-1].derivative())
+    v = v_derivs[0]
+    terms = defaultdict(list)
+    lists: dict = {}
+
+    def offer(key, factors):
+        lists[key] = _merge_factors(lists.get(key, ()), factors)
+
+    # L a = sum_r (-b D^(r+2) - 2b' D^(r+1) - b'' D^r + V b D^r); its factor
+    # lists are offered in the order compose(L, a) meets them
+    for r, b in a.coeffs.items():
+        db = b.derivative()
+        ddb = db.derivative()
+        offer(r + 2, b.factors)
+        offer(r + 1, db.factors)
+        offer(r, ddb.factors)
+        terms[r + 1].append(db * -2)
+        terms[r].append(-ddb)
+    if not v.is_zero():
+        for r, b in a.coeffs.items():
+            offer(r, _add_factor_lists(v.factors, b.factors))
+    # what a L leaves after the cancellation: -C(r,m) b V^(m) D^(r-m)
+    for r, b in a.coeffs.items():
+        for m in range(1, r + 1):
+            term = b * v_derivs[m]
+            offer(r - m, term.factors)
+            terms[r - m].append(term * -math.comb(r, m))
+    out = {}
+    for r, factors in lists.items():
+        # one sum of numerators over the final list, not a chain of XRat sums
+        num = _XP_ZERO
+        for t in terms[r]:
+            num = num + t.num * _complement(factors, t.factors)
+        if not num.is_zero():
+            out[r] = XRat(num, factors)
+    return DiffOp(out, _normalize=False)
 
 
 def apply_op(a: DiffOp, f) -> XRat:

@@ -19,11 +19,12 @@ polynomial zero testing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is installed in practice
+except ImportError:  # gmpy2 is the optional "fast" extra; Fraction is the pure-Python backend
     from fractions import Fraction as Rat
 
 RAT_ZERO = Rat(0)
@@ -367,8 +368,8 @@ class MPoly:
         den_lcm = 1
         for c in self.terms.values():
             p, q = int(c.numerator), int(c.denominator)
-            num_gcd = _gcd(num_gcd, abs(p))
-            den_lcm = den_lcm // _gcd(den_lcm, q) * q
+            num_gcd = math.gcd(num_gcd, p)
+            den_lcm = den_lcm // math.gcd(den_lcm, q) * q
         return Rat(num_gcd, den_lcm)
 
     def lead_key(self):
@@ -471,12 +472,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _shift_terms(terms: dict, key, c: Rat) -> dict:
@@ -929,9 +924,9 @@ def _back_substitute_ps(rows, pivots, ncols, assumptions, reindexed=False) -> Nu
 
 
 def _rat_gcd(a: Rat, b: Rat) -> Rat:
-    num = _gcd(abs(int(a.numerator)), abs(int(b.numerator)))
+    num = math.gcd(int(a.numerator), int(b.numerator))
     da, db = int(a.denominator), int(b.denominator)
-    return Rat(num, da // _gcd(da, db) * db)
+    return Rat(num, da // math.gcd(da, db) * db)
 
 
 def _tidy_vector(vec):

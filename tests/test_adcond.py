@@ -1,7 +1,7 @@
 import pytest
 
 from bispec.exact import ExactError, ParamScalar, Rat
-from bispec.diffop import DiffOp, XPoly, XRat, equals
+from bispec.diffop import DiffOp, XPoly, XRat, commutator, equals, schrodinger_commutator
 from bispec.adcond import (
     SpectrumStep,
     WeightVector,
@@ -32,6 +32,25 @@ def test_ad_power_zero_is_theta():
 def test_ad_power_harmonic():
     assert equals(ad_power(HARMONIC, X, 1), DiffOp({1: XRat.const(-2)}))
     assert equals(ad_power(HARMONIC, X, 2), DiffOp.mul_by(XPoly.monomial(1, 4)))
+
+
+@pytest.mark.parametrize("entry_id", ["laguerre-step:2", "ansatz:A4-40A2+144A0:10"])
+def test_schrodinger_commutator_keeps_generic_factor_lists(entry_id):
+    # the reduction after each step only cancels the bases it is offered, and
+    # the step-2 Laguerre potential lists a base next to its square: the
+    # closed form must offer the lists compose(L, A) - compose(A, L) carries
+    from bispec.families import get_entry
+    entry = get_entry(entry_id)
+    v_derivs = [entry.operator.potential()]
+    current = DiffOp.mul_by(entry.theta)
+    for _ in range(4):
+        closed = schrodinger_commutator(v_derivs, current)
+        generic = commutator(entry.operator, current)
+        assert list(closed.coeffs) == list(generic.coeffs)
+        for r, c in generic.coeffs.items():
+            assert closed.coeffs[r].factors == c.factors
+        assert equals(closed, generic)
+        current = generic.reduced()
 
 
 def test_ad_power_order_bound_and_exact_order():

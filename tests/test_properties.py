@@ -6,10 +6,13 @@ hypothesis or a seeded RNG.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bispec.exact import (
+    ExactError,
     MPoly,
+    PS_ONE,
     PS_ZERO,
     ParamScalar,
     Rat,
@@ -27,7 +30,7 @@ from bispec.diffop import (
     equals,
     is_eigenfunction,
 )
-from bispec.adcond import ad_power
+from bispec.adcond import ad_power, ad_tower
 from bispec.darboux import darboux_step, intertwine_check
 
 N_INSTANCES = 100
@@ -245,6 +248,50 @@ def test_ad_power_linear_in_theta():
             lhs = ad_power(lop, t1.scale(alpha) + t2.scale(beta), j)
             rhs = ad_power(lop, t1, j).scale(alpha) + ad_power(lop, t2, j).scale(beta)
             assert equals(lhs, rhs)
+
+
+def _random_potential(rng, kind):
+    """A polynomial V, a rational V with poles, or a V with symbolic k."""
+    if kind == 0:
+        return XRat.from_poly(_random_xpoly(rng, rng.randint(0, 3)))
+    if kind == 1:
+        base = XPoly.from_list([rng.randint(-2, 2), 1] if rng.random() < 0.5 else [1, 0, 1])
+        num = XPoly.zero()
+        while num.is_zero():
+            num = _random_xpoly(rng, rng.randint(0, 2))
+        return XRat.from_ratio(num, base ** rng.randint(1, 2))
+    k = ParamScalar.var("k")
+    num = XPoly({d: k * rng.randint(-3, 3) + rng.randint(-3, 3) for d in range(rng.randint(0, 2) + 1)})
+    pick = rng.randrange(3)
+    if pick == 0:
+        return XRat.from_poly(num)
+    den = XPoly.monomial(2) if pick == 1 else XPoly({1: PS_ONE, 0: -k})
+    return XRat.from_ratio(num, den)
+
+
+def test_ad_tower_matches_generic_commutator_oracle():
+    # the closed-form Schrodinger step against [L, A] = L A - A L expanded by
+    # two Leibniz compositions, reduced after each step as ad_tower does
+    rng = random.Random(1212)
+    for n in range(N_INSTANCES):
+        lop = DiffOp.schrodinger(_random_potential(rng, n % 3))
+        theta = _random_xpoly(rng, rng.randint(0, 4), allow_params=True)
+        up_to = rng.randint(0, 5)
+        tower = ad_tower(lop, theta, up_to)
+        current = DiffOp.mul_by(theta)
+        assert len(tower) == up_to + 1
+        assert equals(tower[0], current)
+        for j in range(1, up_to + 1):
+            current = commutator(lop, current).reduced()
+            assert equals(tower[j], current), (str(lop), str(theta), j)
+
+
+def test_ad_tower_rejects_non_schrodinger_operators():
+    theta = XPoly.monomial(2)
+    for op in (DiffOp.d(3), DiffOp({2: XRat.const(1)}),
+               DiffOp({2: XRat.const(-1), 1: XRat.from_poly(XPoly.x())})):
+        with pytest.raises(ExactError):
+            ad_tower(op, theta, 2)
 
 
 # ---------------------------------------------------------------------------
