@@ -18,16 +18,11 @@ from .diffop import (
     XPoly,
     XRat,
     XR_ZERO,
+    _coerce_ps,
     common_numerators,
     equals,
     schrodinger_commutator,
 )
-
-
-def _coerce_ps(value) -> ParamScalar:
-    if isinstance(value, ParamScalar):
-        return value
-    return ParamScalar.const(value)
 
 
 def as_operator(theta) -> DiffOp:

@@ -48,6 +48,22 @@ def _parse_weights(text: str) -> WeightVector:
     return WeightVector(weights)
 
 
+def _parse_step(text: str) -> Rat:
+    """A rational spectrum spacing such as '2' or '1/3'."""
+    try:
+        return Rat(text.strip())
+    except (ValueError, ZeroDivisionError) as err:
+        raise UsageError(f"bad spectrum step {text!r}: {err}") from None
+
+
+def _parse_orders(text: str) -> list:
+    """Commutator orders in the form '7,5,3,1'."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as err:
+        raise UsageError(f"bad order list {text!r}: {err}") from None
+
+
 def _render_weights(w: WeightVector) -> dict:
     return {str(j): str(c) for j, c in w.items()}
 
@@ -162,7 +178,7 @@ def _cmd_fit_weights(args) -> dict:
     params = args.param
     op, entry = _schrodinger_from(args, params)
     theta = _theta_from(args, params, entry)
-    orders = [int(s) for s in args.orders.split(",")]
+    orders = _parse_orders(args.orders)
     result = fit_weights(op, theta, orders)
     verdicts = []
     for w in result.vectors:
@@ -198,7 +214,7 @@ def _cmd_solve_theta(args) -> dict:
 
 
 def _cmd_reach_weights(args) -> dict:
-    w = reach_weights(args.n, SpectrumStep(Rat(args.step)))
+    w = reach_weights(args.n, SpectrumStep(_parse_step(args.step)))
     verdicts = [_verdict(f"ladder weights for n={args.n}, step={args.step}", True,
                          weights=_render_weights(w))]
     return _report("reach-weights", {"n": args.n, "step": args.step}, verdicts, [])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ExactError
-from .diffop import DiffOp, QuasiRat, XRat, compose, equals
+from .diffop import DiffOp, QuasiRat, XRat, compose, eigen_ratio, equals
 
 
 class DarbouxError(ExactError):
@@ -39,7 +39,7 @@ def darboux_step(op: DiffOp, seed: QuasiRat) -> tuple:
     """
     v = op.potential()
     w = seed.log_derivative()
-    ratio = v - w.derivative() - w * w
+    ratio = eigen_ratio(v, w)
     eigenvalue = ratio.constant_value()
     if eigenvalue is None:
         raise DarbouxError(

@@ -216,9 +216,6 @@ class XPoly:
     def derivative(self) -> "XPoly":
         return XPoly({d - 1: c * d for d, c in self.coeffs.items() if d})
 
-    def shift_degree(self, by: int) -> "XPoly":
-        return XPoly({d + by: c for d, c in self.coeffs.items()})
-
     def monic(self) -> tuple:
         """(leading coefficient, self/leading)."""
         lead = self.lead_coeff()
@@ -711,9 +708,15 @@ XR_X = XRat(_XP_X, ())
 
 
 class DiffOp:
-    """Differential operator sum_r c_r(x) D**r with XRat coefficients."""
+    """Differential operator sum_r c_r(x) D**r with XRat coefficients.
+
+    A subclass may use other coefficients (``matrixop.MatDiffOp``); it names
+    them by ``kind``, which both operands of a sum, product or comparison
+    must share, and builds its results through ``_like``.
+    """
 
     __slots__ = ("coeffs",)
+    kind = "scalar"
 
     def __init__(self, coeffs: dict | None = None, _normalize=True):
         if _normalize and coeffs:
@@ -766,12 +769,17 @@ class DiffOp:
 
     __hash__ = None
 
+    def _like(self, coeffs: dict, _normalize=True) -> "DiffOp":
+        """An operator of this one's kind with ``coeffs``; subclasses keep their data."""
+        return DiffOp(coeffs, _normalize)
+
     def __neg__(self):
-        return DiffOp({r: -c for r, c in self.coeffs.items()}, _normalize=False)
+        return self._like({r: -c for r, c in self.coeffs.items()}, _normalize=False)
 
     def __add__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
+        _check_kinds(self, other)
         out = dict(self.coeffs)
         for r, c in other.coeffs.items():
             acc = out.get(r)
@@ -783,7 +791,7 @@ class DiffOp:
                     del out[r]
                 else:
                     out[r] = acc
-        return DiffOp(out, _normalize=False)
+        return self._like(out, _normalize=False)
 
     def __sub__(self, other):
         if not isinstance(other, DiffOp):
@@ -793,12 +801,12 @@ class DiffOp:
     def scale(self, c) -> "DiffOp":
         if isinstance(c, XRat):
             if c.is_zero():
-                return DiffOp({})
-            return DiffOp({r: v * c for r, v in self.coeffs.items()})
+                return self._like({})
+            return self._like({r: v * c for r, v in self.coeffs.items()})
         c = _coerce_ps(c)
         if c.is_zero():
-            return DiffOp({})
-        return DiffOp({r: v * c for r, v in self.coeffs.items()}, _normalize=False)
+            return self._like({})
+        return self._like({r: v * c for r, v in self.coeffs.items()}, _normalize=False)
 
     def __mul__(self, other):
         """Operator composition (self after other)."""
@@ -807,7 +815,7 @@ class DiffOp:
         return NotImplemented
 
     def reduced(self) -> "DiffOp":
-        return DiffOp({r: c.reduced() for r, c in self.coeffs.items()}, _normalize=False)
+        return self._like({r: c.reduced() for r, c in self.coeffs.items()}, _normalize=False)
 
     def __str__(self):
         return render_diffop(self)
@@ -816,8 +824,18 @@ class DiffOp:
         return f"DiffOp({self})"
 
 
+def _check_kinds(a: DiffOp, b: DiffOp):
+    if a.kind != b.kind:
+        raise ExactError(f"operator kind mismatch: {a.kind} and {b.kind}")
+
+
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Composition a(b(f)), expanded by the Leibniz rule."""
+    """Composition a(b(f)), expanded by the Leibniz rule.
+
+    Each term C(r,m) * (a_r * b_s^(m)) at D^(r+s-m) uses the coefficients' own
+    product, so coefficients that do not commute (matrices) fix its order.
+    """
+    _check_kinds(a, b)
     out: dict = {}
     for r, ar in a.coeffs.items():
         for s, bs in b.coeffs.items():
@@ -834,7 +852,7 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
                     out[key] = term
                 else:
                     out[key] = acc + term
-    return DiffOp(out)
+    return a._like(out)
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -913,6 +931,7 @@ def apply_op(a: DiffOp, f) -> XRat:
 
 def equals(a: DiffOp, b: DiffOp) -> bool:
     """True iff a - b has identically zero coefficients."""
+    _check_kinds(a, b)
     for r in a.coeffs.keys() | b.coeffs.keys():
         ca = a.coeffs.get(r)
         cb = b.coeffs.get(r)
@@ -1017,15 +1036,14 @@ def log_derivative(psi: QuasiRat) -> XRat:
     return psi.log_derivative()
 
 
-def is_eigenfunction(op: DiffOp, psi: QuasiRat):
-    """(L psi)/psi as a constant, or None if it depends on x.
+def eigen_ratio(v: XRat, w: XRat) -> XRat:
+    """(L psi)/psi = V - w' - w**2 for L = -D**2 + V and w = (log psi)'."""
+    return v - w.derivative() - w * w
 
-    For L = -D**2 + V and w = (log psi)', the ratio is V - w' - w**2.
-    """
-    v = op.potential()
-    w = psi.log_derivative()
-    ratio = v - w.derivative() - w * w
-    return ratio.constant_value()
+
+def is_eigenfunction(op: DiffOp, psi: QuasiRat):
+    """(L psi)/psi as a constant, or None if it depends on x."""
+    return eigen_ratio(op.potential(), psi.log_derivative()).constant_value()
 
 
 # ---------------------------------------------------------------------------

@@ -172,25 +172,6 @@ class MPoly:
         key, scale = _normalize_key(((name, exp),))
         return cls({key: scale})
 
-    @classmethod
-    def from_terms(cls, raw: dict) -> "MPoly":
-        """Build from a raw {key: coefficient} map, normalising keys and dropping zeros."""
-        out: dict = {}
-        for key, c in raw.items():
-            c = Rat(c)
-            if not c:
-                continue
-            key = tuple(sorted(key))
-            key, scale = _normalize_key(key)
-            c *= scale
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return cls(out)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -558,9 +539,6 @@ class ParamScalar:
 
     def const_value(self) -> Rat:
         return self.num.const_value() / self.den.const_value()
-
-    def is_integerlike(self) -> bool:
-        return self.den.is_constant()
 
     def params(self) -> set:
         return self.num.params() | self.den.params()

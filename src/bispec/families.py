@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import PS_ONE, ParamScalar, Rat, ExactError
-from .diffop import DiffOp, QuasiRat, XPoly, XRat
+from .diffop import DiffOp, QuasiRat, XPoly, XRat, _coerce_ps
 from .adcond import (
     WeightVector,
     hermite_new_weights,
@@ -62,10 +62,6 @@ class CatalogEntry:
     tau: object = None             # XPoly | None
     expect_holds: bool = True
     notes: str = ""
-
-
-def _ps(v) -> ParamScalar:
-    return v if isinstance(v, ParamScalar) else ParamScalar.const(v)
 
 
 _K = ParamScalar.var("k")
@@ -122,9 +118,9 @@ def _hermite_entry(k: int) -> CatalogEntry:
 
 
 def _hermite_p22_entry() -> CatalogEntry:
-    tau = XPoly({4: _ps(4), 0: _ps(3)})
+    tau = XPoly({4: _coerce_ps(4), 0: _coerce_ps(3)})
     v = (XRat.from_poly(XPoly.monomial(2)) - log_second_derivative(tau) * 2).reduced()
-    theta = XPoly({5: _ps(4), 1: _ps(15)})
+    theta = XPoly({5: _coerce_ps(4), 1: _coerce_ps(15)})
     return CatalogEntry(
         id="hermite-exc:p22",
         kind="scalar",
@@ -142,7 +138,7 @@ def _hermite_p22_entry() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-_SIXTEENTH = Rat(1, 16)
+_SIXTEENTH = _coerce_ps(Rat(1, 16))
 
 
 def laguerre_phi(n: int) -> QuasiRat:
@@ -150,7 +146,7 @@ def laguerre_phi(n: int) -> QuasiRat:
     classical operator, at the substitution m = -(k^2+4)/4."""
     if n < 0:
         raise ExactError("seed index must be >= 0")
-    m = _ps(Rat(-1, 4)) * (_K2 + 4)
+    m = _coerce_ps(Rat(-1, 4)) * (_K2 + 4)
     y = XPoly.monomial(2, Rat(-1, 4))
     prev, cur = XPoly.one(), XPoly.const(1 + m) - y
     for j in range(1, n):
@@ -166,7 +162,7 @@ def laguerre_phi(n: int) -> QuasiRat:
 
 def _step0_v() -> XRat:
     return (XRat.from_poly(XPoly.monomial(2, _SIXTEENTH))
-            + XRat.from_ratio(XPoly.const((_K4 + 8 * _K2 + 12) * _ps(_SIXTEENTH)),
+            + XRat.from_ratio(XPoly.const((_K4 + 8 * _K2 + 12) * _SIXTEENTH),
                               XPoly.monomial(2)))
 
 
@@ -175,8 +171,8 @@ def _step1_v() -> XRat:
     xm = XPoly.from_list([-_K, 1])
     return (XRat.from_ratio(XPoly.const(2), xp * xp)
             + XRat.from_ratio(XPoly.const(2), xm * xm)
-            + XRat.from_poly(XPoly({2: _ps(_SIXTEENTH), 0: (8 - 2 * _K2) * _ps(_SIXTEENTH)}))
-            + XRat.from_ratio(XPoly.const((_K4 - 4) * _ps(_SIXTEENTH)), XPoly.monomial(2)))
+            + XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (8 - 2 * _K2) * _SIXTEENTH}))
+            + XRat.from_ratio(XPoly.const((_K4 - 4) * _SIXTEENTH), XPoly.monomial(2)))
 
 
 def _step2_v() -> XRat:
@@ -186,15 +182,15 @@ def _step2_v() -> XRat:
             + XRat.from_ratio(XPoly.const(8 * _K2 - 16 * _K), qp * qp)
             + XRat.from_ratio(XPoly.const(4), qm)
             + XRat.from_ratio(XPoly.const(8 * _K2 + 16 * _K), qm * qm)
-            + XRat.from_poly(XPoly({2: _ps(_SIXTEENTH), 0: (16 - 2 * _K2) * _ps(_SIXTEENTH)}))
-            + XRat.from_ratio(XPoly.const((_K4 - 8 * _K2 + 12) * _ps(_SIXTEENTH)),
+            + XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (16 - 2 * _K2) * _SIXTEENTH}))
+            + XRat.from_ratio(XPoly.const((_K4 - 8 * _K2 + 12) * _SIXTEENTH),
                               XPoly.monomial(2)))
 
 
 def step3_tau(constant) -> XPoly:
     """The sextic under the log of the three-step potential, with a chosen
     constant term."""
-    return XPoly({6: PS_ONE, 4: -3 * _K2, 2: 3 * _K4 - 12 * _K2, 0: _ps(constant)})
+    return XPoly({6: PS_ONE, 4: -3 * _K2, 2: 3 * _K4 - 12 * _K2, 0: _coerce_ps(constant)})
 
 
 STEP3_CONSTANT_PRINTED = 12 * _K4 - 32 * _K2 - _K
@@ -203,8 +199,8 @@ STEP3_CONSTANT_WRONSKIAN = -_K6 + 12 * _K4 - 32 * _K2
 
 def _step3_v(constant) -> XRat:
     tau = step3_tau(constant)
-    return (XRat.from_poly(XPoly({2: _ps(_SIXTEENTH), 0: (24 - 2 * _K2) * _ps(_SIXTEENTH)}))
-            + XRat.from_ratio(XPoly.const((_K4 - 16 * _K2 + 60) * _ps(_SIXTEENTH)),
+    return (XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (24 - 2 * _K2) * _SIXTEENTH}))
+            + XRat.from_ratio(XPoly.const((_K4 - 16 * _K2 + 60) * _SIXTEENTH),
                               XPoly.monomial(2))
             - log_second_derivative(tau) * 2)
 
@@ -311,11 +307,11 @@ _EQ_WEIGHTS = {
 
 def _pole(shift) -> XPoly:
     """x + shift as a monic linear polynomial."""
-    return XPoly.from_list([_ps(shift), 1])
+    return XPoly.from_list([_coerce_ps(shift), 1])
 
 
 def _inv_square(c, base: XPoly) -> XRat:
-    return XRat.from_ratio(XPoly.const(_ps(c)), base * base)
+    return XRat.from_ratio(XPoly.const(_coerce_ps(c)), base * base)
 
 
 @lru_cache(maxsize=None)
@@ -356,21 +352,21 @@ def _ansatz_solutions(equation: str) -> list:
         t, u, a4, c4 = (ParamScalar.var(n) for n in ("t", "u", "a4", "c4"))
         sols = [
             (x, XRat.from_poly(XPoly({2: PS_ONE, 1: c})), ("c",), "first solution", ""),
-            (x, XRat.from_poly(XPoly({2: _ps(Rat(1, 4)), 1: c})), ("c",),
+            (x, XRat.from_poly(XPoly({2: _coerce_ps(Rat(1, 4)), 1: c})), ("c",),
              "second solution", ""),
-            (XPoly({2: PS_ONE, 1: c}), XRat.from_poly(XPoly({2: _ps(Rat(1, 4)), 1: e})),
+            (XPoly({2: PS_ONE, 1: c}), XRat.from_poly(XPoly({2: _coerce_ps(Rat(1, 4)), 1: e})),
              ("c", "e"), "third solution", ""),
         ]
         den4 = XPoly.from_list([c1, 2])
         sols.append((
             XPoly({2: PS_ONE, 1: c1}),
             XRat.from_ratio(XPoly.const(4 * p1), den4 * den4)
-            + XRat.from_poly(XPoly({2: _ps(_SIXTEENTH), 1: c1 * _ps(_SIXTEENTH)})),
+            + XRat.from_poly(XPoly({2: _SIXTEENTH, 1: c1 * _SIXTEENTH})),
             ("c1", "p1"), "fourth solution", ""))
         # fifth: Theta = x(2x+a)(4x^2+2ax+4b-a^2)/8
         th5 = (XPoly.x() * XPoly.from_list([a, 2])
-               * XPoly({2: _ps(4), 1: 2 * a, 0: 4 * b - a * a})).scale(Rat(1, 8))
-        sols.append((th5, XRat.from_poly(XPoly({2: _ps(Rat(1, 16)), 1: a * _ps(Rat(1, 32))})),
+               * XPoly({2: _coerce_ps(4), 1: 2 * a, 0: 4 * b - a * a})).scale(Rat(1, 8))
+        sols.append((th5, XRat.from_poly(XPoly({2: _SIXTEENTH, 1: a * _coerce_ps(Rat(1, 32))})),
                      ("a", "b"), "fifth solution", ""))
         e1 = ParamScalar.var("e1")
         th6 = (XPoly.x() * XPoly.from_list([2 * e1, 1])
@@ -378,15 +374,15 @@ def _ansatz_solutions(equation: str) -> list:
         sols.append((
             th6,
             XRat.from_ratio(XPoly.const(p1), _pole(e1) * _pole(e1))
-            + XRat.from_poly(XPoly({2: _ps(_SIXTEENTH), 1: 2 * e1 * _ps(_SIXTEENTH)})),
+            + XRat.from_poly(XPoly({2: _SIXTEENTH, 1: 2 * e1 * _SIXTEENTH})),
             ("e1", "b", "p1"), "sixth solution", ""))
         # most interesting solution, reparameterized so the square root of
         # 3 a3^2 - 8 a2 a4 lies in the field: a3 = 4 a4 t, a2 = 2 a4 (3t^2-u^2)
         u2 = u * u
         v7 = (_inv_square(2, _pole(t + u)) + _inv_square(2, _pole(t - u))
-              + XRat.from_ratio(XPoly.const((u2 * u2 - 4) * _ps(_SIXTEENTH)),
+              + XRat.from_ratio(XPoly.const((u2 * u2 - 4) * _SIXTEENTH),
                                 _pole(t) * _pole(t))
-              + XRat.from_poly(XPoly({2: _ps(_SIXTEENTH), 1: t * Rat(1, 8),
+              + XRat.from_poly(XPoly({2: _SIXTEENTH, 1: t * Rat(1, 8),
                                       0: -t * t * Rat(1, 4) + u2 * Rat(1, 48)
                                          + c4 / (4 * a4)})))
         th7 = XPoly({4: a4, 3: 4 * a4 * t, 2: 2 * a4 * (3 * t * t - u2),
@@ -401,9 +397,9 @@ def _ansatz_solutions(equation: str) -> list:
         a1, a2, a3 = (ParamScalar.var(n) for n in ("a1", "a2", "a3"))
         c3 = ParamScalar.var("c3")
         s2, s3, imag = (ParamScalar.var(n) for n in ("sqrt2", "sqrt3", "i"))
-        half = _ps(Rat(1, 2))
+        half = _coerce_ps(Rat(1, 2))
         sols = [
-            (x, XRat.from_poly(XPoly({2: _ps(9), 0: c})), ("c",), "first solution", ""),
+            (x, XRat.from_poly(XPoly({2: _coerce_ps(9), 0: c})), ("c",), "first solution", ""),
             (x, XRat.from_poly(XPoly({2: PS_ONE, 0: c})), ("c",), "second solution", ""),
             (XPoly.monomial(3), XRat.from_poly(XPoly({2: PS_ONE, 0: c})), ("c",),
              "third solution", ""),
@@ -412,25 +408,25 @@ def _ansatz_solutions(equation: str) -> list:
              + XRat.from_ratio(XPoly.const(2), XPoly.monomial(2)),
              ("c",), "fourth solution", ""),
             (XPoly({3: PS_ONE, 1: a1}),
-             XRat.from_poly(XPoly({2: PS_ONE, 0: (3 * c3 - a1) * _ps(Rat(1, 9))})),
+             XRat.from_poly(XPoly({2: PS_ONE, 0: (3 * c3 - a1) * _coerce_ps(Rat(1, 9))})),
              ("a1", "c3"), "fifth solution", ""),
         ]
         r6 = imag * s2 * half
         sols.append((
-            XPoly({3: PS_ONE, 1: _ps(Rat(3, 2))}),
+            XPoly({3: PS_ONE, 1: _coerce_ps(Rat(3, 2))}),
             _inv_square(2, _pole(-r6)) + _inv_square(2, _pole(r6))
             + XRat.from_poly(XPoly({2: PS_ONE, 0: c})),
             ("c",), "sixth solution (poles at +-i/sqrt2)", ""))
         r7 = s2 * half
         sols.append((
-            XPoly({3: PS_ONE, 1: _ps(Rat(-3, 2))}),
+            XPoly({3: PS_ONE, 1: _coerce_ps(Rat(-3, 2))}),
             _inv_square(2, _pole(-r7)) + _inv_square(2, _pole(r7))
             + XRat.from_poly(XPoly({2: PS_ONE, 0: c})),
             ("c",), "seventh solution (poles at +-1/sqrt2); the two-step Darboux "
                     "potential of the Hermite-type example", ""))
         sols.append((
-            XPoly({3: a3, 2: a2, 0: -_ps(Rat(2, 27)) * a2 ** 3 / (a3 * a3)}),
-            XRat.from_poly(XPoly({2: PS_ONE, 1: _ps(Rat(2, 3)) * a2 / a3})),
+            XPoly({3: a3, 2: a2, 0: -_coerce_ps(Rat(2, 27)) * a2 ** 3 / (a3 * a3)}),
+            XRat.from_poly(XPoly({2: PS_ONE, 1: _coerce_ps(Rat(2, 3)) * a2 / a3})),
             ("a2", "a3"), "eighth solution",
             "constant corrected from the printed (2/9) a2^2/a3 to -(2/27) a2^3/a3^2; "
             "the order-0 weight makes the constant meaningful and the exact residual "
@@ -438,7 +434,7 @@ def _ansatz_solutions(equation: str) -> list:
         p9a = (s2 + s2 * s3) * half      # (sqrt3+3)/sqrt6
         p9b = (s2 - s2 * s3) * half      # (sqrt3-3)/sqrt6
         sols.append((
-            XPoly({3: PS_ONE, 2: _ps(Rat(3, 2)) * s2 * s3, 1: _ps(3)}),
+            XPoly({3: PS_ONE, 2: _coerce_ps(Rat(3, 2)) * s2 * s3, 1: _coerce_ps(3)}),
             _inv_square(2, _pole(p9a)) + _inv_square(2, _pole(-p9b))
             + XRat.from_poly(XPoly({2: PS_ONE, 1: s2 * s3,
                                     0: (c3 - 10 * a3) / (3 * a3)})),
@@ -449,12 +445,12 @@ def _ansatz_solutions(equation: str) -> list:
         r10a = (imag * s2 - s2 * s3) * half   # (sqrt3 i - 3)/sqrt6
         r10b = (imag * s2 + s2 * s3) * half   # (sqrt3 i + 3)/sqrt6
         num10 = (_pole(r10a) * _pole(-r10b)).scale(
-            _ps(4) * s2 * _ps(177147) * s3 * a3)  # 2^(5/2) 3^(23/2) a3
+            _coerce_ps(4) * s2 * _coerce_ps(177147) * s3 * a3)  # 2^(5/2) 3^(23/2) a3
         d10a = _pole(-(s2 * s3 - s2) * half)
         d10b = _pole(-(s2 * s3 + s2) * half)
-        den10 = (d10a * d10a * d10b * d10b).scale(s2 * _ps(177147) * s3 * a3)
+        den10 = (d10a * d10a * d10b * d10b).scale(s2 * _coerce_ps(177147) * s3 * a3)
         sols.append((
-            XPoly({3: PS_ONE, 2: -_ps(Rat(3, 2)) * s2 * s3, 1: _ps(3)}),
+            XPoly({3: PS_ONE, 2: -_coerce_ps(Rat(3, 2)) * s2 * s3, 1: _coerce_ps(3)}),
             XRat.from_poly(num10) / XRat.from_poly(den10)
             + XRat.from_poly(XPoly({2: PS_ONE, 1: -s2 * s3,
                                     0: (c3 - 10 * a3) / (3 * a3)})),
@@ -616,7 +612,8 @@ def get_entry(entry_id: str) -> CatalogEntry:
 
 
 def verify_entry(entry: CatalogEntry):
-    """Run the entry's own condition; returns a ConditionReport-like object."""
+    """Run the entry's own condition; returns an ``adcond.ConditionReport``
+    for scalar and matrix entries alike."""
     if entry.kind == "scalar":
         return verify_condition(entry.operator, entry.theta, entry.condition)
     return verify_matrix_condition(entry.operator, entry.condition)

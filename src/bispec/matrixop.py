@@ -6,6 +6,14 @@ Operators act on square-matrix functions F(x) from either side:
   right (the convention of the matrix orthogonal polynomial displays);
 * left action:  (L F) = sum_r C_r(x) * F^(r).
 
+A matrix operator is a :class:`~bispec.diffop.DiffOp` whose coefficients are
+:class:`MatCoeff` matrices, so composition, commutators, sums, equality and
+reduction are the scalar ones, and a scalar operator is the 1x1 case.  The
+Leibniz rule gives the coefficient A_r B_s^(m) under the left action and
+B_s^(m) A_r under the right, so a right-action coefficient multiplies in the
+opposite ring.  Operands of different size or action side raise
+:class:`ExactError`.
+
 Ad-conditions here carry constant matrix right factors: sum_j (A_j o M_j) = 0
 where (A o M)(F) composes A with multiplication by M on the coefficient side.
 The source displays never state the action convention; ``convention_probe``
@@ -14,11 +22,11 @@ determines it empirically.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import ExactError
-from .diffop import XRat, XR_ZERO, _coerce_xrat
+from .diffop import DiffOp, XRat, XR_ZERO, _coerce_xrat, compose
+from .adcond import ConditionReport
 
 
 def _as_xrat_matrix(rows) -> tuple:
@@ -32,20 +40,8 @@ def _as_xrat_matrix(rows) -> tuple:
     return tuple(out)
 
 
-def mat_zero(n: int) -> tuple:
-    return tuple(tuple(XR_ZERO for _ in range(n)) for _ in range(n))
-
-
-def mat_eye(n: int) -> tuple:
-    return tuple(tuple(XRat.const(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def mat_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a) -> tuple:
-    return tuple(tuple(-x for x in row) for row in a)
+def _diag(f: XRat, size: int) -> tuple:
+    return tuple(tuple(f if i == j else XR_ZERO for j in range(size)) for i in range(size))
 
 
 def mat_mul(a, b) -> tuple:
@@ -63,80 +59,111 @@ def mat_mul(a, b) -> tuple:
     return tuple(out)
 
 
-def mat_scale(a, c) -> tuple:
-    return tuple(tuple(x * c for x in row) for row in a)
+class MatCoeff:
+    """Square matrix of XRat entries, the coefficient of a matrix operator.
+
+    ``a * b`` is the product in the ring its operator composes in: the matrix
+    product a b under the left action, b a under the right.  A scalar factor
+    scales every entry.  Operands are not checked here: the operators that
+    own them compare their ``kind`` first.
+    """
+
+    __slots__ = ("rows", "side")
+
+    def __init__(self, rows: tuple, side: str):
+        self.rows = rows
+        self.side = side
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> tuple:
+        return self.rows[i]
+
+    def _map(self, fn) -> "MatCoeff":
+        return MatCoeff(tuple(tuple(fn(x) for x in row) for row in self.rows), self.side)
+
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for row in self.rows for x in row)
+
+    def __add__(self, other: "MatCoeff") -> "MatCoeff":
+        return MatCoeff(tuple(tuple(x + y for x, y in zip(ra, rb))
+                              for ra, rb in zip(self.rows, other.rows)), self.side)
+
+    def __neg__(self) -> "MatCoeff":
+        return self._map(lambda x: -x)
+
+    def __mul__(self, other) -> "MatCoeff":
+        if not isinstance(other, MatCoeff):
+            return self._map(lambda x: x * other)
+        if self.side == "left":
+            return MatCoeff(mat_mul(self.rows, other.rows), self.side)
+        return MatCoeff(mat_mul(other.rows, self.rows), self.side)
+
+    def __eq__(self, other):
+        if not isinstance(other, MatCoeff):
+            return NotImplemented
+        return all(x == y for ra, rb in zip(self.rows, other.rows) for x, y in zip(ra, rb))
+
+    __hash__ = None
+
+    def derivative(self) -> "MatCoeff":
+        return self._map(lambda x: x.derivative())
+
+    def reduced(self) -> "MatCoeff":
+        return self._map(lambda x: x.reduced())
 
 
-def mat_derivative(a) -> tuple:
-    return tuple(tuple(x.derivative() for x in row) for row in a)
+class MatDiffOp(DiffOp):
+    """Differential operator with square-matrix XRat coefficients.
 
+    ``coeffs`` maps each order to a :class:`MatCoeff` or to rows of XRat
+    entries; every coefficient must have the operator's size and side.
+    """
 
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-class MatDiffOp:
-    """Differential operator with square-matrix XRat coefficients."""
-
-    __slots__ = ("coeffs", "size", "action_side")
+    __slots__ = ("size", "action_side")
 
     def __init__(self, coeffs: dict, size: int, action_side: str = "right", _normalize=True):
         if action_side not in ("left", "right"):
             raise ExactError("action_side must be 'left' or 'right'")
-        if _normalize:
-            coeffs = {r: m for r, m in coeffs.items() if not mat_is_zero(m)}
-        self.coeffs = coeffs
+        coeffs = {r: m if isinstance(m, MatCoeff) else MatCoeff(_as_xrat_matrix(m), action_side)
+                  for r, m in coeffs.items()}
+        for m in coeffs.values():
+            if m.size != size:
+                raise ExactError("operator size mismatch")
+            if m.side != action_side:
+                raise ExactError("operator action-side mismatch")
+        super().__init__(coeffs, _normalize)
         self.size = size
         self.action_side = action_side
 
     @classmethod
     def from_matrices(cls, coeffs: dict, action_side: str = "right") -> "MatDiffOp":
-        conv = {r: _as_xrat_matrix(m) for r, m in coeffs.items()}
-        sizes = {len(m) for m in conv.values()}
+        sizes = {len(m) for m in coeffs.values()}
         if len(sizes) != 1:
             raise ExactError("all coefficient matrices must have the same size")
-        return cls(conv, sizes.pop(), action_side)
+        return cls(coeffs, sizes.pop(), action_side)
 
     @classmethod
     def scalar_times_identity(cls, f, size: int, action_side: str = "right") -> "MatDiffOp":
-        f = _coerce_xrat(f)
-        m = tuple(tuple(f if i == j else XR_ZERO for j in range(size)) for i in range(size))
-        return cls({0: m}, size, action_side)
+        return cls({0: _diag(_coerce_xrat(f), size)}, size, action_side)
 
-    def zero_like(self) -> "MatDiffOp":
-        return MatDiffOp({}, self.size, self.action_side, _normalize=False)
+    @property
+    def kind(self) -> str:
+        return f"{self.size}x{self.size} {self.action_side}-action"
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _like(self, coeffs: dict, _normalize=True) -> "MatDiffOp":
+        return MatDiffOp(coeffs, self.size, self.action_side, _normalize)
 
-    def order(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def coeff(self, r: int) -> tuple:
-        return self.coeffs.get(r, mat_zero(self.size))
+    def coeff(self, r: int) -> MatCoeff:
+        if r in self.coeffs:
+            return self.coeffs[r]
+        return MatCoeff(_diag(XR_ZERO, self.size), self.action_side)
 
     def with_side(self, side: str) -> "MatDiffOp":
-        return MatDiffOp(self.coeffs, self.size, side, _normalize=False)
-
-    def _check(self, other: "MatDiffOp"):
-        if self.size != other.size:
-            raise ExactError("operator size mismatch")
-        if self.action_side != other.action_side:
-            raise ExactError("operator action-side mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for r, m in other.coeffs.items():
-            out[r] = mat_add(out[r], m) if r in out else m
-        return MatDiffOp(out, self.size, self.action_side)
-
-    def __neg__(self):
-        return MatDiffOp({r: mat_neg(m) for r, m in self.coeffs.items()},
-                         self.size, self.action_side, _normalize=False)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return MatDiffOp({r: MatCoeff(m.rows, side) for r, m in self.coeffs.items()},
+                         self.size, side, _normalize=False)
 
     def right_factor(self, m) -> "MatDiffOp":
         """Compose with right multiplication by a constant matrix:
@@ -144,37 +171,15 @@ class MatDiffOp:
         m = _as_xrat_matrix(m)
         if len(m) != self.size:
             raise ExactError("right factor size mismatch")
-        return MatDiffOp({r: mat_mul(c, m) for r, c in self.coeffs.items()},
-                         self.size, self.action_side)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatDiffOp):
-            return NotImplemented
-        self._check(other)
-        for r in self.coeffs.keys() | other.coeffs.keys():
-            a = self.coeffs.get(r)
-            b = other.coeffs.get(r)
-            if a is None:
-                if not mat_is_zero(b):
-                    return False
-            elif b is None:
-                if not mat_is_zero(a):
-                    return False
-            else:
-                for ra, rb in zip(a, b):
-                    for x, y in zip(ra, rb):
-                        if x != y:
-                            return False
-        return True
-
-    __hash__ = None
+        return self._like({r: MatCoeff(mat_mul(c.rows, m), self.action_side)
+                           for r, c in self.coeffs.items()})
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         chunks = []
         for r in sorted(self.coeffs, reverse=True):
-            rows = "; ".join(", ".join(str(x) for x in row) for row in self.coeffs[r])
+            rows = "; ".join(", ".join(str(x) for x in row) for row in self.coeffs[r].rows)
             dtxt = "" if r == 0 else (" D" if r == 1 else f" D^{r}")
             chunks.append(f"[{rows}]{dtxt}")
         return " + ".join(chunks)
@@ -184,40 +189,27 @@ class MatDiffOp:
 
 
 def mat_compose(a: MatDiffOp, b: MatDiffOp) -> MatDiffOp:
-    """Composition a(b(F)) consistent with the shared action side."""
-    a._check(b)
-    out: dict = {}
-    left = a.action_side == "left"
-    for r, ar in a.coeffs.items():
-        for s, bs in b.coeffs.items():
-            db = bs
-            for m in range(r + 1):
-                if m > 0:
-                    db = mat_derivative(db)
-                # left action: coefficient A_r * B_s^(m); right action: B_s^(m) * A_r
-                term = mat_mul(ar, db) if left else mat_mul(db, ar)
-                binom = math.comb(r, m)
-                if binom != 1:
-                    term = mat_scale(term, binom)
-                key = r + s - m
-                out[key] = mat_add(out[key], term) if key in out else term
-    return MatDiffOp(out, a.size, a.action_side)
+    """Composition a(b(F)) under the operators' shared action side."""
+    return compose(a, b)
 
 
 def mat_commutator(a: MatDiffOp, b: MatDiffOp) -> MatDiffOp:
     return mat_compose(a, b) - mat_compose(b, a)
 
 
-def mat_ad_power(op: MatDiffOp, theta: MatDiffOp, j: int) -> MatDiffOp:
+def mat_ad_tower(op: MatDiffOp, theta: MatDiffOp, up_to: int) -> list:
+    """[A_0, ..., A_up_to] with A_0 = theta and A_{j+1} = [op, A_j], reduced
+    after every step; theta is an order-0 operator."""
     if theta.order() > 0:
         raise ExactError("theta must be an order-0 operator")
-    current = theta
-    for _ in range(j):
-        current = mat_commutator(op, current)
-        current = MatDiffOp({r: tuple(tuple(x.reduced() for x in row) for row in m)
-                             for r, m in current.coeffs.items()},
-                            current.size, current.action_side)
-    return current
+    tower = [theta]
+    for _ in range(up_to):
+        tower.append(mat_commutator(op, tower[-1]).reduced())
+    return tower
+
+
+def mat_ad_power(op: MatDiffOp, theta: MatDiffOp, j: int) -> MatDiffOp:
+    return mat_ad_tower(op, theta, j)[j]
 
 
 @dataclass
@@ -233,28 +225,13 @@ class MatCondition:
             raise ExactError("matrix condition needs at least one term")
 
 
-@dataclass
-class MatConditionReport:
-    holds: bool
-    residual: MatDiffOp
-    assumptions: list = field(default_factory=list)
-
-
-def verify_matrix_condition(op: MatDiffOp, cond: MatCondition) -> MatConditionReport:
+def verify_matrix_condition(op: MatDiffOp, cond: MatCondition) -> ConditionReport:
     """Exact check of sum_j (ad op^j(theta) o M_j) = 0."""
     theta = cond.theta.with_side(op.action_side)
-    top = max(j for j, _ in cond.terms)
-    powers = [theta]
-    for j in range(top):
-        powers.append(mat_commutator(op, powers[j]))
-    residual = op.zero_like()
-    for j, m in cond.terms:
-        residual = residual + powers[j].right_factor(m)
-    return MatConditionReport(mat_is_zero_op(residual), residual)
-
-
-def mat_is_zero_op(a: MatDiffOp) -> bool:
-    return all(mat_is_zero(m) for m in a.coeffs.values())
+    tower = mat_ad_tower(op, theta, max(j for j, _ in cond.terms))
+    parts = [tower[j].right_factor(m) for j, m in cond.terms]
+    residual = sum(parts[1:], parts[0])
+    return ConditionReport(residual.is_zero(), residual)
 
 
 def convention_probe(op: MatDiffOp, cond: MatCondition) -> dict:

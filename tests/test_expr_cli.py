@@ -165,6 +165,17 @@ def test_cli_errors_exit_2():
     assert cli.main(["ad", "--L", "x +", "--theta", "x", "--j", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["reach-weights", "--n", "2", "--step", "abc"],
+    ["reach-weights", "--n", "2", "--step", "1/0"],
+    ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,x"],
+])
+def test_cli_bad_numbers_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exit_code"] == 2 and payload["error"]
+
+
 def test_cli_main_exit_codes(capsys):
     assert cli.main(["verify", "hermite-exc:k=0"]) == 0
     out = capsys.readouterr()

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from bispec.exact import ExactError, ParamScalar, Rat
+from bispec.adcond import ad_tower
 from bispec.diffop import DiffOp, XPoly, XRat, commutator as scalar_commutator, equals
 from bispec.matrixop import (
     MatCondition,
     MatDiffOp,
     mat_ad_power,
+    mat_ad_tower,
     mat_commutator,
-    mat_is_zero_op,
+    mat_compose,
     verify_matrix_condition,
 )
 from bispec.families import MATRIX_ACTION_SIDE, get_entry, probe_entry, verify_entry
@@ -28,7 +30,7 @@ def hermite_matrix_op(side=MATRIX_ACTION_SIDE):
 
 def test_commutator_antisymmetry():
     op = hermite_matrix_op()
-    assert mat_is_zero_op(mat_commutator(op, op))
+    assert mat_commutator(op, op).is_zero()
 
 
 def test_size_and_side_mismatch_rejected():
@@ -39,6 +41,19 @@ def test_size_and_side_mismatch_rejected():
     small = MatDiffOp.from_matrices({0: [[XPoly.x()]]}, action_side="left")
     with pytest.raises(ExactError):
         mat_commutator(op, small)
+
+
+@pytest.mark.parametrize("combine", [
+    mat_compose, mat_commutator, lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a == b])
+def test_every_operation_rejects_size_and_side_mismatch(combine):
+    op = hermite_matrix_op("left")
+    small = MatDiffOp.from_matrices({0: [[XPoly.x()]]}, action_side="left")
+    zero = op - op
+    scalar = DiffOp.schrodinger(XRat.from_poly(XPoly.x()))
+    for a, b in ((op, hermite_matrix_op("right")), (op, small), (small, op),
+                 (zero, small), (small, zero), (op, scalar)):
+        with pytest.raises(ExactError):
+            combine(a, b)
 
 
 def _random_scalar_op(rng):
@@ -123,10 +138,10 @@ def test_convention_probe_on_catalog():
     op = hermite_matrix_op("right")
     a2 = mat_ad_power(op, theta_x(2, "right"), 2)
     a0 = theta_x(2, "right")
-    assert mat_is_zero_op(a2 - a0.right_factor([[4, 0], [0, 4]]))
+    assert (a2 - a0.right_factor([[4, 0], [0, 4]])).is_zero()
     op_left = hermite_matrix_op("left")
     a2l = mat_ad_power(op_left, theta_x(2, "left"), 2)
-    assert not mat_is_zero_op(a2l - theta_x(2, "left").right_factor([[4, 0], [0, 4]]))
+    assert not (a2l - theta_x(2, "left").right_factor([[4, 0], [0, 4]])).is_zero()
 
 
 def test_1x1_embedding_reproduces_scalar_conditions():
@@ -148,3 +163,24 @@ def test_1x1_embedding_reproduces_scalar_conditions():
         assert report.holds, cid
         checked += 1
     assert checked >= 15
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("cid, top", [
+    ("laguerre-step:1", 5), ("hermite-exc:k=2", 4), ("ansatz:A4-40A2+144A0:10", 4)])
+def test_1x1_tower_matches_closed_form_tower(cid, top, side):
+    # the generic Leibniz composition of the matrix path, reduced after every
+    # step, is an oracle for the closed-form Schrodinger tower of adcond
+    entry = get_entry(cid)
+    want = ad_tower(entry.operator, entry.theta, top)
+    mop = MatDiffOp({r: ((c,),) for r, c in entry.operator.coeffs.items()}, 1, side)
+    mtheta = MatDiffOp.scalar_times_identity(XRat.from_poly(entry.theta), 1, side)
+    got = mat_ad_tower(mop, mtheta, top)
+    for j, (a, m) in enumerate(zip(want, got)):
+        assert a.coeffs.keys() == m.coeffs.keys(), (cid, j)
+        for r, c in a.coeffs.items():
+            entry_rj = m.coeffs[r][0][0]
+            assert entry_rj == c, (cid, j, r)
+            assert len(entry_rj.factors) == len(c.factors), (cid, j, r)
+            for (b1, e1), (b2, e2) in zip(entry_rj.factors, c.factors):
+                assert b1 == b2 and e1 == e2, (cid, j, r)
