@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .exact import ExactError, Rat
+from .exact import ExactError, Rat, check_param_name
 from .diffop import DiffOp, QuasiRat, XPoly, XRat
 from .adcond import (
     SpectrumStep,
@@ -367,6 +367,8 @@ def run(argv=None) -> dict:
         if not exc.code:  # --help and friends are not errors
             raise
         raise UsageError("invalid arguments") from exc
+    for name in getattr(args, "param", ()):
+        check_param_name(name)
     report = args.func(args)
     return report
 

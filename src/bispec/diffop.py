@@ -6,6 +6,14 @@ monic factor lists ``prod b_i(x)**e_i`` so repeated differentiation grows the
 exponents linearly instead of squaring blindly; parameter-free values are
 fully reduced by univariate gcd, parametric values only by trial division
 against their own denominator factors.
+
+A trial division that fails is refuted before it runs: numerator and base are
+mapped to GF(p), p = 2**61 - 1, with each parameter at a fixed residue derived
+from its name (``exact.mod_p_residue``), and a nonzero image remainder proves
+a nonzero remainder (Schwartz 1980, Zippel 1979).  When an image is undefined
+(a relation-bearing parameter, or a denominator or the base's leading
+coefficient mapping to 0) or no parameter occurs, the check is undecided and
+the symbolic division decides as before.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import os
 from collections import defaultdict
 
 from .exact import (
+    MOD_P,
     MPoly,
     PS_ONE,
     PS_ZERO,
@@ -535,9 +544,16 @@ class XRat:
         """Cancel the numerator against the denominator.
 
         Parametric values are reduced by trial division against their own
-        denominator factors (no multivariate gcd).  Parameter-free values are
-        fully gcd-reduced: the numerator ends up coprime to every (monic)
-        denominator base, splitting bases when only part of one cancels.
+        denominator factors (no multivariate gcd).  Before each symbolic
+        ``num.divmod(base)`` both are mapped to GF(2**61 - 1) at the fixed
+        point of ``exact.mod_p_residue``; a nonzero image remainder proves the
+        division fails, so that base is done with (:func:`_refutes_division`).
+        When the check is undecided (an undefined image, a leading coefficient
+        mapping to 0, no parameter) the symbolic division decides.  Either way
+        the result is the one plain trial division gives.  Parameter-free
+        values are fully gcd-reduced: the numerator ends up coprime to every
+        (monic) denominator base, splitting bases when only part of one
+        cancels.
         """
         if not self.factors or self.num.is_zero():
             return self
@@ -568,7 +584,7 @@ class XRat:
             return XRat(num, tuple((b, e) for b, e in work if e))
         out = []
         for base, exp in self.factors:
-            while exp > 0:
+            while exp > 0 and not _refutes_division(num, base):
                 quo, rem = num.divmod(base)
                 if rem.is_zero():
                     num = quo
@@ -605,6 +621,47 @@ class XRat:
 
     def __repr__(self):
         return f"XRat({self})"
+
+
+def _mod_p_coeffs(p: XPoly):
+    """Ascending coefficient images in GF(MOD_P), or None if one is undefined."""
+    out = [0] * (p.degree() + 1)
+    for d, c in p.coeffs.items():
+        v = c.evaluate_mod()
+        if v is None:
+            return None
+        out[d] = v
+    return out
+
+
+def _refutes_division(num: XPoly, base: XPoly) -> bool:
+    """True when num mod base provably leaves a nonzero remainder.
+
+    Both are mapped to GF(MOD_P) at the fixed point of MPoly.evaluate_mod.
+    Where every coefficient has an image and base's leading coefficient maps
+    to a unit, that map is a ring homomorphism which carries the quotient and
+    remainder of num by base to those of the images; so a nonzero image
+    remainder proves a nonzero remainder (Schwartz 1980, Zippel 1979).  False
+    means undecided: an image is undefined, the leading coefficient maps to 0,
+    or neither polynomial has a parameter.
+    """
+    if num.is_parameter_free() and base.is_parameter_free():
+        return False
+    b = _mod_p_coeffs(base)
+    if b is None or not b[-1]:
+        return False
+    a = _mod_p_coeffs(num)
+    if a is None:
+        return False
+    db = len(b) - 1
+    inv = pow(b[-1], -1, MOD_P)
+    for top in range(len(a) - 1, db - 1, -1):
+        q = a[top] * inv % MOD_P
+        if q:
+            shift = top - db
+            for idx in range(db):
+                a[shift + idx] = (a[shift + idx] - q * b[idx]) % MOD_P
+    return any(a[:db])
 
 
 def _coerce_xrat(value):

@@ -19,6 +19,7 @@ polynomial zero testing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,24 +50,45 @@ class Param:
     relation: object = None
 
 
-def declare_param(name: str, relation=None) -> Param:
-    """Register a parameter name, optionally with a quadratic relation p**2 = relation.
-
-    Re-declaring a name is allowed only with the identical relation.
-    """
+def check_param_name(name: str) -> None:
+    """Raise ExactError unless ``name`` can name a parameter."""
     if not name.isidentifier():
         raise ExactError(f"invalid parameter name {name!r}")
     if name in _RESERVED_NAMES:
         raise ExactError(f"{name!r} is reserved and cannot be a parameter")
+
+
+def _is_rational_square(q: Rat) -> bool:
+    n, d = int(q.numerator), int(q.denominator)
+    return n >= 0 and math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
+
+
+def declare_param(name: str, relation=None) -> Param:
+    """Register a parameter name, optionally with a quadratic relation p**2 = relation.
+
+    Re-declaring a name is allowed only with the identical relation.  A new
+    relation value r is rejected when r times a product of declared relation
+    values (the empty product included) is a rational square: p would then
+    be a product of the other roots up to a rational, and p minus that
+    product a zero divisor.  Relations that pass keep the coefficient ring a
+    field of degree 2**n over Q(free parameters).
+    """
+    check_param_name(name)
     rel = None if relation is None else Rat(relation)
     old = _relations.get(name)
     if rel is None:
         if old is not None:
             raise ExactError(f"parameter {name!r} already declared with relation {old}")
-    else:
-        if old is not None and old != rel:
-            raise ExactError(f"parameter {name!r} already declared with relation {old}")
+    elif old is None:
+        products = [rel]
+        for other in _relations.values():
+            products += [q * other for q in products]
+        if any(_is_rational_square(q) for q in products):
+            raise ExactError(f"relation {name}^2 = {rel} creates zero divisors: {rel} times "
+                             "a product of declared relation values is a rational square")
         _relations[name] = rel
+    elif old != rel:
+        raise ExactError(f"parameter {name!r} already declared with relation {old}")
     return Param(name, rel)
 
 
@@ -78,6 +100,22 @@ def relation_of(name: str):
 declare_param("sqrt2", 2)
 declare_param("sqrt3", 3)
 declare_param("i", -1)
+
+
+# Refutation by specialisation maps values to GF(MOD_P) at one fixed point;
+# see MPoly.evaluate_mod.
+MOD_P = (1 << 61) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def mod_p_residue(name: str) -> int:
+    """The residue of parameter ``name`` at the fixed point.
+
+    The name's bytes, read as an integer, raised to the power 65537: the same
+    in every process and call order, and with no low-degree relation between
+    the residues of names such as ``a1`` and ``a2``.
+    """
+    return pow(int.from_bytes(name.encode(), "big"), 65537, MOD_P)
 
 
 # A monomial key is a tuple of (name, exponent) pairs, sorted by name,
@@ -446,6 +484,28 @@ class MPoly:
             total += v
         return total
 
+    def evaluate_mod(self):
+        """The image in GF(MOD_P) with every parameter at mod_p_residue(name).
+
+        None when it is undefined: a relation-bearing parameter occurs (the
+        point need not satisfy its relation), or a coefficient denominator is
+        divisible by MOD_P.  Otherwise the map is a ring homomorphism on the
+        polynomials it is defined for.
+        """
+        num, den = 0, 1
+        for key, c in self.terms.items():
+            v = int(c.numerator)
+            for name, e in key:
+                if name in _relations:
+                    return None
+                v = v * pow(mod_p_residue(name), e, MOD_P) % MOD_P
+            d = int(c.denominator)
+            num = (num * d + v * den) % MOD_P
+            den = den * d % MOD_P
+        if not den:
+            return None
+        return num * pow(den, -1, MOD_P) % MOD_P
+
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
@@ -629,6 +689,17 @@ class ParamScalar:
         if not den:
             raise ExactError("denominator vanishes at evaluation point")
         return self.num.evaluate(point) / den
+
+    def evaluate_mod(self):
+        """The image in GF(MOD_P) at the fixed point of MPoly.evaluate_mod, or
+        None when num or den has none or den maps to 0."""
+        if self.den is _MP_ONE:
+            return self.num.evaluate_mod()
+        den = self.den.evaluate_mod()
+        if not den:
+            return None
+        num = self.num.evaluate_mod()
+        return None if num is None else num * pow(den, -1, MOD_P) % MOD_P
 
     def __str__(self):
         return render_scalar(self)

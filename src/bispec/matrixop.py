@@ -149,6 +149,14 @@ class MatDiffOp(DiffOp):
     def scalar_times_identity(cls, f, size: int, action_side: str = "right") -> "MatDiffOp":
         return cls({0: _diag(_coerce_xrat(f), size)}, size, action_side)
 
+    @classmethod
+    def _no_size(cls, *args, **kwargs):
+        raise ExactError("a matrix operator needs a size and an action side: "
+                         "use MatDiffOp.from_matrices or MatDiffOp.scalar_times_identity")
+
+    # the scalar class constructors cannot know a size or side
+    zero = identity = d = mul_by = schrodinger = _no_size
+
     @property
     def kind(self) -> str:
         return f"{self.size}x{self.size} {self.action_side}-action"

@@ -1,6 +1,11 @@
+import random
+import sys
+
 import pytest
 
-from bispec.exact import ExactError, PS_ONE, ParamScalar, Rat
+from bispec.exact import ExactError, MPoly, PS_ONE, ParamScalar, Rat, mod_p_residue
+from bispec.adcond import WeightVector
+from bispec.ansatz import generate_system
 from bispec.diffop import (
     DiffOp,
     QuasiRat,
@@ -13,6 +18,7 @@ from bispec.diffop import (
     equals,
     is_eigenfunction,
     log_derivative,
+    _refutes_division,
 )
 
 
@@ -158,3 +164,80 @@ def test_order_bound_for_commutators():
     op = DiffOp.schrodinger(v)
     a = DiffOp({3: XRat.from_poly(xp(1, 1)), 0: XRat.const(5)})
     assert commutator(op, a).order() <= op.order() + a.order() - 1
+
+
+_DENOMINATORS = [MPoly.one(), MPoly.var("k") + 1, MPoly.var("a") - 2,
+                 MPoly.var("k") * MPoly.var("a") + 3]
+
+
+def _random_param_scalar(rng):
+    """A small ParamScalar, mostly with a parametric denominator."""
+    num = MPoly.const(rng.randint(-4, 4))
+    for _ in range(rng.randint(1, 2)):
+        num = num + MPoly.var(rng.choice("ka"), rng.randint(1, 2)) * rng.randint(-5, 5)
+    return ParamScalar(num, rng.choice(_DENOMINATORS))
+
+
+def _random_xpoly(rng, deg, monic=False):
+    coeffs = {d: _random_param_scalar(rng) for d in range(deg + 1)}
+    if monic:
+        coeffs[deg] = PS_ONE
+    return XPoly({d: c for d, c in coeffs.items() if not c.is_zero()})
+
+
+def test_mod_p_refutation_is_sound_oracle():
+    """The check refutes a trial division only when the symbolic remainder is
+    nonzero, never an exact multiple, and here every division that fails."""
+    rng = random.Random(20261018)
+    refuted = inexact = 0
+    for _ in range(120):
+        base = _random_xpoly(rng, rng.randint(1, 3), monic=True)
+        num = _random_xpoly(rng, rng.randint(0, 2), monic=True) * base
+        assert not num.is_zero() and not _refutes_division(num, base)
+        assert num.divmod(base)[1].is_zero()
+        rest = _random_xpoly(rng, rng.randint(0, base.degree() - 1))
+        num = num + rest if rng.random() < 0.8 else rest
+        if num.is_zero():
+            continue
+        _, rem = num.divmod(base)
+        inexact += not rem.is_zero()
+        if _refutes_division(num, base):
+            refuted += 1
+            assert not rem.is_zero()
+    assert inexact >= 100
+    assert refuted == inexact
+
+
+def test_mod_p_refutation_undecided_cases():
+    k = ParamScalar.var("k")
+    r = mod_p_residue("k")
+    sqrt2 = ParamScalar.var("sqrt2")
+    x2_plus_1 = xp(1, 0, 1)
+    cases = [
+        (x2_plus_1, xp(sqrt2, 1)),                               # relation in the base
+        (xp(sqrt2 * k, 0, 1), xp(k, 1)),                         # relation in the numerator
+        (xp(PS_ONE / (k - r), 0, 1), xp(k, 1)),                  # a denominator maps to 0
+        (x2_plus_1, XPoly({1: k - r, 0: PS_ONE})),               # the leading coefficient maps to 0
+        (x2_plus_1, xp(-1, 1)),                                  # no parameter
+    ]
+    for num, base in cases:
+        assert not num.divmod(base)[1].is_zero()
+        assert not _refutes_division(num, base)
+    assert _refutes_division(x2_plus_1, xp(k, 1))
+
+
+def test_gen_system_trial_divisions_all_succeed(monkeypatch):
+    """Every failing trial division of XRat.reduced on this system is refuted
+    mod p before its symbolic divmod runs."""
+    seen = []
+    divmod_ = XPoly.divmod
+
+    def recording(self, other):
+        quo, rem = divmod_(self, other)
+        if sys._getframe(1).f_code.co_name == "reduced":
+            seen.append(rem.is_zero())
+        return quo, rem
+
+    monkeypatch.setattr(XPoly, "divmod", recording)
+    generate_system(WeightVector({5: 1, 3: -5, 1: 4}))
+    assert seen and all(seen)

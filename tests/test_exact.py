@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
 from bispec.exact import (
+    MOD_P,
     ExactError,
     MPoly,
     ParamScalar,
     Rat,
     declare_param,
     is_zero,
+    mod_p_residue,
     normalize_fraction,
     nullspace,
+    relation_of,
 )
 
 
@@ -73,12 +78,54 @@ def test_relation_survives_fraction_arithmetic():
 
 
 def test_declare_param_conflicts():
-    declare_param("fresh_q", 5)
+    declare_param("fresh_q", 5)  # 5, 10, 15, 30 and their negatives are no squares
     declare_param("fresh_q", 5)
     with pytest.raises(ExactError):
         declare_param("fresh_q", 7)
     with pytest.raises(ExactError):
         declare_param("x")
+
+
+@pytest.mark.parametrize("name, relation", [
+    ("s", 4),    # a rational square: (s-2)*(s+2) == 0
+    ("t", 6),    # 6*2*3 = 36: t is sqrt2*sqrt3 up to sign
+    ("u", -4),   # -4*-1 = 4: u is 2*i up to sign
+])
+def test_declare_param_keeps_a_field(name, relation):
+    with pytest.raises(ExactError, match="zero divisors"):
+        declare_param(name, relation)
+    assert relation_of(name) is None
+
+
+def test_evaluate_mod_is_a_ring_homomorphism():
+    rng = random.Random(4)
+    k, a = var("k"), var("a")
+
+    def rand_poly():
+        terms = (k ** rng.randint(0, 3) * a ** rng.randint(0, 2)
+                 * Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 4)))
+        return sum(terms, MPoly.zero())
+
+    def rand_scalar():
+        den = rand_poly()
+        return ParamScalar(rand_poly(), den if den else MPoly.one())
+
+    for _ in range(100):
+        x, y = rand_scalar(), rand_scalar()
+        fx, fy = x.evaluate_mod(), y.evaluate_mod()
+        assert (x + y).evaluate_mod() == (fx + fy) % MOD_P
+        assert (x * y).evaluate_mod() == fx * fy % MOD_P
+    k2 = ParamScalar.var("k") * ParamScalar.var("k")
+    assert k2.evaluate_mod() == pow(mod_p_residue("k"), 2, MOD_P)
+
+
+def test_evaluate_mod_undefined_cases():
+    k = var("k")
+    assert ParamScalar.var("sqrt2").evaluate_mod() is None
+    assert ParamScalar(k + var("i")).evaluate_mod() is None
+    assert ParamScalar(MPoly.one(), k - mod_p_residue("k")).evaluate_mod() is None
+    assert ParamScalar.const(Rat(1, MOD_P)).evaluate_mod() is None
+    assert ParamScalar.const(Rat(3, 2)).evaluate_mod() == 3 * pow(2, -1, MOD_P) % MOD_P
 
 
 def test_monomial_cancellation():

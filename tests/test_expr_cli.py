@@ -176,6 +176,14 @@ def test_cli_bad_numbers_exit_2(argv, capsys):
     assert payload["exit_code"] == 2 and payload["error"]
 
 
+@pytest.mark.parametrize("name", ["x", "exp", "D", "1a"])
+def test_cli_bad_param_name_exit_2(name, capsys):
+    argv = ["ad", "--L", "1/x", "--theta", "x", "--j", "1", "--param", name]
+    assert cli.main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exit_code"] == 2 and repr(name) in payload["error"]
+
+
 def test_cli_main_exit_codes(capsys):
     assert cli.main(["verify", "hermite-exc:k=0"]) == 0
     out = capsys.readouterr()

@@ -56,6 +56,14 @@ def test_every_operation_rejects_size_and_side_mismatch(combine):
             combine(a, b)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MatDiffOp.zero(), lambda: MatDiffOp.identity(), lambda: MatDiffOp.d(),
+    lambda: MatDiffOp.mul_by(XRat.const(1)), lambda: MatDiffOp.schrodinger(XRat.const(1))])
+def test_scalar_class_constructors_name_the_matrix_ones(make):
+    with pytest.raises(ExactError, match="from_matrices.*scalar_times_identity"):
+        make()
+
+
 def _random_scalar_op(rng):
     coeffs = {}
     for order in range(rng.randint(1, 2) + 1):
