@@ -120,17 +120,17 @@ def _forced_relations(equations: list, p_names: set) -> list:
         (name, deg), = present.items()
         if deg != 1:
             continue
-        lead = MPoly.zero()
-        rest = MPoly.zero()
+        # eq = name * lead + rest; both keep eq's numerators over eq.den
+        lead, rest = {}, {}
         for key, coeff in eq.terms.items():
             stripped = tuple((nm, e) for nm, e in key if nm != name)
             if len(stripped) != len(key):
-                lead = lead + MPoly({stripped: coeff})
+                lead[stripped] = coeff
             else:
-                rest = rest + MPoly({key: coeff})
-        if lead.is_zero():
+                rest[key] = coeff
+        if not lead:
             continue
-        value = ParamScalar(-rest, lead)
+        value = ParamScalar(-MPoly.from_ints(rest, eq.den), MPoly.from_ints(lead, eq.den))
         if name not in seen:
             seen.add(name)
             forced.append((name, value))

@@ -300,15 +300,17 @@ _XP_X = XPoly({1: PS_ONE})
 
 
 def _int_list(p: XPoly) -> list:
-    """Ascending integer coefficients of a parameter-free polynomial, up to scale."""
-    deg = p.degree()
-    qs = [p.coeffs[d].const_value() if d in p.coeffs else None for d in range(deg + 1)]
-    lcm = 1
-    for q in qs:
-        if q is not None:
-            d = int(q.denominator)
-            lcm = lcm // math.gcd(lcm, d) * d
-    return [0 if q is None else int(q * lcm) for q in qs]
+    """Ascending integer coefficients of a parameter-free polynomial, up to scale.
+
+    A constant ParamScalar has denominator 1, so each coefficient is the one
+    int numerator of its num over num.den.
+    """
+    nums = [(d, c.num) for d, c in p.coeffs.items()]
+    lcm = math.lcm(*(num.den for _, num in nums))
+    out = [0] * (p.degree() + 1)
+    for d, num in nums:
+        out[d] = num.terms[()] * (lcm // num.den)
+    return out
 
 
 def _primitive(c: list) -> list:
@@ -431,9 +433,8 @@ class XRat:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Rat, ParamScalar, XPoly)):
-            other = XRat.from_poly(other if isinstance(other, XPoly) else XPoly.const(other))
-        if not isinstance(other, XRat):
+        other = _coerce_xrat(other)
+        if other is None:
             return NotImplemented
         if _same_factors(self.factors, other.factors):
             return self.num == other.num

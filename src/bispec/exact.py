@@ -9,6 +9,11 @@ multivariate polynomials over exact rationals in named parameters
 ``sqrt3`` and ``i`` rewrite to 2, 3 and -1, which covers every
 algebraic constant needed by the built-in solution catalogs.
 
+An MPoly stores integer numerators over one shared positive denominator
+(content times primitive part), so products and sums of polynomials are
+plain ``int`` work; :data:`Rat` values are built only at the edges, where
+a single coefficient or value is asked for, and for rendering.
+
 Polynomials are stored expanded, so zero testing is structural and
 never wrong.  Fractions are deliberately *not* reduced by multivariate
 gcd: normalisation cancels integer content, the sign of the
@@ -36,6 +41,12 @@ _RESERVED_NAMES = {"x", "exp", "D"}
 
 # name -> rational value of the parameter's square
 _relations: dict[str, Rat] = {}
+# name -> (p, q): that value as coprime ints p/q, q > 0
+_rel_parts: dict[str, tuple] = {}
+# The product of every relation's q (1 for the built-ins).  A product of
+# polynomials is formed over a denominator with this extra factor, so that
+# folding relation values stays integer work; see _mul_keys.
+_rel_den = 1
 
 
 class ExactError(ValueError):
@@ -86,7 +97,10 @@ def declare_param(name: str, relation=None) -> Param:
         if any(_is_rational_square(q) for q in products):
             raise ExactError(f"relation {name}^2 = {rel} creates zero divisors: {rel} times "
                              "a product of declared relation values is a rational square")
+        global _rel_den
         _relations[name] = rel
+        _rel_parts[name] = (int(rel.numerator), int(rel.denominator))
+        _rel_den *= _rel_parts[name][1]
     elif old != rel:
         raise ExactError(f"parameter {name!r} already declared with relation {old}")
     return Param(name, rel)
@@ -124,27 +138,36 @@ _EMPTY_KEY: tuple = ()
 
 
 def _normalize_key(key):
-    """Fold relation-bearing exponents out of a raw key; returns (key, scale)."""
-    scale = RAT_ONE
+    """Fold relation-bearing exponents out of a raw key.
+
+    Returns (key, p, q): the folded relation values multiply to p/q.
+    """
+    p = q = 1
     out = []
     for name, exp in key:
-        rel = _relations.get(name)
+        rel = _rel_parts.get(name)
         if rel is not None and exp >= 2:
-            scale *= rel ** (exp // 2)
+            p *= rel[0] ** (exp // 2)
+            q *= rel[1] ** (exp // 2)
             exp %= 2
         if exp:
             out.append((name, exp))
-    return tuple(out), scale
+    return tuple(out), p, q
 
 
 def _mul_keys(k1, k2):
-    """Merge two sorted monomial keys; returns (key, scale) after relation folding."""
+    """Merge two sorted monomial keys; returns (key, scale) after relation folding.
+
+    The folded value is scale / _rel_den with an int scale: a relation p/q
+    folds at most once per merge, because relation-bearing exponents are at
+    most 1 in each key, and puts p in place of its own q in _rel_den.
+    """
     if not k1:
-        return k2, RAT_ONE
+        return k2, _rel_den
     if not k2:
-        return k1, RAT_ONE
+        return k1, _rel_den
     out = []
-    scale = RAT_ONE
+    scale = _rel_den
     i = j = 0
     n1, n2 = len(k1), len(k2)
     while i < n1 and j < n2:
@@ -152,10 +175,10 @@ def _mul_keys(k1, k2):
         name2, e2 = k2[j]
         if name1 == name2:
             e = e1 + e2
-            rel = _relations.get(name1)
-            if rel is not None and e >= 2:
-                scale *= rel ** (e // 2)
-                e %= 2
+            rel = _rel_parts.get(name1)
+            if rel is not None and e == 2:
+                scale = scale // rel[1] * rel[0]
+                e = 0
             if e:
                 out.append((name1, e))
             i += 1
@@ -176,17 +199,39 @@ def _key_sort(key):
     return (sum(e for _, e in key), key)
 
 
+def _normed(terms: dict, den: int) -> "MPoly":
+    """terms / den as an MPoly, after dividing out the gcd of den and the numerators."""
+    if not terms:
+        return _MP_ZERO
+    if den != 1:
+        g = den
+        for c in terms.values():
+            g = math.gcd(g, c)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
+    return MPoly(terms, den)
+
+
 class MPoly:
     """Multivariate polynomial over the rationals in named parameters.
 
-    Stored as a map from monomial key to nonzero rational coefficient,
-    always in expanded canonical form: ``is_zero`` is an O(1) check.
+    Stored in expanded canonical form: ``terms`` maps each monomial key to
+    a nonzero int numerator, over one shared int ``den`` > 0 with
+    gcd(den, every numerator) == 1, so the coefficient of a key is
+    ``terms[key] / den``.  The zero polynomial has no terms and den 1.
+    The form is unique, so ``==`` and ``hash`` are structural and
+    ``is_zero`` is an O(1) check.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=None, den: int = 1):
+        # the parts must already be normalised; from_ints normalises them
         self.terms = terms if terms is not None else {}
+        self.den = den
 
     # -- constructors --------------------------------------------------
 
@@ -199,16 +244,26 @@ class MPoly:
         return _MP_ONE
 
     @classmethod
+    def from_ints(cls, terms: dict, den: int = 1) -> "MPoly":
+        """terms / den from nonzero int numerators and an int den > 0."""
+        return _normed(terms, den)
+
+    @classmethod
     def const(cls, value) -> "MPoly":
+        if type(value) is int:
+            return cls({_EMPTY_KEY: value}) if value else _MP_ZERO
         q = Rat(value)
-        return cls({_EMPTY_KEY: q}) if q else cls({})
+        n = int(q.numerator)
+        return cls({_EMPTY_KEY: n}, int(q.denominator)) if n else _MP_ZERO
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "MPoly":
         if name in _RESERVED_NAMES:
             raise ExactError(f"{name!r} is reserved and cannot be a parameter")
-        key, scale = _normalize_key(((name, exp),))
-        return cls({key: scale})
+        if exp < 0:
+            raise ExactError(f"negative exponent {exp} of parameter {name!r}")
+        key, p, q = _normalize_key(((name, exp),))
+        return _normed({key: p}, q)
 
     # -- predicates ----------------------------------------------------
 
@@ -222,7 +277,7 @@ class MPoly:
         if not self.terms:
             return RAT_ZERO
         if self.is_constant():
-            return self.terms[_EMPTY_KEY]
+            return Rat(self.terms[_EMPTY_KEY], self.den)
         raise ExactError(f"not a constant polynomial: {self}")
 
     def params(self) -> set:
@@ -252,16 +307,16 @@ class MPoly:
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
-            return self.terms == other.terms
+            return self.den == other.den and self.terms == other.terms
         if isinstance(other, (int, Rat)):
-            return self.terms == MPoly.const(other).terms
+            return self == MPoly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __neg__(self):
-        return MPoly({k: -c for k, c in self.terms.items()})
+        return MPoly({k: -c for k, c in self.terms.items()}, self.den)
 
     def __add__(self, other):
         if isinstance(other, (int, Rat)):
@@ -272,8 +327,17 @@ class MPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        den, b = self.den, other.terms
+        if den == other.den:
+            out = dict(self.terms)
+        else:
+            # over lcm(den, other.den)
+            g = math.gcd(den, other.den)
+            sa, sb = other.den // g, den // g
+            out = {k: c * sa for k, c in self.terms.items()}
+            b = {k: c * sb for k, c in b.items()}
+            den *= sa
+        for key, c in b.items():
             acc = out.get(key)
             if acc is None:
                 out[key] = c
@@ -283,7 +347,7 @@ class MPoly:
                     out[key] = acc
                 else:
                     del out[key]
-        return MPoly(out)
+        return _normed(out, den)
 
     __radd__ = __add__
 
@@ -297,12 +361,36 @@ class MPoly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self, q: Rat) -> "MPoly":
+    def _scaled(self, q) -> "MPoly":
+        """self * q for an int or Rat q."""
         if not q:
             return _MP_ZERO
-        if q == 1:
+        if isinstance(q, int):
+            return self._times(q, 1)
+        return self._times(int(q.numerator), int(q.denominator))
+
+    def _times(self, p: int, r: int) -> "MPoly":
+        """self * p / r for coprime ints p != 0 and r > 0.
+
+        Of den * r and the numerators times p, only den and p, and r and
+        the numerators, can share factors; two partial gcds find them all.
+        """
+        if p == r:
             return self
-        return MPoly({k: c * q for k, c in self.terms.items()})
+        den = self.den
+        g = math.gcd(den, p)
+        if g != 1:
+            den //= g
+            p //= g
+        g = r
+        for c in self.terms.values():
+            if g == 1:
+                break
+            g = math.gcd(g, c)
+        if g != 1:
+            r //= g
+            return MPoly({k: c // g * p for k, c in self.terms.items()}, den * r)
+        return MPoly({k: c * p for k, c in self.terms.items()}, den * r)
 
     def _univar(self):
         """The single parameter this polynomial uses, if it is univariate
@@ -324,7 +412,7 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Rat)):
-            return self._scaled(Rat(other))
+            return self._scaled(other)
         if not isinstance(other, MPoly):
             return NotImplemented
         a, b = self.terms, other.terms
@@ -333,18 +421,18 @@ class MPoly:
         if len(a) == 1:
             ((key, c),) = a.items()
             if not key:
-                return other._scaled(c)
-            return MPoly(_shift_terms(b, key, c))
+                return other._times(c, self.den)
+            return _normed(_shift_terms(b, key, c), self.den * other.den * _rel_den)
         if len(b) == 1:
             ((key, c),) = b.items()
             if not key:
-                return self._scaled(c)
-            return MPoly(_shift_terms(a, key, c))
+                return self._times(c, other.den)
+            return _normed(_shift_terms(a, key, c), self.den * other.den * _rel_den)
         ua = self._univar()
         if ua is not None:
             ub = other._univar()
             if ub is not None and (ua == ub or ua == "" or ub == ""):
-                return _mul_univar(a, b, ua or ub)
+                return _mul_univar(a, b, ua or ub, self.den * other.den)
         out: dict = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
@@ -361,7 +449,7 @@ class MPoly:
                         out[key] = acc
                     else:
                         del out[key]
-        return MPoly(out)
+        return _normed(out, self.den * other.den * _rel_den)
 
     __rmul__ = __mul__
 
@@ -379,26 +467,29 @@ class MPoly:
 
     # -- structure -----------------------------------------------------
 
+    def int_content(self) -> int:
+        """gcd of the int numerators, 0 for the zero polynomial; the content is this over den."""
+        g = 0
+        for c in self.terms.values():
+            g = math.gcd(g, c)
+            if g == 1:
+                break
+        return g
+
     def content(self) -> Rat:
         """Positive rational c such that self/c has coprime integer coefficients."""
         if not self.terms:
             return RAT_ONE
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            p, q = int(c.numerator), int(c.denominator)
-            num_gcd = math.gcd(num_gcd, p)
-            den_lcm = den_lcm // math.gcd(den_lcm, q) * q
-        return Rat(num_gcd, den_lcm)
+        return Rat(self.int_content(), self.den)
 
     def lead_key(self):
         return max(self.terms, key=_key_sort)
 
     def lead_coeff(self) -> Rat:
-        return self.terms[self.lead_key()]
+        return Rat(self.terms[self.lead_key()], self.den)
 
     def monomial_gcd(self):
-        """(key, content): the largest monomial-with-content dividing every term."""
+        """The key of the largest monomial dividing every term."""
         key = None
         for k in self.terms:
             if key is None:
@@ -417,17 +508,15 @@ class MPoly:
                             del key[name]
                 if not key:
                     break
-        key = tuple(sorted(key.items())) if key else _EMPTY_KEY
-        return key, self.content()
+        return tuple(sorted(key.items())) if key else _EMPTY_KEY
 
-    def div_monomial(self, key, c: Rat) -> "MPoly":
-        """Exact division by c * monomial(key); every term must be divisible."""
-        if key == _EMPTY_KEY and c == 1:
-            return self
-        inv = 1 / c
-        out = {}
-        for k, coeff in self.terms.items():
-            if key:
+    def div_monomial(self, key, p: int, q: int) -> "MPoly":
+        """Exact division by (p/q) * monomial(key) for coprime ints p, q > 0;
+        every term must be divisible by the monomial."""
+        poly = self
+        if key:
+            out = {}
+            for k, coeff in self.terms.items():
                 kk = dict(k)
                 for name, e in key:
                     left = kk.get(name, 0) - e
@@ -437,15 +526,15 @@ class MPoly:
                         kk[name] = left
                     else:
                         kk.pop(name, None)
-                k = tuple(sorted(kk.items()))
-            out[k] = coeff * inv
-        return MPoly(out)
+                out[tuple(sorted(kk.items()))] = coeff
+            poly = MPoly(out, self.den)
+        return poly._times(q, p)
 
     def substitute(self, mapping: dict) -> "MPoly":
         """Replace parameters by polynomials or rationals; unmapped names stay."""
         out = _MP_ZERO
         for key, c in self.terms.items():
-            term = MPoly.const(c)
+            term = _normed({_EMPTY_KEY: c}, self.den)
             for name, e in key:
                 if name in mapping:
                     value = mapping[name]
@@ -461,7 +550,7 @@ class MPoly:
         """Like substitute, but values may also be ParamScalar fractions."""
         out = PS_ZERO
         for key, c in self.terms.items():
-            term = ParamScalar.const(c)
+            term = ParamScalar.from_poly(_normed({_EMPTY_KEY: c}, self.den))
             for name, e in key:
                 value = mapping.get(name)
                 if value is None:
@@ -478,32 +567,30 @@ class MPoly:
         """Evaluate at rational parameter values; every used name must be given."""
         total = RAT_ZERO
         for key, c in self.terms.items():
-            v = c
+            v = Rat(c)
             for name, e in key:
                 v *= Rat(point[name]) ** e
             total += v
-        return total
+        return total / self.den
 
     def evaluate_mod(self):
         """The image in GF(MOD_P) with every parameter at mod_p_residue(name).
 
         None when it is undefined: a relation-bearing parameter occurs (the
-        point need not satisfy its relation), or a coefficient denominator is
-        divisible by MOD_P.  Otherwise the map is a ring homomorphism on the
-        polynomials it is defined for.
+        point need not satisfy its relation), or den is divisible by MOD_P.
+        Otherwise the map is a ring homomorphism on the polynomials it is
+        defined for.
         """
-        num, den = 0, 1
+        den = self.den % MOD_P
+        if not den:
+            return None
+        num = 0
         for key, c in self.terms.items():
-            v = int(c.numerator)
             for name, e in key:
                 if name in _relations:
                     return None
-                v = v * pow(mod_p_residue(name), e, MOD_P) % MOD_P
-            d = int(c.denominator)
-            num = (num * d + v * den) % MOD_P
-            den = den * d % MOD_P
-        if not den:
-            return None
+                c = c * pow(mod_p_residue(name), e, MOD_P) % MOD_P
+            num += c
         return num * pow(den, -1, MOD_P) % MOD_P
 
     # -- rendering -------------------------------------------------------
@@ -515,7 +602,8 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _shift_terms(terms: dict, key, c: Rat) -> dict:
+def _shift_terms(terms: dict, key, c: int) -> dict:
+    """Numerators of terms times c * monomial(key), over an extra factor _rel_den."""
     out = {}
     for k, coeff in terms.items():
         kk, scale = _mul_keys(k, key)
@@ -532,10 +620,11 @@ def _shift_terms(terms: dict, key, c: Rat) -> dict:
     return out
 
 
-def _mul_univar(a: dict, b: dict, name: str) -> MPoly:
+def _mul_univar(a: dict, b: dict, name: str, den: int) -> MPoly:
+    """The product of two numerator maps in one relation-free name, over den."""
     da = max((k[0][1] if k else 0) for k in a)
     db = max((k[0][1] if k else 0) for k in b)
-    dense = [RAT_ZERO] * (da + db + 1)
+    dense = [0] * (da + db + 1)
     aa = [(k[0][1] if k else 0, c) for k, c in a.items()]
     bb = [(k[0][1] if k else 0, c) for k, c in b.items()]
     for ea, ca in aa:
@@ -545,11 +634,11 @@ def _mul_univar(a: dict, b: dict, name: str) -> MPoly:
     for e, c in enumerate(dense):
         if c:
             out[((name, e),) if e else _EMPTY_KEY] = c
-    return MPoly(out)
+    return _normed(out, den)
 
 
 _MP_ZERO = MPoly({})
-_MP_ONE = MPoly({_EMPTY_KEY: RAT_ONE})
+_MP_ONE = MPoly({_EMPTY_KEY: 1})
 
 
 class ParamScalar:
@@ -592,13 +681,14 @@ class ParamScalar:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.num.terms == self.den.terms
+        return self.num == self.den
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
     def const_value(self) -> Rat:
-        return self.num.const_value() / self.den.const_value()
+        value = self.num.const_value()
+        return value if self.den is _MP_ONE else value / self.den.const_value()
 
     def params(self) -> set:
         return self.num.params() | self.den.params()
@@ -612,8 +702,8 @@ class ParamScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.den is other.den or self.den.terms == other.den.terms:
-            return self.num.terms == other.num.terms
+        if self.den is other.den or self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __neg__(self):
@@ -625,7 +715,7 @@ class ParamScalar:
             return NotImplemented
         if self.den is _MP_ONE and other.den is _MP_ONE:
             return ParamScalar(self.num + other.num, _MP_ONE, _normalize=False)
-        if self.den.terms == other.den.terms:
+        if self.den == other.den:
             return ParamScalar(self.num + other.num, self.den)
         return ParamScalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -637,7 +727,7 @@ class ParamScalar:
             return NotImplemented
         if self.den is _MP_ONE and other.den is _MP_ONE:
             return ParamScalar(self.num - other.num, _MP_ONE, _normalize=False)
-        if self.den.terms == other.den.terms:
+        if self.den == other.den:
             return ParamScalar(self.num - other.num, self.den)
         return ParamScalar(self.num * other.den - other.num * self.den, self.den * other.den)
 
@@ -724,24 +814,22 @@ def _normalize_fraction_parts(num: MPoly, den: MPoly):
     if num.is_zero():
         return _MP_ZERO, _MP_ONE
     if den.is_constant():
-        c = den.const_value()
-        if c == 1:
+        (n,) = den.terms.values()
+        if n == 1 and den.den == 1:
             return num, den
-        return num._scaled(1 / c), _MP_ONE
-    nk, nc = num.monomial_gcd()
-    dk, dc = den.monomial_gcd()
-    common = []
-    nk_d, dk_d = dict(nk), dict(dk)
-    for name, e in nk_d.items():
-        if name in dk_d:
-            common.append((name, min(e, dk_d[name])))
-    common = tuple(sorted(common))
-    if common != _EMPTY_KEY or dc != 1:
-        num = num.div_monomial(common, dc)
-        den = den.div_monomial(common, dc)
+        # num / (n / den.den) = num * den.den / n
+        return (num._times(den.den, n) if n > 0 else num._times(-den.den, -n)), _MP_ONE
+    nk = num.monomial_gcd()
+    dk = dict(den.monomial_gcd())
+    common = tuple(sorted((name, min(e, dk[name])) for name, e in nk if name in dk))
+    # den's content is g / den.den, two coprime ints
+    g, dd = den.int_content(), den.den
+    if common != _EMPTY_KEY or g != 1 or dd != 1:
+        num = num.div_monomial(common, g, dd)
+        den = den.div_monomial(common, g, dd)
         if den.is_constant():
             return _normalize_fraction_parts(num, den)
-    if den.lead_coeff() < 0:
+    if den.terms[den.lead_key()] < 0:
         num, den = -num, -den
     return num, den
 
@@ -829,11 +917,12 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
         raise ExactError("exact division with relation-bearing parameters")
     if b.is_constant():
         return a._scaled(RAT_ONE / b.const_value())
-    rem = dict(a.terms)
+    # over Rat: the quotient's coefficients need not share a's denominator
+    rem = {k: Rat(c, a.den) for k, c in a.terms.items()}
     out: dict = {}
     bk = max(b.terms, key=_key_sort)
-    bc = b.terms[bk]
-    b_items = list(b.terms.items())
+    bc = Rat(b.terms[bk], b.den)
+    b_items = [(k, Rat(c, b.den)) for k, c in b.terms.items()]
     bk_d = dict(bk)
     while rem:
         rk = max(rem, key=_key_sort)
@@ -851,8 +940,8 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
         qc = rc / bc
         out[qk] = qc
         for k, c in b_items:
-            kk, scale = _mul_keys(qk, k)
-            v = qc * c * scale
+            kk = _mul_keys(qk, k)[0]  # no relation-bearing names, so no fold
+            v = qc * c
             acc = rem.get(kk)
             if acc is None:
                 rem[kk] = -v
@@ -862,7 +951,9 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
                     rem[kk] = acc
                 else:
                     del rem[kk]
-    return MPoly(out)
+    # the lcm of reduced denominators is coprime to the numerators over it
+    den = math.lcm(*(int(q.denominator) for q in out.values()))
+    return MPoly({k: int(q.numerator) * (den // int(q.denominator)) for k, q in out.items()}, den)
 
 
 def _pick_pivot(rows, row_ids, col):
@@ -972,23 +1063,17 @@ def _back_substitute_ps(rows, pivots, ncols, assumptions, reindexed=False) -> Nu
     return NullspaceResult(basis, assumptions)
 
 
-def _rat_gcd(a: Rat, b: Rat) -> Rat:
-    num = math.gcd(int(a.numerator), int(b.numerator))
-    da, db = int(a.denominator), int(b.denominator)
-    return Rat(num, da // math.gcd(da, db) * db)
-
-
 def _tidy_vector(vec):
     """Clear denominators and divide out common content/monomial factors."""
     polys = _clear_denominators(vec)
     common_key = None
-    content = None
+    num_gcd, den_lcm = 0, 1  # the common content is num_gcd / den_lcm
     for p in polys:
         if p.is_zero():
             continue
-        k, c = p.monomial_gcd()
-        content = c if content is None else _rat_gcd(content, c)
-        kd = dict(k)
+        num_gcd = math.gcd(num_gcd, p.int_content())
+        den_lcm = math.lcm(den_lcm, p.den)
+        kd = dict(p.monomial_gcd())
         if common_key is None:
             common_key = kd
         else:
@@ -999,15 +1084,13 @@ def _tidy_vector(vec):
                         common_key[name] = e
                     else:
                         del common_key[name]
-    if content is None:
-        content = RAT_ONE
     key = tuple(sorted(common_key.items())) if common_key else _EMPTY_KEY
     out = []
     for p in polys:
         if p.is_zero():
             out.append(PS_ZERO)
         else:
-            out.append(ParamScalar.from_poly(p.div_monomial(key, content)))
+            out.append(ParamScalar.from_poly(p.div_monomial(key, num_gcd, den_lcm)))
     return out
 
 
@@ -1036,6 +1119,8 @@ def render_mpoly(p: MPoly) -> str:
         mono = _render_monomial(key)
         neg = c < 0
         mag = -c if neg else c
+        if p.den != 1:
+            mag = Rat(mag, p.den)
         if not mono:
             body = render_rat(mag)
         elif mag == 1:
@@ -1055,15 +1140,16 @@ def _is_atomic(text: str) -> bool:
 
 
 def render_scalar(s: ParamScalar) -> str:
-    if s.den.is_constant() and s.den.const_value() == 1:
+    if s.den == _MP_ONE:
         num = s.num
-        c = num.content()
-        if not num.is_constant() and c.denominator != 1:
-            inner = render_mpoly(num._scaled(1 / c))
+        if not num.is_constant() and num.den != 1:
+            # content g / num.den in front of the primitive part
+            g = num.int_content()
+            inner = render_mpoly(MPoly({k: c // g for k, c in num.terms.items()}))
             top = inner if _is_atomic(inner) else f"({inner})"
-            if c.numerator != 1:
-                top = f"{c.numerator}*{top}"
-            return f"{top}/{c.denominator}"
+            if g != 1:
+                top = f"{g}*{top}"
+            return f"{top}/{num.den}"
         return render_mpoly(num)
     num = render_mpoly(s.num)
     den = render_mpoly(s.den)

@@ -241,3 +241,11 @@ def test_gen_system_trial_divisions_all_succeed(monkeypatch):
     monkeypatch.setattr(XPoly, "divmod", recording)
     generate_system(WeightVector({5: 1, 3: -5, 1: 4}))
     assert seen and all(seen)
+
+
+def test_xrat_equals_mpoly_and_param_scalar():
+    k = MPoly.var("k")
+    assert XRat.const(k) == k
+    assert XRat.const(k) == ParamScalar.from_poly(k)
+    assert XRat.const(k) != MPoly.var("a")
+

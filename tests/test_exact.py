@@ -77,6 +77,13 @@ def test_relation_survives_fraction_arithmetic():
     assert (s2 ** 2) == ps(2)
 
 
+def test_var_rejects_negative_exponent():
+    with pytest.raises(ExactError, match="negative exponent"):
+        MPoly.var("k", -1)
+    assert MPoly.var("k", 0) == MPoly.one()
+    assert MPoly.var("sqrt2", 3) == var("sqrt2") * 2
+
+
 def test_declare_param_conflicts():
     declare_param("fresh_q", 5)  # 5, 10, 15, 30 and their negatives are no squares
     declare_param("fresh_q", 5)

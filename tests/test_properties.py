@@ -4,7 +4,9 @@ Each suite runs at least 100 independently generated instances, either via
 hypothesis or a seeded RNG.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from bispec.exact import (
     PS_ZERO,
     ParamScalar,
     Rat,
+    declare_param,
     normalize_fraction,
     nullspace,
 )
@@ -79,6 +82,136 @@ def test_mpoly_mul_commutes(p, q):
 @given(mpolys(), mpolys(), mpolys())
 def test_mpoly_mul_associative(p, q, r):
     assert (p * q) * r == p * (q * r)
+
+
+_rat_coeffs = st.builds(Rat, st.integers(min_value=-9, max_value=9),
+                        st.integers(min_value=1, max_value=6))
+
+
+@st.composite
+def rat_mpolys(draw):
+    """Like mpolys, with rational coefficients, so that den > 1 occurs."""
+    n_terms = draw(st.integers(min_value=0, max_value=4))
+    poly = MPoly.zero()
+    for _ in range(n_terms):
+        mono = MPoly.const(draw(_rat_coeffs))
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            mono = mono * MPoly.var(draw(_names))
+        poly = poly + mono
+    return poly
+
+
+@settings(max_examples=N_INSTANCES, deadline=None)
+@given(rat_mpolys(), rat_mpolys(), rat_mpolys())
+def test_rational_mpoly_ring_laws(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert p * (q + r) == p * q + p * r
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+
+
+# ---------------------------------------------------------------------------
+# the int-over-den MPoly kernel against a Fraction dict oracle
+# ---------------------------------------------------------------------------
+
+# h carries a non-integer relation value, so relation folds need den factors
+_ORACLE_RELATIONS = {"sqrt2": Fraction(2), "sqrt3": Fraction(3), "i": Fraction(-1),
+                     "h": Fraction(5, 7)}
+
+
+def _as_fractions(p):
+    return {key: Fraction(c, p.den) for key, c in p.terms.items()}
+
+
+def _oracle_mul(x, y):
+    out = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            exps = dict(k1)
+            for name, e in k2:
+                exps[name] = exps.get(name, 0) + e
+            c = c1 * c2
+            for name, rel in _ORACLE_RELATIONS.items():
+                e = exps.get(name, 0)
+                if e >= 2:
+                    c *= rel ** (e // 2)
+                    exps[name] = e % 2
+            key = tuple(sorted((n, e) for n, e in exps.items() if e))
+            out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _oracle_add(x, y, sign=1):
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _oracle_content(x):
+    if not x:
+        return Fraction(1)
+    num, den = 0, 1
+    for c in x.values():
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def _assert_canonical(p):
+    """den > 0, gcd(den, numerators) == 1, no zero numerator, keys in normal form."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert math.gcd(p.den, *p.terms.values()) == 1
+    if not p.terms:
+        assert p.den == 1
+    for key in p.terms:
+        assert list(key) == sorted(key) and all(e >= 1 for _, e in key)
+        assert all(e == 1 for n, e in key if n in _ORACLE_RELATIONS)
+
+
+def _random_oracle_pair(rng, names):
+    """A random polynomial built through the public MPoly API, and its oracle dict."""
+    poly, oracle = MPoly.zero(), {}
+    for _ in range(rng.randint(0, 4)):
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        mono, mono_oracle = MPoly.const(c), ({(): c} if c else {})
+        for _ in range(rng.randint(0, 3)):
+            name = rng.choice(names)
+            mono = mono * MPoly.var(name)
+            mono_oracle = _oracle_mul(mono_oracle, {((name, 1),): Fraction(1)})
+        poly = poly + mono
+        oracle = _oracle_add(oracle, mono_oracle)
+    return poly, oracle
+
+
+def test_mpoly_kernel_matches_fraction_oracle():
+    declare_param("h", Rat(5, 7))
+    rng = random.Random(606)
+    names = ["a", "b", "sqrt2", "i", "h"]
+    for _ in range(2 * N_INSTANCES):
+        x, ox = _random_oracle_pair(rng, names)
+        y, oy = _random_oracle_pair(rng, names)
+        for p, op in ((x, ox), (y, oy)):
+            _assert_canonical(p)
+            assert _as_fractions(p) == op
+            assert p.content() == _oracle_content(op)
+        results = [(x * y, _oracle_mul(ox, oy)), (x + y, _oracle_add(ox, oy)),
+                   (x - y, _oracle_add(ox, oy, -1))]
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        results.append((x._scaled(Rat(q)), {k: c * q for k, c in ox.items() if c * q}))
+        for p, op in results:
+            _assert_canonical(p)
+            assert _as_fractions(p) == op
+        if y:
+            s = ParamScalar(x, y)
+            _assert_canonical(s.num)
+            _assert_canonical(s.den)
+            # the value is kept; the denominator is primitive with a positive lead
+            assert (_oracle_mul(_as_fractions(s.num), oy)
+                    == _oracle_mul(ox, _as_fractions(s.den)))
+            assert s.den.den == 1 and s.den.int_content() == 1
+            assert s.den.lead_coeff() > 0
 
 
 # ---------------------------------------------------------------------------
