@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import modp
 from .exact import PS_ONE, PS_ZERO, ParamScalar, Rat, ExactError, nullspace
 from .diffop import (
     DiffOp,
@@ -245,11 +246,16 @@ def _linear_rows(columns: list) -> list:
 
 @dataclass
 class FitResult:
-    """Weight vectors spanning all conditions supported on the given orders."""
+    """Weight vectors spanning all conditions supported on the given orders.
+
+    ``decided_by`` is "mod-p" when a rank certificate proved that none exists,
+    else "symbolic".
+    """
 
     vectors: list
     assumptions: list
     reports: list = field(default_factory=list)
+    decided_by: str = "symbolic"
 
     def __iter__(self):
         return iter((self.vectors, self.assumptions))
@@ -258,13 +264,22 @@ class FitResult:
 def fit_weights(op: DiffOp, theta, orders, tower=None) -> FitResult:
     """Find all weight vectors supported on ``orders`` annihilating (op, theta).
 
-    Builds the linear system from every x-coefficient of every derivative
-    order of the residual, denominators cleared; returns a nullspace basis.
-    Every returned vector is re-verified exactly.
+    First tries to prove that none exists by a rank certificate mod p
+    (:func:`modp.no_weights`), which needs no symbolic tower; the result then
+    has no vectors, no assumptions and ``decided_by == "mod-p"``.  Otherwise
+    builds the linear system from every x-coefficient of every derivative
+    order of the residual, denominators cleared, and returns a nullspace
+    basis.  Every returned vector is re-verified exactly.  Raises ExactError
+    for orders that are empty, repeated or negative, and for an op that is not
+    -D^2 + V.
     """
     orders = list(orders)
     if not orders or len(set(orders)) != len(orders):
         raise ExactError("orders must be nonempty and distinct")
+    if min(orders) < 0:
+        raise ExactError("commutator orders must be >= 0")
+    if modp.no_weights(op, as_operator(theta), orders):
+        return FitResult([], [], decided_by="mod-p")
     top = max(orders)
     if tower is None or len(tower) <= top:
         tower = ad_tower(op, theta, top)
@@ -285,10 +300,15 @@ def fit_weights(op: DiffOp, theta, orders, tower=None) -> FitResult:
 
 @dataclass
 class SolveResult:
-    """Polynomial eigenvalue functions solving a fixed ad-condition."""
+    """Polynomial eigenvalue functions solving a fixed ad-condition.
+
+    ``decided_by`` is "mod-p" when a rank certificate proved that none exists,
+    else "symbolic".
+    """
 
     thetas: list
     assumptions: list
+    decided_by: str = "symbolic"
 
     def __iter__(self):
         return iter((self.thetas, self.assumptions))
@@ -303,11 +323,20 @@ def solve_theta(op: DiffOp, w: WeightVector, deg_bound: int,
     ad-condition); pass fix_zero=False to include the constant direction.
     Each A_j is linear in Theta, so columns are computed per monomial x^i;
     ``monomial_towers`` may carry precomputed towers keyed by i.
+
+    First tries to prove that no Theta exists by a rank certificate mod p
+    (:func:`modp.no_theta`), which needs no symbolic tower; the result then
+    has no thetas, no assumptions and ``decided_by == "mod-p"``, and
+    ``monomial_towers`` is left as it was.  Otherwise the monomial columns
+    go to the symbolic nullspace, and every Theta found is re-verified
+    exactly.
     """
     if deg_bound < 1:
         raise ExactError("degree bound must be >= 1")
     low = 1 if fix_zero else 0
     degrees = list(range(low, deg_bound + 1))
+    if modp.no_theta(op, w, degrees):
+        return SolveResult([], [], decided_by="mod-p")
     top = w.top_order
     columns = []
     for i in degrees:

@@ -184,9 +184,12 @@ def _cmd_fit_weights(args) -> dict:
     for w in result.vectors:
         verdicts.append(_verdict(f"fitted condition with top order {w.top_order}", True,
                                  assumptions=result.assumptions,
+                                 decided_by=result.decided_by,
                                  weights=_render_weights(w.monic())))
     if not result.vectors:
-        verdicts.append(_verdict("no condition exists on the given orders", True))
+        verdicts.append(_verdict("no condition exists on the given orders", True,
+                                 assumptions=result.assumptions,
+                                 decided_by=result.decided_by))
     inputs = {"orders": orders, "L": args.L or args.catalog, "theta": str(theta)}
     prov = [entry.provenance] if entry else []
     if entry and entry.notes:
@@ -202,11 +205,12 @@ def _cmd_solve_theta(args) -> dict:
     verdicts = []
     for theta in result.thetas:
         verdicts.append(_verdict("eigenvalue polynomial", True,
-                                 assumptions=result.assumptions, theta=str(theta)))
+                                 assumptions=result.assumptions,
+                                 decided_by=result.decided_by, theta=str(theta)))
     if not result.thetas:
         verdicts.append(_verdict(
             "no eigenvalue polynomial exists at this degree bound", True,
-            assumptions=result.assumptions))
+            assumptions=result.assumptions, decided_by=result.decided_by))
     inputs = {"weights": _render_weights(w), "deg": args.deg,
               "L": args.L or args.catalog}
     return _report("solve-theta", inputs, verdicts,

@@ -157,6 +157,11 @@ def test_fit_weights_no_condition():
     assert result.vectors == []
 
 
+def test_fit_weights_rejects_negative_orders():
+    with pytest.raises(ExactError, match="orders must be >= 0"):
+        fit_weights(HARMONIC, X, [3, -1])
+
+
 def test_solve_theta_examples():
     result = solve_theta(HARMONIC, WeightVector({2: 1, 0: -4}), 1)
     assert [str(t) for t in result.thetas] == ["x"]

@@ -125,6 +125,16 @@ def test_cli_fit_weights_resolves_step2():
     assert weights == {"7": "1", "5": "-14", "3": "49", "1": "-36"}
 
 
+def test_cli_fit_weights_none_exists_reports_assumptions():
+    # sqrt2 leaves the decision to the symbolic nullspace, which divides by 4*k*sqrt2
+    report, _ = run_cli(["fit-weights", "--L", "sqrt2*k*x^2", "--param", "k",
+                         "--theta", "x", "--orders", "2,1"])
+    (verdict,) = report["verdicts"]
+    assert verdict["claim"] == "no condition exists on the given orders"
+    assert verdict["decided_by"] == "symbolic"
+    assert verdict["assumptions"] == ["4*k*sqrt2"]
+
+
 def test_cli_ad_and_solve_theta():
     report, _ = run_cli(["ad", "--L", "x^2", "--theta", "x", "--j", "2"])
     assert report["verdicts"][0]["residual"] == "4*x"
@@ -169,6 +179,7 @@ def test_cli_errors_exit_2():
     ["reach-weights", "--n", "2", "--step", "abc"],
     ["reach-weights", "--n", "2", "--step", "1/0"],
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,x"],
+    ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,-1"],
 ])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bispec import exact
 from bispec.exact import (
     ExactError,
     MPoly,
@@ -185,7 +186,18 @@ def _random_oracle_pair(rng, names):
     return poly, oracle
 
 
-def test_mpoly_kernel_matches_fraction_oracle():
+@pytest.fixture
+def scoped_relations():
+    """Restore the declared parameter relations when the test ends."""
+    saved = dict(exact._relations), dict(exact._rel_parts), exact._rel_den
+    yield
+    for table, old in zip((exact._relations, exact._rel_parts), saved):
+        table.clear()
+        table.update(old)
+    exact._rel_den = saved[2]
+
+
+def test_mpoly_kernel_matches_fraction_oracle(scoped_relations):
     declare_param("h", Rat(5, 7))
     rng = random.Random(606)
     names = ["a", "b", "sqrt2", "i", "h"]
