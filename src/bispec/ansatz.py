@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import MPoly, PS_ZERO, ParamScalar, ExactError, nullspace
+from .exact import PS_ZERO, ParamScalar, ExactError, nullspace
 from .diffop import DiffOp, XPoly, XRat, common_numerators
 from .adcond import ConditionReport, WeightVector, ad_tower, residual_from_tower, verify_condition
 
@@ -110,27 +110,14 @@ def _forced_relations(equations: list, p_names: set) -> list:
     forced = []
     seen = set()
     for eq in equations:
-        present = {}
-        for key, _ in eq.terms.items():
-            for name, exp in key:
-                if name in p_names:
-                    present[name] = max(present.get(name, 0), exp)
+        present = eq.params() & p_names
         if len(present) != 1:
             continue
-        (name, deg), = present.items()
-        if deg != 1:
+        (name,) = present
+        if eq.degree(name) != 1:
             continue
-        # eq = name * lead + rest; both keep eq's numerators over eq.den
-        lead, rest = {}, {}
-        for key, coeff in eq.terms.items():
-            stripped = tuple((nm, e) for nm, e in key if nm != name)
-            if len(stripped) != len(key):
-                lead[stripped] = coeff
-            else:
-                rest[key] = coeff
-        if not lead:
-            continue
-        value = ParamScalar(-MPoly.from_ints(rest, eq.den), MPoly.from_ints(lead, eq.den))
+        lead, rest = eq.split_linear(name)
+        value = ParamScalar(-rest, lead)
         if name not in seen:
             seen.add(name)
             forced.append((name, value))

@@ -309,7 +309,7 @@ def _int_list(p: XPoly) -> list:
     lcm = math.lcm(*(num.den for _, num in nums))
     out = [0] * (p.degree() + 1)
     for d, num in nums:
-        out[d] = num.terms[()] * (lcm // num.den)
+        out[d] = num.const_numerator() * (lcm // num.den)
     return out
 
 

@@ -14,6 +14,13 @@ An MPoly stores integer numerators over one shared positive denominator
 plain ``int`` work; :data:`Rat` values are built only at the edges, where
 a single coefficient or value is asked for, and for rendering.
 
+A monomial is one int, a packed exponent vector (Monagan & Pearce 2007):
+every parameter owns a fixed 16-bit field, 15 exponent bits under a guard
+bit, so the key of a product is the sum of the keys and an exponent may
+be at most 32767; a larger one raises :class:`ExactError`.  Names and
+exponents are decoded only to render, sort for display, substitute and
+evaluate.
+
 Polynomials are stored expanded, so zero testing is structural and
 never wrong.  Fractions are deliberately *not* reduced by multivariate
 gcd: normalisation cancels integer content, the sign of the
@@ -39,18 +46,66 @@ RAT_ONE = Rat(1)
 # "x" is the distinguished function variable and may never be a parameter.
 _RESERVED_NAMES = {"x", "exp", "D"}
 
-# name -> rational value of the parameter's square
-_relations: dict[str, Rat] = {}
-# name -> (p, q): that value as coprime ints p/q, q > 0
-_rel_parts: dict[str, tuple] = {}
-# The product of every relation's q (1 for the built-ins).  A product of
-# polynomials is formed over a denominator with this extra factor, so that
-# folding relation values stays integer work; see _mul_keys.
-_rel_den = 1
+# A packed monomial key gives each parameter a _FIELD-bit field: the exponent
+# in the low 15 bits, a guard bit on top.  The constant monomial is key 0.
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+EXP_MAX = (1 << 15) - 1
 
 
 class ExactError(ValueError):
     """Raised for ill-formed exact-arithmetic requests (zero denominators etc.)."""
+
+
+class ParamRegistry:
+    """The parameters of the process: each name's field in a packed monomial
+    key, and the quadratic relations.
+
+    A name gets the next free field the first time it is used and keeps it
+    for the life of the process.  Live MPoly values hold packed keys, so a
+    field handed to another name would silently rename their parameter:
+    relations may be saved and restored, field assignments never are.
+    """
+
+    def __init__(self):
+        self.shifts: dict[str, int] = {}  # name -> bit offset of its field
+        self.names: list[str] = []  # field index -> name
+        self.guard = 0  # the guard bit of every field handed out
+        self.relations: dict[str, Rat] = {}  # name -> rational value of its square
+        # lowest bit of a relation-bearing field -> that value as coprime ints p/q, q > 0
+        self.rel_parts: dict[int, tuple] = {}
+        # the lowest bit of every relation-bearing field; such a field holds 0 or 1
+        self.relmask = 0
+        # The product of every relation's q (1 for the built-ins).  A product
+        # that folds relation values is formed over a denominator with this
+        # extra factor, so that folding stays integer work; see MPoly.__mul__.
+        self.rel_den = 1
+
+    def shift(self, name: str) -> int:
+        """The bit offset of name's field, handing out the next one on first use."""
+        s = self.shifts.get(name)
+        if s is None:
+            s = self.shifts[name] = _FIELD * len(self.names)
+            self.names.append(name)
+            self.guard |= 1 << (s + _FIELD - 1)
+        return s
+
+    def add_relation(self, name: str, rel: Rat) -> None:
+        bit = 1 << self.shift(name)
+        self.relations[name] = rel
+        self.rel_parts[bit] = (int(rel.numerator), int(rel.denominator))
+        self.relmask |= bit
+        self.rel_den *= self.rel_parts[bit][1]
+
+    def save_relations(self):
+        return dict(self.relations), dict(self.rel_parts), self.relmask, self.rel_den
+
+    def restore_relations(self, saved) -> None:
+        relations, rel_parts, self.relmask, self.rel_den = saved
+        self.relations, self.rel_parts = dict(relations), dict(rel_parts)
+
+
+PARAMS = ParamRegistry()
 
 
 @dataclass(frozen=True)
@@ -86,21 +141,18 @@ def declare_param(name: str, relation=None) -> Param:
     """
     check_param_name(name)
     rel = None if relation is None else Rat(relation)
-    old = _relations.get(name)
+    old = PARAMS.relations.get(name)
     if rel is None:
         if old is not None:
             raise ExactError(f"parameter {name!r} already declared with relation {old}")
     elif old is None:
         products = [rel]
-        for other in _relations.values():
+        for other in PARAMS.relations.values():
             products += [q * other for q in products]
         if any(_is_rational_square(q) for q in products):
             raise ExactError(f"relation {name}^2 = {rel} creates zero divisors: {rel} times "
                              "a product of declared relation values is a rational square")
-        global _rel_den
-        _relations[name] = rel
-        _rel_parts[name] = (int(rel.numerator), int(rel.denominator))
-        _rel_den *= _rel_parts[name][1]
+        PARAMS.add_relation(name, rel)
     elif old != rel:
         raise ExactError(f"parameter {name!r} already declared with relation {old}")
     return Param(name, rel)
@@ -108,7 +160,7 @@ def declare_param(name: str, relation=None) -> Param:
 
 def relation_of(name: str):
     """The rational square of a relation-bearing parameter, or None."""
-    return _relations.get(name)
+    return PARAMS.relations.get(name)
 
 
 declare_param("sqrt2", 2)
@@ -132,71 +184,98 @@ def mod_p_residue(name: str) -> int:
     return pow(int.from_bytes(name.encode(), "big"), 65537, MOD_P)
 
 
-# A monomial key is a tuple of (name, exponent) pairs, sorted by name,
-# with all exponents >= 1 and relation-bearing exponents <= 1.
-_EMPTY_KEY: tuple = ()
+# -- packed monomial keys ------------------------------------------------------
+# Caches below are keyed by packed key alone; that is sound because a field
+# never changes its name (see ParamRegistry).
 
 
-def _normalize_key(key):
-    """Fold relation-bearing exponents out of a raw key.
-
-    Returns (key, p, q): the folded relation values multiply to p/q.
-    """
-    p = q = 1
+@functools.lru_cache(maxsize=None)
+def _decode(key: int) -> tuple:
+    """The (name, exponent) pairs of a packed key, sorted by name, exponents >= 1."""
+    names = PARAMS.names
     out = []
-    for name, exp in key:
-        rel = _rel_parts.get(name)
-        if rel is not None and exp >= 2:
-            p *= rel[0] ** (exp // 2)
-            q *= rel[1] ** (exp // 2)
-            exp %= 2
-        if exp:
-            out.append((name, exp))
-    return tuple(out), p, q
+    i = 0
+    while key:
+        e = key & _FIELD_MASK
+        if e:
+            out.append((names[i], e))
+        key >>= _FIELD
+        i += 1
+    out.sort()
+    return tuple(out)
 
 
-def _mul_keys(k1, k2):
-    """Merge two sorted monomial keys; returns (key, scale) after relation folding.
+@functools.lru_cache(maxsize=None)
+def _key_degree(key: int) -> int:
+    d = 0
+    while key:
+        d += key & _FIELD_MASK
+        key >>= _FIELD
+    return d
 
-    The folded value is scale / _rel_den with an int scale: a relation p/q
-    folds at most once per merge, because relation-bearing exponents are at
-    most 1 in each key, and puts p in place of its own q in _rel_den.
+
+@functools.lru_cache(maxsize=None)
+def _key_sort(key: int):
+    """Display order: total degree first, then the decoded (name, exp) tuple.
+
+    Not a monomial order (b > a, yet a*a > a*b); division uses _grlex.
     """
-    if not k1:
-        return k2, _rel_den
-    if not k2:
-        return k1, _rel_den
-    out = []
-    scale = _rel_den
-    i = j = 0
-    n1, n2 = len(k1), len(k2)
-    while i < n1 and j < n2:
-        name1, e1 = k1[i]
-        name2, e2 = k2[j]
-        if name1 == name2:
-            e = e1 + e2
-            rel = _rel_parts.get(name1)
-            if rel is not None and e == 2:
-                scale = scale // rel[1] * rel[0]
-                e = 0
-            if e:
-                out.append((name1, e))
-            i += 1
-            j += 1
-        elif name1 < name2:
-            out.append(k1[i])
-            i += 1
-        else:
-            out.append(k2[j])
-            j += 1
-    out.extend(k1[i:])
-    out.extend(k2[j:])
-    return tuple(out), scale
+    return (_key_degree(key), _decode(key))
 
 
-def _key_sort(key):
-    # graded order: total degree first, then the key tuple itself
-    return (sum(e for _, e in key), key)
+@functools.lru_cache(maxsize=None)
+def _key_residue(key: int) -> int:
+    """The image of monomial(key) in GF(MOD_P) at the fixed point of mod_p_residue."""
+    r = 1
+    for name, e in _decode(key):
+        r = r * pow(mod_p_residue(name), e, MOD_P) % MOD_P
+    return r
+
+
+def _grlex(key: int):
+    # total degree, then the packed int: lex on fields, a true monomial order
+    return (_key_degree(key), key)
+
+
+def _key_or(terms) -> int:
+    """The bitwise or of the keys: a field is nonzero iff some key uses it."""
+    m = 0
+    for k in terms:
+        m |= k
+    return m
+
+
+def _key_min(a: int, b: int) -> int:
+    """The field-wise minimum of two keys: the key of the monomial gcd."""
+    g = PARAMS.guard
+    # all ones in each field where a >= b; no field borrows from the next
+    m = ((((a | g) - b) & g) >> (_FIELD - 1)) * _FIELD_MASK
+    return a ^ ((a ^ b) & m)
+
+
+def _overflow_error():
+    return ExactError(f"a parameter exponent exceeds {EXP_MAX}")
+
+
+def _check_keys(keys, guard: int) -> None:
+    """Raise ExactError if a key's exponent reached its guard bit."""
+    for k in keys:
+        if k & guard:
+            raise _overflow_error()
+
+
+def _fold_scale(f: int, rel_parts: dict, scale: int) -> int:
+    """scale with each relation of the fields in f folded in: p in place of q.
+
+    f has one bit per folded field (its lowest); scale is a multiple of q,
+    because it starts from a multiple of rel_den.
+    """
+    while f:
+        low = f & -f
+        p, q = rel_parts[low]
+        scale = scale // q * p
+        f ^= low
+    return scale
 
 
 def _normed(terms: dict, den: int) -> "MPoly":
@@ -218,10 +297,12 @@ def _normed(terms: dict, den: int) -> "MPoly":
 class MPoly:
     """Multivariate polynomial over the rationals in named parameters.
 
-    Stored in expanded canonical form: ``terms`` maps each monomial key to
-    a nonzero int numerator, over one shared int ``den`` > 0 with
-    gcd(den, every numerator) == 1, so the coefficient of a key is
-    ``terms[key] / den``.  The zero polynomial has no terms and den 1.
+    Stored in expanded canonical form: ``terms`` maps each packed monomial
+    key (an int; see the module docstring) to a nonzero int numerator, over
+    one shared int ``den`` > 0 with gcd(den, every numerator) == 1, so the
+    coefficient of a key is ``terms[key] / den``.  No key has a guard bit
+    set, and a relation-bearing exponent is 0 or 1.  The zero polynomial has
+    no terms and den 1.
     The form is unique, so ``==`` and ``hash`` are structural and
     ``is_zero`` is an O(1) check.
     """
@@ -251,10 +332,10 @@ class MPoly:
     @classmethod
     def const(cls, value) -> "MPoly":
         if type(value) is int:
-            return cls({_EMPTY_KEY: value}) if value else _MP_ZERO
+            return cls({0: value}) if value else _MP_ZERO
         q = Rat(value)
         n = int(q.numerator)
-        return cls({_EMPTY_KEY: n}, int(q.denominator)) if n else _MP_ZERO
+        return cls({0: n}, int(q.denominator)) if n else _MP_ZERO
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "MPoly":
@@ -262,8 +343,14 @@ class MPoly:
             raise ExactError(f"{name!r} is reserved and cannot be a parameter")
         if exp < 0:
             raise ExactError(f"negative exponent {exp} of parameter {name!r}")
-        key, p, q = _normalize_key(((name, exp),))
-        return _normed({key: p}, q)
+        p = q = 1
+        rel = PARAMS.relations.get(name)
+        if rel is not None and exp >= 2:
+            p, q = int(rel.numerator) ** (exp // 2), int(rel.denominator) ** (exp // 2)
+            exp %= 2
+        if exp > EXP_MAX:
+            raise _overflow_error()
+        return _normed({exp << PARAMS.shift(name): p}, q)
 
     # -- predicates ----------------------------------------------------
 
@@ -271,34 +358,52 @@ class MPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _EMPTY_KEY in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self) -> Rat:
         if not self.terms:
             return RAT_ZERO
         if self.is_constant():
-            return Rat(self.terms[_EMPTY_KEY], self.den)
+            return Rat(self.terms[0], self.den)
         raise ExactError(f"not a constant polynomial: {self}")
 
+    def const_numerator(self) -> int:
+        """The int numerator of the constant term, 0 if there is none; the
+        term is this over den."""
+        return self.terms.get(0, 0)
+
     def params(self) -> set:
-        names = set()
-        for key in self.terms:
-            for name, _ in key:
-                names.add(name)
-        return names
+        return {name for name, _ in _decode(_key_or(self.terms))}
 
     def degree(self, name: str | None = None) -> int:
         """Total degree, or degree in one parameter; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         if name is None:
-            return max(sum(e for _, e in key) for key in self.terms)
-        best = 0
-        for key in self.terms:
-            for n, e in key:
-                if n == name and e > best:
-                    best = e
-        return best
+            return max(_key_degree(key) for key in self.terms)
+        s = PARAMS.shifts.get(name)
+        if s is None:
+            return 0
+        return max((key >> s) & _FIELD_MASK for key in self.terms)
+
+    def split_linear(self, name: str):
+        """(lead, rest) with self = name * lead + rest, for self of degree
+        at most 1 in name."""
+        s = PARAMS.shifts.get(name)
+        if s is None:
+            return _MP_ZERO, self
+        unit = 1 << s
+        mask = _FIELD_MASK << s
+        lead, rest = {}, {}
+        for key, c in self.terms.items():
+            e = key & mask
+            if not e:
+                rest[key] = c
+            elif e == unit:
+                lead[key - unit] = c
+            else:
+                raise ExactError(f"degree in {name!r} exceeds 1")
+        return _normed(lead, self.den), _normed(rest, self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -319,10 +424,10 @@ class MPoly:
         return MPoly({k: -c for k, c in self.terms.items()}, self.den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Rat)):
+        if type(other) is not MPoly:
+            if not isinstance(other, (int, Rat)):
+                return NotImplemented
             other = MPoly.const(other)
-        elif not isinstance(other, MPoly):
-            return NotImplemented
         if not self.terms:
             return other
         if not other.terms:
@@ -393,27 +498,25 @@ class MPoly:
         return MPoly({k: c * p for k, c in self.terms.items()}, den * r)
 
     def _univar(self):
-        """The single parameter this polynomial uses, if it is univariate
-        in one relation-free name; '' for constants; None otherwise."""
-        name = ""
+        """The bit offset of the one relation-free field every non-constant
+        key uses; None if there is no such field."""
+        shift = None
         for key in self.terms:
             if not key:
                 continue
-            if len(key) > 1:
-                return None
-            n = key[0][0]
-            if name == "":
-                if n in _relations:
+            if shift is None:
+                shift = (key.bit_length() - 1) // _FIELD * _FIELD
+                if (1 << shift) & PARAMS.relmask:
                     return None
-                name = n
-            elif n != name:
+            e = key >> shift
+            if e > _FIELD_MASK or e << shift != key:
                 return None
-        return name
+        return shift
 
     def __mul__(self, other):
-        if isinstance(other, (int, Rat)):
-            return self._scaled(other)
-        if not isinstance(other, MPoly):
+        if type(other) is not MPoly:
+            if isinstance(other, (int, Rat)):
+                return self._scaled(other)
             return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
@@ -422,34 +525,51 @@ class MPoly:
             ((key, c),) = a.items()
             if not key:
                 return other._times(c, self.den)
-            return _normed(_shift_terms(b, key, c), self.den * other.den * _rel_den)
+            return _shift_terms(b, key, c, self.den * other.den)
         if len(b) == 1:
             ((key, c),) = b.items()
             if not key:
                 return self._times(c, other.den)
-            return _normed(_shift_terms(a, key, c), self.den * other.den * _rel_den)
+            return _shift_terms(a, key, c, self.den * other.den)
         ua = self._univar()
-        if ua is not None:
-            ub = other._univar()
-            if ub is not None and (ua == ub or ua == "" or ub == ""):
-                return _mul_univar(a, b, ua or ub, self.den * other.den)
+        if ua is not None and ua == other._univar():
+            return _mul_univar(a, b, ua, self.den * other.den)
+        reg = PARAMS
+        ora, orb = _key_or(a), _key_or(b)
+        # the relation-bearing fields both factors use; only these can fold
+        fold = ora & orb & reg.relmask
+        den = self.den * other.den
+        if fold:
+            # every numerator over an extra rel_den, so that a fold is int work
+            rel_den, rel_parts = reg.rel_den, reg.rel_parts
+            den *= rel_den
         out: dict = {}
+        get = out.get
         for k1, c1 in a.items():
             for k2, c2 in b.items():
-                key, scale = _mul_keys(k1, k2)
+                key = k1 + k2
                 c = c1 * c2
-                if scale != 1:
-                    c *= scale
-                acc = out.get(key)
+                if fold:
+                    f = k1 & k2 & fold
+                    if f:
+                        key -= f << 1
+                        c *= _fold_scale(f, rel_parts, rel_den)
+                    else:
+                        c *= rel_den
+                acc = get(key)
                 if acc is None:
                     out[key] = c
                 else:
-                    acc = acc + c
+                    acc += c
                     if acc:
                         out[key] = acc
                     else:
                         del out[key]
-        return _normed(out, self.den * other.den * _rel_den)
+        # each field of ora + orb bounds that field of every product key, and
+        # no field carries into the next: with no guard bit there, out has none
+        if (ora + orb) & reg.guard:
+            _check_keys(out, reg.guard)
+        return _normed(out, den)
 
     __rmul__ = __mul__
 
@@ -482,51 +602,41 @@ class MPoly:
             return RAT_ONE
         return Rat(self.int_content(), self.den)
 
-    def lead_key(self):
+    def lead_key(self) -> int:
+        """The key of the first term in display order (see _key_sort)."""
         return max(self.terms, key=_key_sort)
 
     def lead_coeff(self) -> Rat:
         return Rat(self.terms[self.lead_key()], self.den)
 
-    def monomial_gcd(self):
+    def monomial_gcd(self) -> int:
         """The key of the largest monomial dividing every term."""
-        key = None
-        for k in self.terms:
-            if key is None:
-                key = dict(k)
-            else:
-                for name in list(key):
-                    e = 0
-                    for n, ee in k:
-                        if n == name:
-                            e = ee
-                            break
-                    if e < key[name]:
-                        if e:
-                            key[name] = e
-                        else:
-                            del key[name]
-                if not key:
-                    break
-        return tuple(sorted(key.items())) if key else _EMPTY_KEY
+        if 0 in self.terms:
+            return 0
+        keys = iter(self.terms)
+        key = next(keys, 0)
+        g = PARAMS.guard
+        for k in keys:
+            # _key_min(key, k), inlined
+            m = ((((key | g) - k) & g) >> (_FIELD - 1)) * _FIELD_MASK
+            key ^= (key ^ k) & m
+            if not key:
+                break
+        return key
 
-    def div_monomial(self, key, p: int, q: int) -> "MPoly":
+    def div_monomial(self, key: int, p: int, q: int) -> "MPoly":
         """Exact division by (p/q) * monomial(key) for coprime ints p, q > 0;
         every term must be divisible by the monomial."""
         poly = self
         if key:
+            g = PARAMS.guard
             out = {}
             for k, coeff in self.terms.items():
-                kk = dict(k)
-                for name, e in key:
-                    left = kk.get(name, 0) - e
-                    if left < 0:
-                        raise ExactError("monomial does not divide every term")
-                    if left:
-                        kk[name] = left
-                    else:
-                        kk.pop(name, None)
-                out[tuple(sorted(kk.items()))] = coeff
+                # a field keeps its guard bit iff it is at least key's
+                d = (k | g) - key
+                if d & g != g:
+                    raise ExactError("monomial does not divide every term")
+                out[d ^ g] = coeff
             poly = MPoly(out, self.den)
         return poly._times(q, p)
 
@@ -534,8 +644,8 @@ class MPoly:
         """Replace parameters by polynomials or rationals; unmapped names stay."""
         out = _MP_ZERO
         for key, c in self.terms.items():
-            term = _normed({_EMPTY_KEY: c}, self.den)
-            for name, e in key:
+            term = _normed({0: c}, self.den)
+            for name, e in _decode(key):
                 if name in mapping:
                     value = mapping[name]
                     if not isinstance(value, MPoly):
@@ -550,8 +660,8 @@ class MPoly:
         """Like substitute, but values may also be ParamScalar fractions."""
         out = PS_ZERO
         for key, c in self.terms.items():
-            term = ParamScalar.from_poly(_normed({_EMPTY_KEY: c}, self.den))
-            for name, e in key:
+            term = ParamScalar.from_poly(_normed({0: c}, self.den))
+            for name, e in _decode(key):
                 value = mapping.get(name)
                 if value is None:
                     term = term * ParamScalar.from_poly(MPoly.var(name, e))
@@ -568,7 +678,7 @@ class MPoly:
         total = RAT_ZERO
         for key, c in self.terms.items():
             v = Rat(c)
-            for name, e in key:
+            for name, e in _decode(key):
                 v *= Rat(point[name]) ** e
             total += v
         return total / self.den
@@ -584,14 +694,15 @@ class MPoly:
         den = self.den % MOD_P
         if not den:
             return None
+        relmask = PARAMS.relmask
         num = 0
         for key, c in self.terms.items():
-            for name, e in key:
-                if name in _relations:
+            if key:
+                if key & relmask:
                     return None
-                c = c * pow(mod_p_residue(name), e, MOD_P) % MOD_P
+                c *= _key_residue(key)
             num += c
-        return num * pow(den, -1, MOD_P) % MOD_P
+        return num % MOD_P * pow(den, -1, MOD_P) % MOD_P
 
     # -- rendering -------------------------------------------------------
 
@@ -602,43 +713,52 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _shift_terms(terms: dict, key, c: int) -> dict:
-    """Numerators of terms times c * monomial(key), over an extra factor _rel_den."""
-    out = {}
-    for k, coeff in terms.items():
-        kk, scale = _mul_keys(k, key)
-        v = coeff * c if scale == 1 else coeff * c * scale
-        acc = out.get(kk)
-        if acc is None:
-            out[kk] = v
-        else:
-            acc = acc + v
-            if acc:
-                out[kk] = acc
+def _shift_terms(terms: dict, key: int, c: int, den: int) -> MPoly:
+    """The numerator map terms times c * monomial(key), over den.
+
+    Adding key, with or without folds, maps distinct keys to distinct keys,
+    so no two products meet.
+    """
+    reg = PARAMS
+    ora = _key_or(terms)
+    fold = ora & key & reg.relmask
+    if not fold:
+        out = {k + key: v * c for k, v in terms.items()}
+    else:
+        rel_den, rel_parts = reg.rel_den, reg.rel_parts
+        den *= rel_den
+        out = {}
+        for k, v in terms.items():
+            f = k & fold
+            if f:
+                out[k + key - (f << 1)] = v * c * _fold_scale(f, rel_parts, rel_den)
             else:
-                del out[kk]
-    return out
+                out[k + key] = v * c * rel_den
+    if (ora + key) & reg.guard:
+        _check_keys(out, reg.guard)
+    return _normed(out, den)
 
 
-def _mul_univar(a: dict, b: dict, name: str, den: int) -> MPoly:
-    """The product of two numerator maps in one relation-free name, over den."""
-    da = max((k[0][1] if k else 0) for k in a)
-    db = max((k[0][1] if k else 0) for k in b)
-    dense = [0] * (da + db + 1)
-    aa = [(k[0][1] if k else 0, c) for k, c in a.items()]
-    bb = [(k[0][1] if k else 0, c) for k, c in b.items()]
+def _mul_univar(a: dict, b: dict, shift: int, den: int) -> MPoly:
+    """The product of two numerator maps in the one relation-free field at shift, over den."""
+    aa = [(k >> shift, c) for k, c in a.items()]
+    bb = [(k >> shift, c) for k, c in b.items()]
+    top = max(e for e, _ in aa) + max(e for e, _ in bb)
+    if top > EXP_MAX:
+        raise _overflow_error()
+    dense = [0] * (top + 1)
     for ea, ca in aa:
         for eb, cb in bb:
             dense[ea + eb] += ca * cb
     out = {}
     for e, c in enumerate(dense):
         if c:
-            out[((name, e),) if e else _EMPTY_KEY] = c
+            out[e << shift] = c
     return _normed(out, den)
 
 
 _MP_ZERO = MPoly({})
-_MP_ONE = MPoly({_EMPTY_KEY: 1})
+_MP_ONE = MPoly({0: 1})
 
 
 class ParamScalar:
@@ -819,12 +939,11 @@ def _normalize_fraction_parts(num: MPoly, den: MPoly):
             return num, den
         # num / (n / den.den) = num * den.den / n
         return (num._times(den.den, n) if n > 0 else num._times(-den.den, -n)), _MP_ONE
-    nk = num.monomial_gcd()
-    dk = dict(den.monomial_gcd())
-    common = tuple(sorted((name, min(e, dk[name])) for name, e in nk if name in dk))
+    dk = den.monomial_gcd()
+    common = _key_min(num.monomial_gcd(), dk) if dk else 0
     # den's content is g / den.den, two coprime ints
     g, dd = den.int_content(), den.den
-    if common != _EMPTY_KEY or g != 1 or dd != 1:
+    if common or g != 1 or dd != 1:
         num = num.div_monomial(common, g, dd)
         den = den.div_monomial(common, g, dd)
         if den.is_constant():
@@ -884,8 +1003,9 @@ def nullspace(matrix) -> NullspaceResult:
     if ncols == 0:
         return NullspaceResult([], [])
 
-    has_relation = any(name in _relations
-                       for r in rows for entry in r for name in entry.params())
+    relmask = PARAMS.relmask
+    has_relation = any((_key_or(entry.num.terms) | _key_or(entry.den.terms)) & relmask
+                       for r in rows for entry in r)
     if has_relation:
         return _nullspace_field(rows, ncols)
     cleared = [_clear_denominators(r) for r in rows]
@@ -909,38 +1029,36 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
     """Exact multivariate division a/b; raises ExactError if not divisible.
 
     Relation-bearing parameters are rejected: leading-term division is
-    only sound over a genuine polynomial ring.
+    only sound over a genuine polynomial ring.  Leading terms are taken in
+    graded order on packed keys (_grlex), a monomial order, so every exact
+    division succeeds.
     """
     if b.is_zero():
         raise ExactError("division by zero polynomial")
-    if any(name in _relations for name in a.params() | b.params()):
+    if (_key_or(a.terms) | _key_or(b.terms)) & PARAMS.relmask:
         raise ExactError("exact division with relation-bearing parameters")
     if b.is_constant():
         return a._scaled(RAT_ONE / b.const_value())
+    g = PARAMS.guard
     # over Rat: the quotient's coefficients need not share a's denominator
     rem = {k: Rat(c, a.den) for k, c in a.terms.items()}
     out: dict = {}
-    bk = max(b.terms, key=_key_sort)
+    bk = max(b.terms, key=_grlex)
     bc = Rat(b.terms[bk], b.den)
     b_items = [(k, Rat(c, b.den)) for k, c in b.terms.items()]
-    bk_d = dict(bk)
     while rem:
-        rk = max(rem, key=_key_sort)
+        rk = max(rem, key=_grlex)
         rc = rem[rk]
-        qk = dict(rk)
-        for name, e in bk_d.items():
-            left = qk.get(name, 0) - e
-            if left < 0:
-                raise ExactError("polynomials do not divide exactly")
-            if left:
-                qk[name] = left
-            else:
-                qk.pop(name, None)
-        qk = tuple(sorted(qk.items()))
+        qk = (rk | g) - bk
+        if qk & g != g:
+            raise ExactError("polynomials do not divide exactly")
+        qk ^= g
         qc = rc / bc
         out[qk] = qc
         for k, c in b_items:
-            kk = _mul_keys(qk, k)[0]  # no relation-bearing names, so no fold
+            kk = qk + k  # no relation-bearing names, so no fold
+            if kk & g:
+                raise _overflow_error()
             v = qc * c
             acc = rem.get(kk)
             if acc is None:
@@ -1066,25 +1184,15 @@ def _back_substitute_ps(rows, pivots, ncols, assumptions, reindexed=False) -> Nu
 def _tidy_vector(vec):
     """Clear denominators and divide out common content/monomial factors."""
     polys = _clear_denominators(vec)
-    common_key = None
+    key = None
     num_gcd, den_lcm = 0, 1  # the common content is num_gcd / den_lcm
     for p in polys:
         if p.is_zero():
             continue
         num_gcd = math.gcd(num_gcd, p.int_content())
         den_lcm = math.lcm(den_lcm, p.den)
-        kd = dict(p.monomial_gcd())
-        if common_key is None:
-            common_key = kd
-        else:
-            for name in list(common_key):
-                e = kd.get(name, 0)
-                if e < common_key[name]:
-                    if e:
-                        common_key[name] = e
-                    else:
-                        del common_key[name]
-    key = tuple(sorted(common_key.items())) if common_key else _EMPTY_KEY
+        kd = p.monomial_gcd()
+        key = kd if key is None else _key_min(key, kd)
     out = []
     for p in polys:
         if p.is_zero():
@@ -1116,7 +1224,7 @@ def render_mpoly(p: MPoly) -> str:
     items = sorted(p.terms.items(), key=lambda kv: _key_sort(kv[0]), reverse=True)
     chunks = []
     for n, (key, c) in enumerate(items):
-        mono = _render_monomial(key)
+        mono = _render_monomial(_decode(key))
         neg = c < 0
         mag = -c if neg else c
         if p.den != 1:

@@ -1,0 +1,18 @@
+"""Fixtures shared by every test module."""
+
+import pytest
+
+from bispec import exact
+
+
+@pytest.fixture(autouse=True)
+def scoped_relations():
+    """Restore the declared parameter relations (with rel_den and relmask)
+    when each test ends, so a relation one test declares is gone for the next.
+
+    Field assignments are never restored: live MPoly values keep their packed
+    keys, and a field handed to a new name would corrupt them.
+    """
+    saved = exact.PARAMS.save_relations()
+    yield
+    exact.PARAMS.restore_relations(saved)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bispec.exact import (
+    EXP_MAX,
     MOD_P,
     ExactError,
     MPoly,
@@ -11,6 +12,7 @@ from bispec.exact import (
     declare_param,
     is_zero,
     mod_p_residue,
+    mpoly_divexact,
     normalize_fraction,
     nullspace,
     relation_of,
@@ -202,3 +204,67 @@ def test_nullspace_with_relation_parameters():
     # sqrt2 * v0 + 2 * v1 = 0 -> direction (sqrt2, -1)
     v0, v1 = basis[0]
     assert (s2 * v0 + ps(2) * v1).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys: exact division, exponent limit, key-free accessors
+# ---------------------------------------------------------------------------
+
+
+def test_mpoly_divexact_exact_divisions():
+    # a display-order leading term (b > a, but a*a > a*b) made these fail
+    a, b = var("a"), var("b")
+    for num, den, quo in ((a * a + a * b, a + b, a), ((a + b) ** 2, a + b, a + b),
+                          (a * a - b * b, a + b, a - b)):
+        assert mpoly_divexact(num, den) == quo
+
+
+def test_mpoly_divexact_rejects_inexact_division():
+    a, b = var("a"), var("b")
+    with pytest.raises(ExactError):
+        mpoly_divexact(a * a + b, a + b)
+
+
+def test_nullspace_bareiss_two_parameters():
+    a, b = ParamScalar.var("a"), ParamScalar.var("b")
+    m = [[a + b, a, ps(1), ps(0)], [a - b, b, ps(0), ps(1)], [a + 2 * b, ps(1), a, b]]
+    basis, _ = nullspace(m)
+    assert len(basis) == 1
+    assert any(not x.is_zero() for x in basis[0])
+    for row in m:
+        acc = ps(0)
+        for entry, x in zip(row, basis[0]):
+            acc = acc + entry * x
+        assert acc.is_zero()
+
+
+def test_exponent_limit():
+    assert EXP_MAX == 2 ** 15 - 1
+    k = MPoly.var("k", EXP_MAX)
+    assert k.degree("k") == EXP_MAX and str(k) == f"k^{EXP_MAX}"
+    assert (MPoly.var("k", 2 ** 14 - 1) * MPoly.var("k", 2 ** 14)).degree() == EXP_MAX
+    with pytest.raises(ExactError):
+        MPoly.var("k", 2 ** 15)
+    with pytest.raises(ExactError):
+        MPoly.var("k", 2 ** 14) ** 2
+    with pytest.raises(ExactError):
+        (var("a") + 1) * MPoly.var("k", EXP_MAX) * var("k")  # a one-term factor
+    with pytest.raises(ExactError):
+        (var("k") + 1) * (MPoly.var("k", EXP_MAX) + 1)  # the univariate product
+    with pytest.raises(ExactError):
+        (var("k") + var("a")) * (MPoly.var("k", EXP_MAX) + var("a"))
+    # a relation folds before the limit applies: sqrt2^40000 = 2^20000
+    assert MPoly.var("sqrt2", 40000) == MPoly.const(2 ** 20000)
+
+
+def test_split_linear_and_const_numerator():
+    a, b, c = var("a"), var("b"), var("c")
+    eq = a * b * 3 + a + b * c - 5
+    lead, rest = eq.split_linear("a")
+    assert lead == b * 3 + 1 and rest == b * c - 5
+    assert eq.split_linear("never_used") == (MPoly.zero(), eq)
+    with pytest.raises(ExactError):
+        (a * a + b).split_linear("a")
+    half = MPoly.const(Rat(7, 2)) + b
+    assert half.const_numerator() == 7 and half.den == 2
+    assert b.const_numerator() == 0

@@ -180,6 +180,7 @@ def test_cli_errors_exit_2():
     ["reach-weights", "--n", "2", "--step", "1/0"],
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,x"],
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,-1"],
+    ["ad", "--L", "k^40000*x^2", "--param", "k", "--theta", "x", "--j", "1"],
 ])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2

@@ -121,7 +121,7 @@ _ORACLE_RELATIONS = {"sqrt2": Fraction(2), "sqrt3": Fraction(3), "i": Fraction(-
 
 
 def _as_fractions(p):
-    return {key: Fraction(c, p.den) for key, c in p.terms.items()}
+    return {exact._decode(key): Fraction(c, p.den) for key, c in p.terms.items()}
 
 
 def _oracle_mul(x, y):
@@ -160,13 +160,16 @@ def _oracle_content(x):
 
 
 def _assert_canonical(p):
-    """den > 0, gcd(den, numerators) == 1, no zero numerator, keys in normal form."""
+    """den > 0, gcd(den, numerators) == 1, no zero numerator, keys in normal form:
+    decoded names sorted, exponents >= 1, relation exponents <= 1, no guard bit set."""
     assert type(p.den) is int and p.den > 0
     assert all(type(c) is int and c for c in p.terms.values())
     assert math.gcd(p.den, *p.terms.values()) == 1
     if not p.terms:
         assert p.den == 1
-    for key in p.terms:
+    for packed in p.terms:
+        assert packed & exact.PARAMS.guard == 0
+        key = exact._decode(packed)
         assert list(key) == sorted(key) and all(e >= 1 for _, e in key)
         assert all(e == 1 for n, e in key if n in _ORACLE_RELATIONS)
 
@@ -186,18 +189,7 @@ def _random_oracle_pair(rng, names):
     return poly, oracle
 
 
-@pytest.fixture
-def scoped_relations():
-    """Restore the declared parameter relations when the test ends."""
-    saved = dict(exact._relations), dict(exact._rel_parts), exact._rel_den
-    yield
-    for table, old in zip((exact._relations, exact._rel_parts), saved):
-        table.clear()
-        table.update(old)
-    exact._rel_den = saved[2]
-
-
-def test_mpoly_kernel_matches_fraction_oracle(scoped_relations):
+def test_mpoly_kernel_matches_fraction_oracle():
     declare_param("h", Rat(5, 7))
     rng = random.Random(606)
     names = ["a", "b", "sqrt2", "i", "h"]
@@ -224,6 +216,80 @@ def test_mpoly_kernel_matches_fraction_oracle(scoped_relations):
                     == _oracle_mul(ox, _as_fractions(s.den)))
             assert s.den.den == 1 and s.den.int_content() == 1
             assert s.den.lead_coeff() > 0
+
+
+def _oracle_monomial_pair(rng, names):
+    """A random monomial as an MPoly, and its exponents as a dict."""
+    exps = {n: rng.randint(0, 3) for n in names}
+    mono = MPoly.one()
+    for n, e in exps.items():
+        mono = mono * MPoly.var(n, e)
+    return mono, {n: e for n, e in exps.items() if e}
+
+
+def _oracle_poly(rng, names, max_terms=4):
+    """A random polynomial with rational coefficients, and its oracle dict."""
+    poly, oracle = MPoly.zero(), {}
+    for _ in range(rng.randint(1, max_terms)):
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        mono, exps = _oracle_monomial_pair(rng, names)
+        poly = poly + mono * MPoly.const(c)
+        oracle = _oracle_add(oracle, {tuple(sorted(exps.items())): c} if c else {})
+    return poly, oracle
+
+
+def test_packed_monomial_ops_match_tuple_oracle():
+    # Fields go to names in first-use order; reverse alphabetical order here
+    # makes raw packed-int order disagree with name order.
+    names = ["zzo", "mmo", "aao"]
+    for n in names:
+        MPoly.var(n)
+    shifts = [exact.PARAMS.shifts[n] for n in names]
+    assert shifts == sorted(shifts)
+    rng = random.Random(707)
+    for _ in range(N_INSTANCES):
+        p, op = _oracle_poly(rng, names)
+        if not op:
+            continue
+        assert _as_fractions(p) == op
+        # the monomial gcd: the field-wise minimum exponent
+        want = {n: min(dict(key).get(n, 0) for key in op) for n in names}
+        assert exact._decode(p.monomial_gcd()) == tuple(sorted(
+            (n, e) for n, e in want.items() if e))
+        # the display-order lead: total degree, then the decoded tuple
+        lead = max(op, key=lambda key: (sum(e for _, e in key), key))
+        assert exact._decode(p.lead_key()) == lead
+        # division by a monomial, exactly when it divides every term
+        mono, exps = _oracle_monomial_pair(rng, names)
+        (mkey,) = mono.terms
+        assert (p * mono).div_monomial(mkey, 1, 1) == p
+        divides = all(dict(key).get(n, 0) >= e for key in op for n, e in exps.items())
+        if divides:
+            quotient = p.div_monomial(mkey, 1, 1)
+            assert quotient * mono == p
+        else:
+            with pytest.raises(ExactError):
+                p.div_monomial(mkey, 1, 1)
+        # exact division by a polynomial; off by a constant it fails
+        q, _ = _oracle_poly(rng, names, max_terms=3)
+        if q:
+            assert exact.mpoly_divexact(p * q, q) == p
+            if not q.is_constant():
+                with pytest.raises(ExactError):
+                    exact.mpoly_divexact(p * q + 1, q)
+
+
+def test_mpoly_divexact_recovers_every_factor():
+    rng = random.Random(708)
+    names = ["a", "b", "c", "k"]
+    checked = 0
+    for _ in range(3 * N_INSTANCES):
+        p, _ = _oracle_poly(rng, names, max_terms=5)
+        q, _ = _oracle_poly(rng, names, max_terms=4)
+        if q:
+            assert exact.mpoly_divexact(p * q, q) == p
+            checked += 1
+    assert checked >= 250
 
 
 # ---------------------------------------------------------------------------
