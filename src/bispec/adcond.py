@@ -232,12 +232,13 @@ def _linear_rows(columns: list) -> list:
         orders |= c.coeffs.keys()
     rows = []
     for r in sorted(orders):
-        nums = common_numerators([c.coeffs.get(r, XR_ZERO) for c in columns])
+        # XPoly.coeffs builds its view on each access: once per column here
+        views = [n.coeffs for n in common_numerators([c.coeffs.get(r, XR_ZERO) for c in columns])]
         degs = set()
-        for n in nums:
-            degs |= n.coeffs.keys()
+        for view in views:
+            degs |= view.keys()
         for d in sorted(degs):
-            rows.append([n.coeffs.get(d, PS_ZERO) for n in nums])
+            rows.append([view.get(d, PS_ZERO) for view in views])
     if not rows:
         # all columns vanish identically: the whole space is the nullspace
         rows.append([PS_ZERO] * len(columns))

@@ -78,8 +78,9 @@ def generate_system(w: WeightVector, include_constant: bool = False) -> AnsatzSy
     p = XPoly({i: ParamScalar.var(f"c{i}") for i in range(n + 2)})
     v = build_V(theta, p)
     op = DiffOp.schrodinger(v)
-    tower = ad_tower(op, theta, n)
-    residual = residual_from_tower(tower, w)
+    # the tower is garbage once the residual is formed: it is the largest
+    # object of the system build and need not live through the loop below
+    residual = residual_from_tower(ad_tower(op, theta, n), w)
 
     equations = []
     cleared_parts = []
@@ -89,8 +90,7 @@ def generate_system(w: WeightVector, include_constant: bool = False) -> AnsatzSy
         num = nums[0]
         for base, exp in coeff.factors:
             cleared_parts.append(f"order {r}: denominator ({base})^{exp}")
-        for d in sorted(num.coeffs, reverse=True):
-            entry = num.coeffs[d]
+        for d, entry in sorted(num.coeffs.items(), reverse=True):
             # a non-constant denominator here is a monomial in the unknowns
             # (from the monic normalization of Theta'); clearing it multiplies
             # the equation by a nonzero monomial
@@ -151,10 +151,11 @@ def fit_p(theta: XPoly, v: XRat, deg_bound: int):
             mono.derivative() * dtheta - mono * dtheta.derivative()))
     columns.append(-rhs)
     nums = common_numerators(columns)
+    views = [npoly.coeffs for npoly in nums]
     degs = set()
-    for npoly in nums:
-        degs |= npoly.coeffs.keys()
-    rows = [[npoly.coeffs.get(d, PS_ZERO) for npoly in nums] for d in sorted(degs)]
+    for view in views:
+        degs |= view.keys()
+    rows = [[view.get(d, PS_ZERO) for view in views] for d in sorted(degs)]
     result = nullspace(rows)
     solutions = []
     homogeneous = []

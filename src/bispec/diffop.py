@@ -1,5 +1,11 @@
 """Scalar differential operators with exact rational-function coefficients.
 
+An :class:`XPoly` is one fraction: an MPoly numerator whose packed keys carry
+the x-degree in field 0 (``bispec.exact``), over one MPoly denominator without
+x, normalised by the ParamScalar rule.  An x-product is one MPoly product (one
+in x alone takes the univariate kernel), division by a monic base works in
+place on the numerator's x-slices, and an x-degree is at most 32767.
+
 Operators are kept in right normal form ``sum_r c_r(x) * D**r`` with every
 ``c_r`` an :class:`XRat`.  Denominators of rational functions are stored as
 monic factor lists ``prod b_i(x)**e_i`` so repeated differentiation grows the
@@ -23,16 +29,22 @@ import os
 from collections import defaultdict
 
 from .exact import (
+    EXP_MAX,
     MOD_P,
     MPoly,
     PS_ONE,
     PS_ZERO,
     ParamScalar,
     Rat,
-    RAT_ZERO,
     ExactError,
+    _normalize_fraction_parts,
+    cancel_common_factor,
+    denominator_cofactors,
+    int_poly_gcd,
     render_scalar,
 )
+
+_MP_ONE = MPoly.one()  # the den of every XPoly without a parameter denominator
 
 _env_bound = os.environ.get("BISPEC_MAX_DEGREE")
 MAX_DEGREE = int(_env_bound) if _env_bound else None
@@ -49,13 +61,24 @@ def _coerce_ps(value) -> ParamScalar:
 
 
 class XPoly:
-    """Polynomial in the distinguished variable x with ParamScalar coefficients."""
+    """Polynomial in the distinguished variable x with ParamScalar coefficients.
 
-    __slots__ = ("coeffs", "_pfree")
+    Stored as one fraction ``num / den``: ``num`` is an MPoly whose keys carry
+    the x-degree in field 0 (see ``bispec.exact``), ``den`` an MPoly without
+    x, normalised by the ParamScalar rule (primitive, positive lead, no
+    monomial in common with num's parameter part, none of a relation-bearing
+    field; a constant den is ``MPoly.one()``).  A parameter-free polynomial is
+    int numerators over one int.  ``XPoly({degree: coefficient})`` builds one,
+    and :attr:`coeffs` maps each degree back to a normalised ParamScalar.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: dict | None = None):
-        self.coeffs = coeffs if coeffs is not None else {}
-        self._pfree = None
+        p = _XP_ZERO
+        for d, c in (coeffs or {}).items():
+            p = p + XPoly.monomial(d, c)
+        self.num, self.den = p.num, p.den
 
     @classmethod
     def zero(cls):
@@ -71,88 +94,72 @@ class XPoly:
 
     @classmethod
     def const(cls, value) -> "XPoly":
-        c = _coerce_ps(value)
-        return cls({0: c}) if not c.is_zero() else cls({})
+        return cls.monomial(0, value)
 
     @classmethod
     def monomial(cls, deg: int, coeff=1) -> "XPoly":
         c = _coerce_ps(coeff)
-        return cls({deg: c}) if not c.is_zero() else cls({})
+        if not 0 <= deg <= EXP_MAX:
+            raise ExactError(f"x-degree {deg} is outside 0..{EXP_MAX}")
+        if c.is_zero():
+            return _XP_ZERO
+        return _xp(c.num.x_shift(deg), c.den)
 
     @classmethod
     def from_list(cls, ascending) -> "XPoly":
-        out = {}
-        for deg, c in enumerate(ascending):
-            c = _coerce_ps(c)
-            if not c.is_zero():
-                out[deg] = c
-        return cls(out)
+        return cls(dict(enumerate(ascending)))
+
+    @property
+    def coeffs(self) -> dict:
+        """{degree: normalised ParamScalar} in ascending degree, built on each access."""
+        den = self.den
+        return {d: _coefficient(c, den) for d, c in self.num.x_slices().items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num.terms
 
     def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def lead_coeff(self) -> ParamScalar:
-        return self.coeffs[max(self.coeffs)]
+        return self.num.x_degree()
 
     def coeff(self, deg: int) -> ParamScalar:
-        return self.coeffs.get(deg, PS_ZERO)
+        return _coefficient(self.num.x_slice(deg), self.den)
+
+    def lead_coeff(self) -> ParamScalar:
+        return self.coeff(self.degree())
 
     def is_parameter_free(self) -> bool:
-        if self._pfree is None:
-            self._pfree = all(c.is_constant() for c in self.coeffs.values())
-        return self._pfree
-
-    def _dense(self) -> list:
-        """Ascending Rat coefficient list (parameter-free polynomials only)."""
-        out = [RAT_ZERO] * (self.degree() + 1)
-        for d, c in self.coeffs.items():
-            out[d] = c.const_value()
-        return out
-
-    @staticmethod
-    def _from_dense(dense) -> "XPoly":
-        return XPoly({d: ParamScalar.const(v) for d, v in enumerate(dense) if v})
+        return self.den is _MP_ONE and not self.num.has_params()
 
     def is_constant(self) -> bool:
-        return not self.coeffs or self.coeffs.keys() == {0}
+        return self.degree() <= 0
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num.terms)
 
     def __eq__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented
-        if self.coeffs.keys() != other.coeffs.keys():
-            return False
-        return all(self.coeffs[d] == other.coeffs[d] for d in self.coeffs)
+        if self.den is other.den or self.den == other.den:
+            return self.num == other.num
+        return self.num * other.den == other.num * self.den
 
     __hash__ = None
 
     def __neg__(self):
-        return XPoly({d: -c for d, c in self.coeffs.items()})
+        return _xp(-self.num, self.den)
 
     def __add__(self, other):
         if not isinstance(other, XPoly):
             other = XPoly.const(other)
-        if not self.coeffs:
+        if not self.num.terms:
             return other
-        if not other.coeffs:
+        if not other.num.terms:
             return self
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            acc = out.get(d)
-            if acc is None:
-                out[d] = c
-            else:
-                acc = acc + c
-                if acc.is_zero():
-                    del out[d]
-                else:
-                    out[d] = acc
-        return XPoly(out)
+        d1, d2 = self.den, other.den
+        if d1 is d2 or d1 == d2:
+            return _xp_norm(self.num + other.num, d1)
+        l1, l2 = denominator_cofactors(d1, d2)
+        return _xp_norm(self.num * l1 + other.num * l2, d1 * l1)
 
     __radd__ = __add__
 
@@ -170,42 +177,21 @@ class XPoly:
             return _XP_ZERO
         if c.is_one():
             return self
-        return XPoly({d: v * c for d, v in self.coeffs.items()})
+        if c.den is _MP_ONE and self.den is _MP_ONE:
+            return _xp(self.num * c.num, _MP_ONE)
+        return _xp_norm(self.num * c.num, self.den * c.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Rat, ParamScalar, MPoly)):
             return self.scale(other)
         if not isinstance(other, XPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return _XP_ZERO
         if MAX_DEGREE is not None and self.degree() + other.degree() > MAX_DEGREE:
             raise ExactError(
                 f"x-degree {self.degree() + other.degree()} exceeds BISPEC_MAX_DEGREE={MAX_DEGREE}")
-        if self.is_parameter_free() and other.is_parameter_free():
-            a, b = self._dense(), other._dense()
-            dense = [RAT_ZERO] * (len(a) + len(b) - 1)
-            for da, ca in enumerate(a):
-                if ca:
-                    for db, cb in enumerate(b):
-                        if cb:
-                            dense[da + db] += ca * cb
-            return XPoly._from_dense(dense)
-        out: dict = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                v = c1 * c2
-                acc = out.get(d)
-                if acc is None:
-                    out[d] = v
-                else:
-                    acc = acc + v
-                    if acc.is_zero():
-                        del out[d]
-                    else:
-                        out[d] = acc
-        return XPoly(out)
+        if self.den is _MP_ONE and other.den is _MP_ONE:
+            return _xp(self.num * other.num, _MP_ONE)
+        return _xp_norm(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -223,69 +209,44 @@ class XPoly:
         return result
 
     def derivative(self) -> "XPoly":
-        return XPoly({d - 1: c * d for d, c in self.coeffs.items() if d})
+        return _xp_norm(self.num.x_derivative(), self.den)
 
     def monic(self) -> tuple:
         """(leading coefficient, self/leading)."""
-        lead = self.lead_coeff()
+        top = self.num.x_slice(self.degree())
+        lead = ParamScalar(top, self.den)
         if lead.is_one():
             return lead, self
-        inv = lead.invert()
-        return lead, XPoly({d: c * inv for d, c in self.coeffs.items()})
+        # (num / den) / (top / den) = num / top
+        return lead, _xp_norm(self.num, top)
 
     def divmod(self, other: "XPoly") -> tuple:
         """Quotient and remainder over the coefficient field."""
         if other.is_zero():
             raise ExactError("division by the zero polynomial")
         dd = other.degree()
-        if self.is_parameter_free() and other.is_parameter_free():
-            rem = self._dense()
-            div = other._dense()
-            lead = div[-1]
-            quo = [RAT_ZERO] * max(len(rem) - dd, 0)
-            while len(rem) > dd:
-                c = rem[-1]
-                if c:
-                    q = c / lead
-                    quo[len(rem) - 1 - dd] = q
-                    for idx in range(dd + 1):
-                        rem[len(rem) - 1 - dd + idx] -= q * div[idx]
-                rem.pop()
-            while rem and not rem[-1]:
-                rem.pop()
-            return XPoly._from_dense(quo), XPoly._from_dense(rem)
-        rem = dict(self.coeffs)
-        quo: dict = {}
-        inv = other.lead_coeff().invert()
-        items = list(other.coeffs.items())
-        while rem:
-            dn = max(rem)
-            if dn < dd:
-                break
-            q = rem[dn] * inv
-            qd = dn - dd
-            quo[qd] = q
-            for d, c in items:
-                key = d + qd
-                acc = rem.get(key)
-                v = q * c
-                if acc is None:
-                    rem[key] = -v
-                else:
-                    acc = acc - v
-                    if acc.is_zero():
-                        del rem[key]
-                    else:
-                        rem[key] = acc
-        return XPoly(quo), XPoly(rem)
+        if self.degree() < dd:
+            return _XP_ZERO, self
+        lead, base = other.monic()
+        if base is not other:
+            quo, rem = self.divmod(base)
+            return quo.scale(lead.invert()), rem
+        if other.den is _MP_ONE:
+            # the top coefficient is 1 and no parameter denominator: in place
+            quo, rem = self.num.x_divmod(other.num)
+            return _xp_norm(quo, self.den), _xp_norm(rem, self.den)
+        # a parameter denominator db: pseudo-division, quo and rem over one den
+        # that takes a factor db per step
+        quo, rem, den, db = MPoly.zero(), self.num, self.den, other.den
+        while rem and (n := rem.x_degree()) >= dd:
+            top = rem.x_slice(n).x_shift(n - dd)
+            quo = (quo + top) * db
+            rem = rem * db - top * other.num
+            den = den * db
+        return _xp_norm(quo, den), _xp_norm(rem, den)
 
     def substitute(self, mapping: dict) -> "XPoly":
-        out = {}
-        for d, c in self.coeffs.items():
-            c = c.substitute(mapping)
-            if not c.is_zero():
-                out[d] = c
-        return XPoly(out)
+        return XPoly({d: c.substitute(mapping) for d, c in self.coeffs.items()})
 
     def __str__(self):
         return render_xpoly(self)
@@ -294,55 +255,32 @@ class XPoly:
         return f"XPoly({self})"
 
 
-_XP_ZERO = XPoly({})
-_XP_ONE = XPoly({0: PS_ONE})
-_XP_X = XPoly({1: PS_ONE})
+def _xp(num: MPoly, den: MPoly) -> XPoly:
+    """num / den from parts already in normal form."""
+    p = object.__new__(XPoly)
+    p.num, p.den = num, den
+    return p
 
 
-def _int_list(p: XPoly) -> list:
-    """Ascending integer coefficients of a parameter-free polynomial, up to scale.
-
-    A constant ParamScalar has denominator 1, so each coefficient is the one
-    int numerator of its num over num.den.
-    """
-    nums = [(d, c.num) for d, c in p.coeffs.items()]
-    lcm = math.lcm(*(num.den for _, num in nums))
-    out = [0] * (p.degree() + 1)
-    for d, num in nums:
-        out[d] = num.const_numerator() * (lcm // num.den)
-    return out
+def _coefficient(c: MPoly, den: MPoly) -> ParamScalar:
+    """The coefficient c / den of one x-slice c, normalised.  The shared den
+    may hold factors this coefficient does not need; cancel_common_factor
+    removes those it finds."""
+    if den is _MP_ONE:
+        return ParamScalar.from_poly(c)
+    return ParamScalar(*cancel_common_factor(c, den))
 
 
-def _primitive(c: list) -> list:
-    g = 0
-    for v in c:
-        g = math.gcd(g, v)
-        if g == 1:
-            return c
-    return [v // g for v in c] if g > 1 else c
+def _xp_norm(num: MPoly, den: MPoly) -> XPoly:
+    """num / den for a den without x, normalised."""
+    if den is _MP_ONE:
+        return _xp(num, den)
+    return _xp(*_normalize_fraction_parts(num, den))
 
 
-def _pseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            if not a:
-                return []
-            continue
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [v * lb for v in a]
-        for idx in range(db + 1):
-            a[shift + idx] -= la * b[idx]
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            return []
-    return a
+_XP_ZERO = _xp(MPoly.zero(), _MP_ONE)
+_XP_ONE = _xp(MPoly.one(), _MP_ONE)
+_XP_X = _xp(MPoly.from_x_ints([0, 1]), _MP_ONE)
 
 
 def xpoly_gcd_rational(a: XPoly, b: XPoly) -> XPoly:
@@ -351,15 +289,8 @@ def xpoly_gcd_rational(a: XPoly, b: XPoly) -> XPoly:
         return b if b.is_zero() else b.monic()[1]
     if b.is_zero():
         return a.monic()[1]
-    ca = _primitive(_int_list(a))
-    cb = _primitive(_int_list(b))
-    if len(ca) < len(cb):
-        ca, cb = cb, ca
-    while cb:
-        r = _primitive(_pseudo_rem(ca, cb))
-        ca, cb = cb, r
-    lead = Rat(ca[-1])
-    return XPoly({d: ParamScalar.const(Rat(v) / lead) for d, v in enumerate(ca) if v})
+    g = int_poly_gcd(a.num.int_list(), b.num.int_list())
+    return _xp(MPoly.from_x_ints(g, g[-1]), _MP_ONE)
 
 
 class XRat:
@@ -626,13 +557,10 @@ class XRat:
 
 def _mod_p_coeffs(p: XPoly):
     """Ascending coefficient images in GF(MOD_P), or None if one is undefined."""
-    out = [0] * (p.degree() + 1)
-    for d, c in p.coeffs.items():
-        v = c.evaluate_mod()
-        if v is None:
-            return None
-        out[d] = v
-    return out
+    if p.den is _MP_ONE:
+        return p.num.x_images_mod()
+    den = p.den.evaluate_mod()
+    return p.num.x_images_mod(den) if den else None
 
 
 def _refutes_division(num: XPoly, base: XPoly) -> bool:
@@ -679,9 +607,7 @@ def _same_factors(f1, f2) -> bool:
     if len(f1) != len(f2):
         return False
     for (b1, e1), (b2, e2) in zip(f1, f2):
-        if e1 != e2 or b1.coeffs.keys() != b2.coeffs.keys():
-            return False
-        if not (b1 is b2 or b1 == b2):
+        if e1 != e2 or not (b1 is b2 or b1 == b2):
             return False
     return True
 
@@ -737,10 +663,9 @@ def _normalize_xrat(num: XPoly, factors):
             if base.is_constant() and exp:
                 num = num.scale(base.coeff(0).invert() ** exp)
             continue
-        lead = base.lead_coeff()
-        if not lead.is_one():
-            inv = lead.invert()
-            base = XPoly({d: c * inv for d, c in base.coeffs.items()})
+        lead, monic = base.monic()
+        if monic is not base:
+            base = monic
             num = num.scale(lead ** (-exp))
         idx = _find_base(out, base)
         if idx is None:
@@ -1138,8 +1063,9 @@ def render_xpoly(p: XPoly) -> str:
     if p.is_zero():
         return "0"
     chunks = []
-    for n, d in enumerate(sorted(p.coeffs, reverse=True)):
-        c = p.coeffs[d]
+    coeffs = p.coeffs
+    for n, d in enumerate(sorted(coeffs, reverse=True)):
+        c = coeffs[d]
         text = render_scalar(c)
         neg = text.startswith("-") and "+" not in text and " - " not in text
         if neg:

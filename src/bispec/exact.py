@@ -21,11 +21,18 @@ be at most 32767; a larger one raises :class:`ExactError`.  Names and
 exponents are decoded only to render, sort for display, substitute and
 evaluate.
 
+Field 0 belongs to x, the function variable, which is never a parameter:
+``diffop.XPoly`` stores an x-polynomial as one MPoly whose keys carry the
+x-degree in that field (so an x-degree too is at most 32767), over one
+parameter-only MPoly denominator.  The ``x_*`` methods of MPoly are the
+kernels it works with; every other MPoly holds no x.
+
 Polynomials are stored expanded, so zero testing is structural and
 never wrong.  Fractions are deliberately *not* reduced by multivariate
-gcd: normalisation cancels integer content, the sign of the
-denominator and common monomial factors, nothing more.  Equality of
-fractions is decided by cross-multiplication, which only needs
+gcd: normalisation cancels integer content, the sign of the denominator
+and common monomial factors, and rationalises the relation-bearing
+parameters of the denominator's monomial factor, nothing more.  Equality
+of fractions is decided by cross-multiplication, which only needs
 polynomial zero testing.
 """
 
@@ -35,10 +42,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is the optional "fast" extra; Fraction is the pure-Python backend
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
@@ -48,6 +52,7 @@ _RESERVED_NAMES = {"x", "exp", "D"}
 
 # A packed monomial key gives each parameter a _FIELD-bit field: the exponent
 # in the low 15 bits, a guard bit on top.  The constant monomial is key 0.
+# Field 0 is x's: an x-degree is key & _FIELD_MASK.
 _FIELD = 16
 _FIELD_MASK = (1 << _FIELD) - 1
 EXP_MAX = (1 << 15) - 1
@@ -65,12 +70,13 @@ class ParamRegistry:
     for the life of the process.  Live MPoly values hold packed keys, so a
     field handed to another name would silently rename their parameter:
     relations may be saved and restored, field assignments never are.
+    Field 0 is x's from the start; x never gets a relation.
     """
 
     def __init__(self):
         self.shifts: dict[str, int] = {}  # name -> bit offset of its field
-        self.names: list[str] = []  # field index -> name
-        self.guard = 0  # the guard bit of every field handed out
+        self.names: list[str] = ["x"]  # field index -> name
+        self.guard = 1 << (_FIELD - 1)  # the guard bit of every field handed out
         self.relations: dict[str, Rat] = {}  # name -> rational value of its square
         # lowest bit of a relation-bearing field -> that value as coprime ints p/q, q > 0
         self.rel_parts: dict[int, tuple] = {}
@@ -137,7 +143,9 @@ def declare_param(name: str, relation=None) -> Param:
     values (the empty product included) is a rational square: p would then
     be a product of the other roots up to a rational, and p minus that
     product a zero divisor.  Relations that pass keep the coefficient ring a
-    field of degree 2**n over Q(free parameters).
+    field of degree 2**n over Q(free parameters).  A relation is also
+    refused for a name already in use as a free parameter: live values may
+    hold it squared, which a relation-bearing field cannot.
     """
     check_param_name(name)
     rel = None if relation is None else Rat(relation)
@@ -152,6 +160,8 @@ def declare_param(name: str, relation=None) -> Param:
         if any(_is_rational_square(q) for q in products):
             raise ExactError(f"relation {name}^2 = {rel} creates zero divisors: {rel} times "
                              "a product of declared relation values is a rational square")
+        if name in PARAMS.shifts:
+            raise ExactError(f"parameter {name!r} is already in use without a relation")
         PARAMS.add_relation(name, rel)
     elif old != rel:
         raise ExactError(f"parameter {name!r} already declared with relation {old}")
@@ -254,7 +264,7 @@ def _key_min(a: int, b: int) -> int:
 
 
 def _overflow_error():
-    return ExactError(f"a parameter exponent exceeds {EXP_MAX}")
+    return ExactError(f"an exponent of x or of a parameter exceeds {EXP_MAX}")
 
 
 def _check_keys(keys, guard: int) -> None:
@@ -367,11 +377,6 @@ class MPoly:
             return Rat(self.terms[0], self.den)
         raise ExactError(f"not a constant polynomial: {self}")
 
-    def const_numerator(self) -> int:
-        """The int numerator of the constant term, 0 if there is none; the
-        term is this over den."""
-        return self.terms.get(0, 0)
-
     def params(self) -> set:
         return {name for name, _ in _decode(_key_or(self.terms))}
 
@@ -404,6 +409,161 @@ class MPoly:
             else:
                 raise ExactError(f"degree in {name!r} exceeds 1")
         return _normed(lead, self.den), _normed(rest, self.den)
+
+    # -- x, the function variable (field 0 of every key) -------------------
+
+    def has_params(self) -> bool:
+        """True iff some key uses a parameter field."""
+        return _key_or(self.terms) > _FIELD_MASK
+
+    def x_degree(self) -> int:
+        """The degree in x; -1 for the zero polynomial."""
+        return max(map(_FIELD_MASK.__and__, self.terms), default=-1)
+
+    def _x_parts(self) -> dict:
+        """{x-degree: {key without x: int numerator}}."""
+        parts: dict = {}
+        for k, c in self.terms.items():
+            d = k & _FIELD_MASK
+            part = parts.get(d)
+            if part is None:
+                parts[d] = {k ^ d: c}
+            else:
+                part[k ^ d] = c
+        return parts
+
+    def x_slices(self) -> dict:
+        """{d: the coefficient of x**d} in ascending d, each an MPoly without x."""
+        parts, den = self._x_parts(), self.den
+        return {d: _normed(parts[d], den) for d in sorted(parts)}
+
+    def x_slice(self, deg: int) -> "MPoly":
+        """The coefficient of x**deg, an MPoly without x."""
+        return _normed({k ^ deg: c for k, c in self.terms.items() if k & _FIELD_MASK == deg},
+                       self.den)
+
+    def x_shift(self, deg: int) -> "MPoly":
+        """self * x**deg for deg >= 0."""
+        if not deg or not self.terms:
+            return self
+        if deg + self.x_degree() > EXP_MAX:
+            raise _overflow_error()
+        return MPoly({k + deg: c for k, c in self.terms.items()}, self.den)
+
+    def x_derivative(self) -> "MPoly":
+        """d/dx: each key loses one x unit, its numerator times the x-degree."""
+        out = {}
+        for k, c in self.terms.items():
+            d = k & _FIELD_MASK
+            if d:
+                out[k - 1] = c * d
+        return _normed(out, self.den)
+
+    def int_list(self, shift: int = 0) -> list:
+        """The int numerators of a polynomial in the one field at shift (x's
+        by default), ascending in its exponent; the coefficients are these
+        over den."""
+        out = [0] * (self.degree() + 1)
+        for k, c in self.terms.items():
+            out[k >> shift] = c
+        return out
+
+    @classmethod
+    def from_x_ints(cls, ints: list, den: int = 1) -> "MPoly":
+        """sum_d ints[d] * x**d / den, for an int den != 0."""
+        if den < 0:
+            ints, den = [-v for v in ints], -den
+        return _normed({d: v for d, v in enumerate(ints) if v}, den)
+
+    def x_images_mod(self, den: int = 1):
+        """The images in GF(MOD_P) of the coefficients of x**0, x**1, ... of
+        self / den, for an int den (already an image), with every parameter at
+        mod_p_residue(name); None when undefined, as for evaluate_mod."""
+        den = self.den * den % MOD_P
+        if not den:
+            return None
+        relmask = PARAMS.relmask
+        out = [0] * (self.x_degree() + 1)
+        for key, c in self.terms.items():
+            d = key & _FIELD_MASK
+            key ^= d
+            if key:
+                if key & relmask:
+                    return None
+                c *= _key_residue(key)
+            out[d] += c
+        inv = pow(den, -1, MOD_P)
+        return [v * inv % MOD_P for v in out]
+
+    def x_divmod(self, b: "MPoly"):
+        """(q, r) with self = q*b + r and r of lower x-degree than b, for b
+        whose coefficient of its top power of x is 1.
+
+        Works in place on self's x-slices, from the top down, over one int
+        denominator; that grows only when a slice times b's lower terms
+        (over b.den, and rel_den where a relation folds) is not integral.
+        """
+        dd = b.x_degree()
+        reg = PARAMS
+        relmask, rel_den, rel_parts, guard = reg.relmask, reg.rel_den, reg.rel_parts, reg.guard
+        rs = self._x_parts()
+        lower = [(k & _FIELD_MASK, k & ~_FIELD_MASK, c) for k, c in b.terms.items()
+                 if k & _FIELD_MASK < dd]
+        bor = _key_or(pk for _, pk, _ in lower)
+        bden, den = b.den, self.den
+        qs: dict = {}
+        for n in range(max(rs, default=-1), dd - 1, -1):
+            top = rs.pop(n, None)
+            if not top:
+                continue
+            tor = _key_or(top)
+            fold = tor & bor & relmask
+            need = bden * rel_den if fold else bden
+            if need != 1:
+                g = need
+                for c in top.values():
+                    g = math.gcd(g, c)
+                    if g == 1:
+                        break
+                scale = need // g
+                if scale != 1:
+                    den *= scale
+                    for part in (top, *rs.values(), *qs.values()):
+                        for k in part:
+                            part[k] *= scale
+            check = (tor + bor) & guard
+            s = n - dd
+            for pk1, c1 in top.items():
+                c1 //= need
+                for j, pk2, c2 in lower:
+                    key = pk1 + pk2
+                    v = c1 * c2
+                    if fold:
+                        f = pk1 & pk2 & fold
+                        if f:
+                            key -= f << 1
+                            v *= _fold_scale(f, rel_parts, rel_den)
+                        else:
+                            v *= rel_den
+                    if check and key & guard:
+                        raise _overflow_error()
+                    part = rs.get(s + j)
+                    if part is None:
+                        rs[s + j] = {key: -v}
+                        continue
+                    acc = part.get(key)
+                    if acc is None:
+                        part[key] = -v
+                    else:
+                        acc -= v
+                        if acc:
+                            part[key] = acc
+                        else:
+                            del part[key]
+            qs[s] = top  # b's top coefficient is 1: the quotient's slice is the top one
+        q = {pk + d: c for d, part in qs.items() for pk, c in part.items()}
+        r = {pk + d: c for d, part in rs.items() for pk, c in part.items()}
+        return _normed(q, den), _normed(r, den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -931,12 +1091,16 @@ def _coerce(value):
 
 
 def _normalize_fraction_parts(num: MPoly, den: MPoly):
+    """num / den with den primitive, of positive lead, sharing no monomial
+    with num's parameter part and keeping no relation-bearing field in its
+    monomial factor; a constant den becomes _MP_ONE.  num may hold x (its
+    field never meets den's, which holds none)."""
     if num.is_zero():
         return _MP_ZERO, _MP_ONE
     if den.is_constant():
         (n,) = den.terms.values()
         if n == 1 and den.den == 1:
-            return num, den
+            return num, _MP_ONE
         # num / (n / den.den) = num * den.den / n
         return (num._times(den.den, n) if n > 0 else num._times(-den.den, -n)), _MP_ONE
     dk = den.monomial_gcd()
@@ -948,8 +1112,98 @@ def _normalize_fraction_parts(num: MPoly, den: MPoly):
         den = den.div_monomial(common, g, dd)
         if den.is_constant():
             return _normalize_fraction_parts(num, den)
+    # the relation-bearing fields of den's monomial factor: times that
+    # monomial, each folds to its rational value
+    rational = (dk - common) & PARAMS.relmask
+    if rational:
+        return _normalize_fraction_parts(_shift_terms(num.terms, rational, 1, num.den),
+                                         _shift_terms(den.terms, rational, 1, den.den))
     if den.terms[den.lead_key()] < 0:
         num, den = -num, -den
+    return num, den
+
+
+def denominator_cofactors(d1: MPoly, d2: MPoly) -> tuple:
+    """(l1, l2) with d1*l1 == d2*l2, a common multiple of two denominators:
+    the field-wise larger monomial factor, times the rest of d1 and the rest
+    of d2 unless the two rests are equal."""
+    m1, m2 = d1.monomial_gcd(), d2.monomial_gcd()
+    m = m1 + m2 - _key_min(m1, m2)
+    l1, l2 = MPoly({m - m1: 1}), MPoly({m - m2: 1})
+    r1, r2 = d1.div_monomial(m1, 1, 1), d2.div_monomial(m2, 1, 1)
+    if r1 == r2:
+        return l1, l2
+    return l1 * r2, l2 * r1
+
+
+def _primitive(c: list) -> list:
+    g = 0
+    for v in c:
+        g = math.gcd(g, v)
+        if g == 1:
+            return c
+    return [v // g for v in c] if g > 1 else c
+
+
+def _pseudo_rem(a: list, b: list) -> list:
+    """Pseudo-remainder of integer coefficient lists (ascending)."""
+    a = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(a) - 1 >= db:
+        if a[-1] == 0:
+            a.pop()
+            if not a:
+                return []
+            continue
+        la = a[-1]
+        shift = len(a) - 1 - db
+        a = [v * lb for v in a]
+        for idx in range(db + 1):
+            a[shift + idx] -= la * b[idx]
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return []
+    return a
+
+
+def int_poly_gcd(a: list, b: list) -> list:
+    """The primitive gcd of two nonzero univariate int coefficient lists
+    (ascending, no trailing zeros), by the primitive PRS over Z."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return a
+
+
+def cancel_common_factor(num: MPoly, den: MPoly):
+    """(num / g, den / g) for a common factor g that is cheap to find: the
+    gcd when both are polynomials in one and the same relation-free
+    parameter, else num or den itself when it divides the other exactly;
+    (num, den) when none is found.  Monomials are left to normalisation."""
+    if len(num.terms) < 2 or len(den.terms) < 2:
+        return num, den
+    s = den._univar()
+    if s is not None and num._univar() == s:
+        g = int_poly_gcd(num.int_list(s), den.int_list(s))
+        if len(g) < 2:
+            return num, den
+        g = MPoly({e << s: c for e, c in enumerate(g) if c})
+        return mpoly_divexact(num, g), mpoly_divexact(den, g)
+    dn, dd = num.degree(), den.degree()
+    try:
+        if dn >= dd:
+            return mpoly_divexact(num, den), _MP_ONE
+    except ExactError:
+        pass
+    try:
+        if dd >= dn:
+            return _MP_ONE, mpoly_divexact(den, num)
+    except ExactError:
+        pass
     return num, den
 
 
@@ -1254,7 +1508,8 @@ def render_scalar(s: ParamScalar) -> str:
             # content g / num.den in front of the primitive part
             g = num.int_content()
             inner = render_mpoly(MPoly({k: c // g for k, c in num.terms.items()}))
-            top = inner if _is_atomic(inner) else f"({inner})"
+            # a monomial such as sqrt2*sqrt3 needs no parentheses before /den
+            top = inner if _is_atomic(inner.replace("*", "")) else f"({inner})"
             if g != 1:
                 top = f"{g}*{top}"
             return f"{top}/{num.den}"

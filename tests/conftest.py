@@ -11,7 +11,10 @@ def scoped_relations():
     when each test ends, so a relation one test declares is gone for the next.
 
     Field assignments are never restored: live MPoly values keep their packed
-    keys, and a field handed to a new name would corrupt them.
+    keys, and a field handed to a new name would corrupt them.  So a name a
+    test declared with a relation keeps its field as a free parameter, and
+    declare_param refuses it a relation again: each test declares a name of
+    its own.
     """
     saved = exact.PARAMS.save_relations()
     yield

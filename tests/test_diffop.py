@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from bispec.exact import ExactError, MPoly, PS_ONE, ParamScalar, Rat, mod_p_residue
+from bispec import cli
+from bispec.exact import EXP_MAX, ExactError, MPoly, PS_ONE, ParamScalar, Rat, mod_p_residue
 from bispec.adcond import WeightVector
 from bispec.ansatz import generate_system
 from bispec.diffop import (
@@ -249,3 +250,56 @@ def test_xrat_equals_mpoly_and_param_scalar():
     assert XRat.const(k) == ParamScalar.from_poly(k)
     assert XRat.const(k) != MPoly.var("a")
 
+
+
+def test_x_degree_limit():
+    """x has one 15-bit field like a parameter: 32767 is the largest x-degree,
+    and a larger one raises rather than spilling into a parameter's field."""
+    k = ParamScalar.var("k")
+    assert XPoly.monomial(EXP_MAX).degree() == EXP_MAX
+    with pytest.raises(ExactError):
+        XPoly.monomial(EXP_MAX + 1)
+    half = XPoly.monomial(1 << 14)
+    with pytest.raises(ExactError):
+        half * half                                          # x alone
+    with pytest.raises(ExactError):
+        half.scale(k) * half.scale(k)                        # one term each
+    with pytest.raises(ExactError):
+        (half + XPoly.const(k)) * (half + XPoly.const(k))    # x and a parameter
+    with pytest.raises(ExactError):
+        XPoly.monomial(EXP_MAX, k).derivative() * XPoly.monomial(2)
+    top = XPoly.monomial(EXP_MAX, k)
+    assert top.degree() == EXP_MAX and top.coeff(EXP_MAX) == k and top.coeff(0).is_zero()
+
+
+def test_x_is_never_a_parameter():
+    # declare_param("x") and --param x are pinned in test_exact and test_expr_cli
+    with pytest.raises(ExactError):
+        MPoly.var("x")
+    with pytest.raises(ExactError):
+        ParamScalar.var("x")
+
+
+def test_xpoly_sum_renormalises_its_denominator():
+    k = ParamScalar.var("k")
+    a = XPoly({1: PS_ONE / k, 0: PS_ONE})   # (x + k)/k
+    total = a + XPoly({1: -PS_ONE / k})     # k/k
+    assert total.num == MPoly.one() and total.den is MPoly.one()
+    assert a.derivative().den == MPoly.var("k")
+    assert (a * XPoly.const(k)).den is MPoly.one()
+
+
+def test_coefficient_view_cancels_factors_of_the_shared_denominator():
+    """An XPoly keeps one denominator for all coefficients; each coefficient
+    prints without the factors only the others need."""
+    k, a, b = ParamScalar.var("k"), ParamScalar.var("a"), ParamScalar.var("b")
+    one_parameter = XPoly({2: k / 3, 0: PS_ONE / (k + 1)})
+    assert one_parameter.den == MPoly.var("k") + 1
+    assert str(one_parameter) == "k/3*x^2 + (1/(k + 1))"
+    two_parameters = XPoly({2: PS_ONE / (a + b), 1: PS_ONE / (a - b), 0: a})
+    assert str(two_parameters) == "(1/(b + a))*x^2 + ((-1)/(b - a))*x + a"
+    assert two_parameters.coeff(1).den == MPoly.var("b") - MPoly.var("a")
+    report = cli.run(["ad", "--L", "x^2 + 1/(k+1)", "--param", "k",
+                      "--theta", "x^2/(k+2) + x", "--j", "2"])
+    assert report["inputs"]["theta"] == "(1/(k + 2))*x^2 + x"
+    assert report["verdicts"][0]["residual"] == "(8/(k + 2))*D^2 + (8/(k + 2))*x^2 + 4*x"

@@ -257,7 +257,7 @@ def test_exponent_limit():
     assert MPoly.var("sqrt2", 40000) == MPoly.const(2 ** 20000)
 
 
-def test_split_linear_and_const_numerator():
+def test_split_linear():
     a, b, c = var("a"), var("b"), var("c")
     eq = a * b * 3 + a + b * c - 5
     lead, rest = eq.split_linear("a")
@@ -265,6 +265,28 @@ def test_split_linear_and_const_numerator():
     assert eq.split_linear("never_used") == (MPoly.zero(), eq)
     with pytest.raises(ExactError):
         (a * a + b).split_linear("a")
-    half = MPoly.const(Rat(7, 2)) + b
-    assert half.const_numerator() == 7 and half.den == 2
-    assert b.const_numerator() == 0
+
+
+def test_relation_monomial_denominators_are_rationalised():
+    s2, s3, k = var("sqrt2"), var("sqrt3"), var("k")
+    assert str(ParamScalar(MPoly.one(), s2 * s3)) == "sqrt2*sqrt3/6"
+    # one value, two routes, one print
+    by_division = ParamScalar(MPoly.const(18), s2 * s3)
+    by_product = ParamScalar.var("sqrt2") * ParamScalar.var("sqrt3") * 3
+    assert str(by_division) == str(by_product) == "3*sqrt2*sqrt3"
+    assert by_division.den == MPoly.one()
+    # the relation field leaves a non-constant denominator too: k/(sqrt2*k^2) = sqrt2/(2*k)
+    half = ParamScalar(k, s2 * k * k)
+    assert half.den == k and half.num == s2 * Rat(1, 2)
+    assert ParamScalar(MPoly.one(), var("i") * k).den == k
+
+
+def test_declare_param_refuses_a_name_in_use():
+    v = MPoly.var("hq", 3)
+    with pytest.raises(ExactError, match="already in use"):
+        declare_param("hq", 5)
+    assert relation_of("hq") is None
+    assert v * v == MPoly.var("hq", 6)
+    # the zero-divisor check comes first
+    with pytest.raises(ExactError, match="zero divisors"):
+        declare_param("hq", 4)

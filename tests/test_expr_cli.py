@@ -226,3 +226,22 @@ def test_degree_safety_valve(monkeypatch):
         big * big
     small = XPoly.monomial(3)
     assert small * small == XPoly.monomial(6)
+
+
+def test_relation_denominators_print_rationalised():
+    report, _ = run_cli(["ad", "--catalog", "ansatz:A4-40A2+144A0:10", "--j", "1"])
+    assert report["verdicts"][0]["residual"] == \
+        "(-6*x^2 + 6*sqrt2*sqrt3*x - 6)*D - 6*x + 3*sqrt2*sqrt3"
+
+
+def test_generic_and_closed_form_towers_print_the_same():
+    from bispec.diffop import DiffOp, commutator, schrodinger_commutator
+
+    entry = get_entry("ansatz:A4-40A2+144A0:10")
+    v_derivs = [entry.operator.potential()]
+    current = DiffOp.mul_by(entry.theta)
+    for _ in range(3):
+        generic = commutator(entry.operator, current).reduced()
+        closed = schrodinger_commutator(v_derivs, current).reduced()
+        assert str(generic) == str(closed)
+        current = generic

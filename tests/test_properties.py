@@ -557,3 +557,132 @@ def test_nullspace_back_substitution_random():
                 for entry, x in zip(row, vec):
                     acc = acc + entry * x
                 assert acc.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# packed XPoly against a dict-of-ParamScalar reference
+# ---------------------------------------------------------------------------
+# A reference x-polynomial is {degree: nonzero ParamScalar}, with the
+# coefficient-wise arithmetic XPoly had before it was packed.
+
+
+def _ref_clean(p):
+    return {d: c for d, c in p.items() if not c.is_zero()}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, PS_ZERO) + (c if sign > 0 else -c)
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            out[d1 + d2] = out.get(d1 + d2, PS_ZERO) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_mod_p(a):
+    images = {d: c.evaluate_mod() for d, c in a.items()}
+    if any(v is None for v in images.values()):
+        return None
+    return [images.get(d, 0) for d in range(max(a, default=-1) + 1)]
+
+
+def _assert_matches_ref(p, ref):
+    coeffs = p.coeffs
+    assert sorted(coeffs) == list(coeffs) == sorted(ref)
+    for d, c in ref.items():
+        assert coeffs[d] == c and p.coeff(d) == c
+    assert p.degree() == max(ref, default=-1)
+    assert p.coeff(p.degree() + 1).is_zero()
+
+
+def _assert_xpoly_canonical(p):
+    """num and den canonical MPolys, x only in num, den primitive with a
+    positive lead, no monomial shared with num, no relation field in den's
+    monomial factor, and a constant den is the one MPoly.one()."""
+    num, den = p.num, p.den
+    for poly in (num, den):
+        assert type(poly.den) is int and poly.den > 0
+        assert all(type(c) is int and c for c in poly.terms.values())
+        assert math.gcd(poly.den, *poly.terms.values()) == 1
+        for packed in poly.terms:
+            assert packed & exact.PARAMS.guard == 0
+            assert all(e == 1 for n, e in exact._decode(packed) if exact.relation_of(n))
+    assert all(n != "x" for n, _ in exact._decode(exact._key_or(den.terms)))
+    if den.is_constant():
+        assert den is MPoly.one()
+        return
+    assert num.terms
+    assert den.den == 1 and den.int_content() == 1 and den.lead_coeff() > 0
+    assert exact._key_min(num.monomial_gcd(), den.monomial_gcd()) == 0
+    assert den.monomial_gcd() & exact.PARAMS.relmask == 0
+
+
+_XP_NAMES = ["k", "a", "sqrt2", "i", "rq"]
+
+
+def _xp_denominators():
+    k, a = MPoly.var("k"), MPoly.var("a")
+    return [k, a * a, k * a, MPoly.var("sqrt2") * k,  # monomials, one rationalised
+            k + 1, a - 2, k * a + 3]                  # not monomials
+
+
+def _random_coeff(rng, kind):
+    """A random coefficient: parameter-free, a polynomial or a fraction."""
+    if kind == "free":
+        return ParamScalar.const(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    num = MPoly.zero()
+    for _ in range(rng.randint(1, 2)):
+        term = MPoly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 2)):
+            term = term * MPoly.var(rng.choice(_XP_NAMES))
+        num = num + term
+    if kind == "poly":
+        return ParamScalar.from_poly(num)
+    return ParamScalar(num, rng.choice(_xp_denominators()))
+
+
+def _random_xpoly_pair(rng, kind, deg):
+    ref = _ref_clean({d: _random_coeff(rng, kind) if rng.random() < 0.8 else PS_ZERO
+                      for d in range(deg + 1)})
+    return XPoly(ref), ref
+
+
+def test_packed_xpoly_matches_param_scalar_reference():
+    from bispec.diffop import _mod_p_coeffs
+
+    declare_param("rq", Rat(3, 5))  # a relation with q != 1
+    rng = random.Random(808)
+    kinds = ["free", "poly", "frac"]
+    for case in range(2 * N_INSTANCES):
+        a, ra = _random_xpoly_pair(rng, kinds[case % 3], rng.randint(0, 3))
+        b, rb = _random_xpoly_pair(rng, rng.choice(kinds), rng.randint(0, 2))
+        c = _random_coeff(rng, rng.choice(kinds))
+        # a sum that cancels back to b, whose normal form differs from both terms'
+        results = [(a, ra), (b, rb), (a * b, _ref_mul(ra, rb)), (a + b, _ref_add(ra, rb)),
+                   (a - b, _ref_add(ra, rb, -1)), (-a, _ref_add({}, ra, -1)), ((b - a) + a, rb),
+                   (a.scale(c), _ref_mul(ra, {0: c} if c else {})),
+                   (a.derivative(), {d - 1: v * d for d, v in ra.items() if d})]
+        for p, ref in results:
+            _assert_xpoly_canonical(p)
+            _assert_matches_ref(p, ref)
+            assert _mod_p_coeffs(p) == _ref_mod_p(ref)
+        if ra:
+            lead, m = a.monic()
+            top = max(ra)
+            assert lead == ra[top]
+            _assert_xpoly_canonical(m)
+            _assert_matches_ref(m, {d: v / lead for d, v in ra.items()})
+        if b.degree() >= 1:
+            base = b.monic()[1]
+            quo, rem = a.divmod(base)
+            for p in (quo, rem):
+                _assert_xpoly_canonical(p)
+            # the quotient and remainder of a division are unique
+            assert rem.degree() < base.degree()
+            _assert_matches_ref(a, _ref_add(_ref_mul(quo.coeffs, base.coeffs), rem.coeffs))
