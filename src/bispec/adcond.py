@@ -157,7 +157,11 @@ def ad_tower(op: DiffOp, theta, up_to: int) -> list:
     -D^2 + V.
 
     Every step cancels denominator factors that divide the numerator so chains
-    of commutators do not accumulate spurious denominator powers.
+    of commutators do not accumulate spurious denominator powers.  No
+    denominator base divides another (the XRat invariant), so a potential
+    built from a base and its square, as the Laguerre chain's are, cancels as
+    fully as one built from the base; a parametric square typed expanded with
+    no sibling base stays one base and cancels only whole.
     """
     if up_to < 0:
         raise ExactError("commutator order must be >= 0")

@@ -13,6 +13,13 @@ exponents linearly instead of squaring blindly; parameter-free values are
 fully reduced by univariate gcd, parametric values only by trial division
 against their own denominator factors.
 
+No base of a factor list divides another: the normaliser every XRat passes
+through splits a base b = q*c listed next to c into q, and c takes b's
+exponent, so trial division meets every power of c in one base.  Bases are
+not made squarefree or coprime; a parametric square typed with no sibling
+base, such as 1/(x^4+2*k*x^2+k^2), stays one base (splitting it would need a
+parametric gcd).
+
 A trial division that fails is refuted before it runs: numerator and base are
 mapped to GF(p), p = 2**61 - 1, with each parameter at a fixed residue derived
 from its name (``exact.mod_p_residue``), and a nonzero image remainder proves
@@ -25,8 +32,8 @@ the symbolic division decides as before.
 from __future__ import annotations
 
 import math
-import os
 from collections import defaultdict
+from itertools import permutations
 
 from .exact import (
     EXP_MAX,
@@ -45,9 +52,6 @@ from .exact import (
 )
 
 _MP_ONE = MPoly.one()  # the den of every XPoly without a parameter denominator
-
-_env_bound = os.environ.get("BISPEC_MAX_DEGREE")
-MAX_DEGREE = int(_env_bound) if _env_bound else None
 
 
 def _coerce_ps(value) -> ParamScalar:
@@ -186,9 +190,6 @@ class XPoly:
             return self.scale(other)
         if not isinstance(other, XPoly):
             return NotImplemented
-        if MAX_DEGREE is not None and self.degree() + other.degree() > MAX_DEGREE:
-            raise ExactError(
-                f"x-degree {self.degree() + other.degree()} exceeds BISPEC_MAX_DEGREE={MAX_DEGREE}")
         if self.den is _MP_ONE and other.den is _MP_ONE:
             return _xp(self.num * other.num, _MP_ONE)
         return _xp_norm(self.num * other.num, self.den * other.den)
@@ -296,9 +297,11 @@ def xpoly_gcd_rational(a: XPoly, b: XPoly) -> XPoly:
 class XRat:
     """Rational function num / prod(base_i ** e_i) in x.
 
-    Bases are monic and of positive degree; parameter-free values are kept
-    fully reduced (gcd-cancelled, monic denominator), parametric values are
-    only reduced on request via :meth:`reduced`.
+    Bases are monic, of positive degree and distinct, and none divides
+    another; a parametric square typed with no sibling base stays one base.
+    Parameter-free values are kept fully reduced (gcd-cancelled, monic
+    denominator), parametric values are only reduced on request via
+    :meth:`reduced`.
     """
 
     __slots__ = ("num", "factors", "_den", "_deriv")
@@ -389,9 +392,7 @@ class XRat:
             return self
         if _same_factors(self.factors, other.factors):
             return XRat(self.num + other.num, self.factors)
-        merged = _merge_factors(self.factors, other.factors)
-        n1 = self.num * _complement(merged, self.factors)
-        n2 = other.num * _complement(merged, other.factors)
+        merged, (n1, n2) = _over_common_den((self, other))
         return XRat(n1 + n2, merged)
 
     __radd__ = __add__
@@ -416,8 +417,7 @@ class XRat:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return XR_ZERO
-        factors = _add_factor_lists(self.factors, other.factors)
-        return XRat(self.num * other.num, factors)
+        return XRat(self.num * other.num, self.factors + other.factors)
 
     __rmul__ = __mul__
 
@@ -620,17 +620,6 @@ def _find_base(factors: list, base: XPoly):
     return None
 
 
-def _add_factor_lists(f1, f2):
-    out = [list(f) for f in f1]
-    for base, exp in f2:
-        idx = _find_base(out, base)
-        if idx is None:
-            out.append([base, exp])
-        else:
-            out[idx][1] += exp
-    return tuple((b, e) for b, e in out)
-
-
 def _merge_factors(f1, f2):
     out = [list(f) for f in f1]
     for base, exp in f2:
@@ -645,16 +634,17 @@ def _merge_factors(f1, f2):
 def _complement(merged, own) -> XPoly:
     """prod merged / prod own as a polynomial (own divides merged by construction)."""
     out = _XP_ONE
-    own_list = [list(f) for f in own]
     for base, exp in merged:
-        idx = _find_base(own_list, base)
-        have = own_list[idx][1] if idx is not None else 0
+        idx = _find_base(own, base)
+        have = own[idx][1] if idx is not None else 0
         if exp > have:
             out = out * base ** (exp - have)
     return out
 
 
 def _normalize_xrat(num: XPoly, factors):
+    """num and factors in normal form: monic bases of positive degree, equal
+    ones merged, none dividing another, negative exponents moved to num."""
     if num.is_zero():
         return _XP_ZERO, ()
     out = []
@@ -672,17 +662,39 @@ def _normalize_xrat(num: XPoly, factors):
             out.append([base, exp])
         else:
             out[idx][1] += exp
-    factors = tuple((b, e) for b, e in out if e)
-    if any(e < 0 for _, e in factors):
-        # negative exponents move to the numerator
-        pos = []
-        for base, exp in factors:
-            if exp < 0:
-                num = num * base ** (-exp)
-            else:
-                pos.append((base, exp))
-        factors = tuple(pos)
-    return num, factors
+    pos = []
+    for base, exp in out:
+        if exp < 0:
+            num = num * base ** (-exp)
+        elif exp:
+            pos.append([base, exp])
+    if len(pos) > 1:
+        _split_divisible(pos)
+    return num, tuple((b, e) for b, e in pos)
+
+
+def _split_divisible(work: list) -> None:
+    """Split the [base, exp] pairs of work in place until no base divides another.
+
+    A base b = q*c next to a base c of lower degree becomes q and c takes b's
+    exponent, since b^e * c^f = q^e * c^(e+f).  Each split lowers the total
+    degree, so the loop ends.  _refutes_division rules a pair out first.
+    """
+    while True:
+        for big, small in permutations(work, 2):
+            if small[0].degree() < big[0].degree() and not _refutes_division(big[0], small[0]):
+                quo, rem = big[0].divmod(small[0])
+                if rem.is_zero():
+                    break
+        else:
+            return
+        small[1] += big[1]
+        same = _find_base(work, quo)
+        if same is None:
+            big[0] = quo
+        else:
+            work[same][1] += big[1]
+            work[:] = [f for f in work if f is not big]
 
 
 XR_ZERO = XRat(_XP_ZERO, ())
@@ -850,48 +862,28 @@ def schrodinger_commutator(v_derivs: list, a: DiffOp) -> DiffOp:
                                 - sum_{m>=1} C(r,m) b_r V^(m) D^(r-m)).
     ``v_derivs`` starts as [V] and is extended in place as orders need it.
 
-    Each coefficient comes back over the denominator factor list that
-    compose(L, a) - compose(a, L) would give it, V's bases included.  The
-    reduction that follows only cancels the bases it is offered, and a
-    potential's list may hold a base next to its square (the Laguerre chain's
-    do); over the closed-form terms' own list such a coefficient keeps a
-    spurious factor and the tower grows.  The same list also keeps the reduced
-    denominators as :func:`commutator` gives them.
+    Each coefficient is summed over the merge of its own terms' factor lists,
+    and the XRat built over it splits a base that another divides, so the
+    reduction that follows meets every power of a base in one place (a
+    parametric square typed expanded with no sibling base stays whole).
     """
     while len(v_derivs) <= max(a.coeffs, default=0):
         v_derivs.append(v_derivs[-1].derivative())
-    v = v_derivs[0]
+    # derivative terms first: sums then share ints with b's cached derivatives
     terms = defaultdict(list)
-    lists: dict = {}
-
-    def offer(key, factors):
-        lists[key] = _merge_factors(lists.get(key, ()), factors)
-
-    # L a = sum_r (-b D^(r+2) - 2b' D^(r+1) - b'' D^r + V b D^r); its factor
-    # lists are offered in the order compose(L, a) meets them
     for r, b in a.coeffs.items():
         db = b.derivative()
-        ddb = db.derivative()
-        offer(r + 2, b.factors)
-        offer(r + 1, db.factors)
-        offer(r, ddb.factors)
         terms[r + 1].append(db * -2)
-        terms[r].append(-ddb)
-    if not v.is_zero():
-        for r, b in a.coeffs.items():
-            offer(r, _add_factor_lists(v.factors, b.factors))
+        terms[r].append(-db.derivative())
     # what a L leaves after the cancellation: -C(r,m) b V^(m) D^(r-m)
     for r, b in a.coeffs.items():
         for m in range(1, r + 1):
-            term = b * v_derivs[m]
-            offer(r - m, term.factors)
-            terms[r - m].append(term * -math.comb(r, m))
+            terms[r - m].append(b * v_derivs[m] * -math.comb(r, m))
     out = {}
-    for r, factors in lists.items():
-        # one sum of numerators over the final list, not a chain of XRat sums
-        num = _XP_ZERO
-        for t in terms[r]:
-            num = num + t.num * _complement(factors, t.factors)
+    for r, rats in terms.items():
+        # one sum of numerators over the merged list, not a chain of XRat sums
+        factors, nums = _over_common_den(rats)
+        num = sum(nums, _XP_ZERO)
         if not num.is_zero():
             out[r] = XRat(num, factors)
     return DiffOp(out, _normalize=False)
@@ -929,18 +921,18 @@ def equals(a: DiffOp, b: DiffOp) -> bool:
     return True
 
 
-def common_numerators(rats) -> list:
-    """Numerators of a list of XRats over their merged common denominator."""
+def _over_common_den(rats) -> tuple:
+    """(merged factor list, an iterator of the numerators of rats over it);
+    the merge keeps each base at its largest exponent."""
     merged = ()
     for f in rats:
         merged = _merge_factors(merged, f.factors)
-    out = []
-    for f in rats:
-        if f.num.is_zero():
-            out.append(_XP_ZERO)
-        else:
-            out.append(f.num * _complement(merged, f.factors))
-    return out
+    return merged, (f.num * _complement(merged, f.factors) if f.num else _XP_ZERO for f in rats)
+
+
+def common_numerators(rats) -> list:
+    """Numerators of a list of XRats over their merged common denominator."""
+    return list(_over_common_den(rats)[1])
 
 
 def annihilates_monomials(a: DiffOp) -> bool:
@@ -1094,13 +1086,21 @@ def render_xrat(f: XRat) -> str:
         return num
     parts = []
     for base, exp in f.factors:
-        btxt = render_xpoly(base)
-        btxt = btxt if _is_simple(btxt) else _paren(btxt)
+        btxt = _base_str(base, exp != 1)
         parts.append(btxt if exp == 1 else f"{btxt}^{exp}")
     ntxt = num if _is_simple(num) else _paren(num)
     if len(parts) > 1:
         return f"{ntxt}/({'*'.join(parts)})"
     return f"{ntxt}/{parts[0]}"
+
+
+def _base_str(base: XPoly, powered: bool) -> str:
+    """A denominator or quasi-rational base; a powered base whose own text
+    has a '^' is parenthesised, since x^2^3 does not parse."""
+    text = render_xpoly(base)
+    if _is_simple(text) and not (powered and "^" in text):
+        return text
+    return _paren(text)
 
 
 def _is_simple(text: str) -> bool:
@@ -1136,8 +1136,7 @@ def render_quasirat(q: QuasiRat) -> str:
     if not q.scale.is_one():
         parts.append(_coeff_str(q.scale))
     for base, exponent in q.factors:
-        btxt = render_xpoly(base)
-        btxt = btxt if _is_simple(btxt) else _paren(btxt)
+        btxt = _base_str(base, not exponent.is_one())
         if exponent.is_one():
             parts.append(btxt)
         else:

@@ -1372,7 +1372,9 @@ def _nullspace_bareiss(rows, ncols) -> NullspaceResult:
                         RAT_ONE / prev.const_value())
         pivots.append((idx, col))
         prev = piv
-    return _back_substitute(rows, pivots, ncols, assumptions)
+    for idx, _ in pivots:
+        rows[idx] = [ParamScalar.from_poly(p) for p in rows[idx]]
+    return _back_substitute_ps(rows, pivots, ncols, assumptions)
 
 
 def _nullspace_field(rows, ncols) -> NullspaceResult:
@@ -1404,20 +1406,13 @@ def _nullspace_field(rows, ncols) -> NullspaceResult:
             for j in range(col, ncols):
                 row[j] = row[j] - ratio * prow[j]
         pivots.append((best, col))
-    ps_rows = rows
-    return _back_substitute_ps(ps_rows, pivots, ncols, assumptions)
+    return _back_substitute_ps(rows, pivots, ncols, assumptions)
 
 
-def _back_substitute(rows, pivots, ncols, assumptions) -> NullspaceResult:
-    ps_rows = [[ParamScalar.from_poly(p) for p in rows[idx]] for idx, _ in pivots]
-    ps_pivots = [(i, col) for i, (_, col) in enumerate(pivots)]
-    return _back_substitute_ps(ps_rows, ps_pivots, ncols, assumptions, reindexed=True)
-
-
-def _back_substitute_ps(rows, pivots, ncols, assumptions, reindexed=False) -> NullspaceResult:
-    if not reindexed:
-        rows = [rows[idx] for idx, _ in pivots]
-        pivots = [(i, col) for i, (_, col) in enumerate(pivots)]
+def _back_substitute_ps(rows, pivots, ncols, assumptions) -> NullspaceResult:
+    """The nullspace basis from the ParamScalar pivot rows of an echelon form."""
+    rows = [rows[idx] for idx, _ in pivots]
+    pivots = [(i, col) for i, (_, col) in enumerate(pivots)]
     pivot_cols = {col for _, col in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []

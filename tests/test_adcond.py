@@ -35,22 +35,22 @@ def test_ad_power_harmonic():
 
 
 @pytest.mark.parametrize("entry_id", ["laguerre-step:2", "ansatz:A4-40A2+144A0:10"])
-def test_schrodinger_commutator_keeps_generic_factor_lists(entry_id):
-    # the reduction after each step only cancels the bases it is offered, and
-    # the step-2 Laguerre potential lists a base next to its square: the
-    # closed form must offer the lists compose(L, A) - compose(A, L) carries
+def test_schrodinger_commutator_lists_have_no_dividing_bases(entry_id):
+    # the step-2 Laguerre potential is built from a base and its square; no
+    # coefficient list of either tower may keep a base next to a multiple
     from bispec.families import get_entry
+    from .test_properties import assert_no_base_divides_another
     entry = get_entry(entry_id)
     v_derivs = [entry.operator.potential()]
     current = DiffOp.mul_by(entry.theta)
     for _ in range(4):
         closed = schrodinger_commutator(v_derivs, current)
         generic = commutator(entry.operator, current)
-        assert list(closed.coeffs) == list(generic.coeffs)
-        for r, c in generic.coeffs.items():
-            assert closed.coeffs[r].factors == c.factors
+        for op in (closed, generic):
+            for c in op.coeffs.values():
+                assert_no_base_divides_another(c.factors)
         assert equals(closed, generic)
-        current = generic.reduced()
+        current = closed.reduced()
 
 
 def test_ad_power_order_bound_and_exact_order():

@@ -686,3 +686,45 @@ def test_packed_xpoly_matches_param_scalar_reference():
             # the quotient and remainder of a division are unique
             assert rem.degree() < base.degree()
             _assert_matches_ref(a, _ref_add(_ref_mul(quo.coeffs, base.coeffs), rem.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# XRat factor lists: no base divides another
+# ---------------------------------------------------------------------------
+
+
+def assert_no_base_divides_another(factors):
+    """The XRat invariant, checked by plain symbolic division."""
+    for i, (b, _) in enumerate(factors):
+        for j, (c, _) in enumerate(factors):
+            if i != j and c.degree() <= b.degree():
+                assert not b.divmod(c)[1].is_zero(), f"{c} divides {b}"
+
+
+def _random_monic_base(rng):
+    deg = rng.randint(1, 2)
+    return XPoly({deg: PS_ONE, **{d: _random_coeff(rng, "poly") for d in range(deg)}})
+
+
+def _random_num(rng):
+    return XPoly({d: _random_coeff(rng, "poly") for d in range(rng.randint(0, 2))}) + 1
+
+
+def test_xrat_factor_lists_have_no_dividing_bases():
+    rng = random.Random(909)
+    for _ in range(N_INSTANCES):
+        c, d = _random_monic_base(rng), _random_monic_base(rng)
+        cd = c * d
+        f = XRat(_random_num(rng), ((cd, rng.randint(1, 2)),))
+        g = XRat(_random_num(rng), ((c, rng.randint(1, 2)),))
+        h = XRat.from_poly(c).invert()   # the base c from a numerator
+        k = XRat.from_poly(cd).invert()
+        # each result against (numerator, denominator) of its value
+        cases = [(f + g, f.num * g.den + g.num * f.den, f.den * g.den),
+                 (f * g, f.num * g.num, f.den * g.den),
+                 (f + h, f.num * c + f.den, f.den * c),
+                 (k * g, g.num, cd * g.den),
+                 (k - h, 1 - d, cd)]
+        for r, num, den in cases:
+            assert_no_base_divides_another(r.factors)
+            assert r.num * den == num * r.den
