@@ -13,7 +13,6 @@ from .exact import (
     ParamScalar,
     Rat,
     declare_param,
-    normalize_fraction,
     nullspace,
 )
 from .diffop import (

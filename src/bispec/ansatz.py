@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import PS_ZERO, ParamScalar, ExactError, nullspace
-from .diffop import DiffOp, XPoly, XRat, common_numerators
-from .adcond import ConditionReport, WeightVector, ad_tower, residual_from_tower, verify_condition
+from .exact import ParamScalar, ExactError, nullspace
+from .diffop import DiffOp, XPoly, XRat
+from .adcond import (ConditionReport, WeightVector, _linear_rows, ad_tower, residual_from_tower,
+                     verify_condition)
 
 
 def build_V(theta: XPoly, p: XPoly) -> XRat:
@@ -86,11 +87,9 @@ def generate_system(w: WeightVector, include_constant: bool = False) -> AnsatzSy
     cleared_parts = []
     for r in sorted(residual.coeffs):
         coeff = residual.coeffs[r]
-        nums = common_numerators([coeff])
-        num = nums[0]
         for base, exp in coeff.factors:
             cleared_parts.append(f"order {r}: denominator ({base})^{exp}")
-        for d, entry in sorted(num.coeffs.items(), reverse=True):
+        for d, entry in sorted(coeff.num.coeffs.items(), reverse=True):
             # a non-constant denominator here is a monomial in the unknowns
             # (from the monic normalization of Theta'); clearing it multiplies
             # the equation by a nonzero monomial
@@ -150,13 +149,7 @@ def fit_p(theta: XPoly, v: XRat, deg_bound: int):
         columns.append(XRat.from_poly(
             mono.derivative() * dtheta - mono * dtheta.derivative()))
     columns.append(-rhs)
-    nums = common_numerators(columns)
-    views = [npoly.coeffs for npoly in nums]
-    degs = set()
-    for view in views:
-        degs |= view.keys()
-    rows = [[view.get(d, PS_ZERO) for view in views] for d in sorted(degs)]
-    result = nullspace(rows)
+    result = nullspace(_linear_rows([DiffOp.mul_by(c) for c in columns]))
     solutions = []
     homogeneous = []
     for vec in result.basis:

