@@ -274,9 +274,9 @@ def fit_weights(op: DiffOp, theta, orders, tower=None) -> FitResult:
     has no vectors, no assumptions and ``decided_by == "mod-p"``.  Otherwise
     builds the linear system from every x-coefficient of every derivative
     order of the residual, denominators cleared, and returns a nullspace
-    basis.  Every returned vector is re-verified exactly.  Raises ExactError
-    for orders that are empty, repeated or negative, and for an op that is not
-    -D^2 + V.
+    basis, primitive when it lies in one parameter.  Every returned vector
+    is re-verified exactly.  Raises ExactError for orders that are empty,
+    repeated or negative, and for an op that is not -D^2 + V.
     """
     orders = list(orders)
     if not orders or len(set(orders)) != len(orders):
@@ -334,7 +334,7 @@ def solve_theta(op: DiffOp, w: WeightVector, deg_bound: int,
     has no thetas, no assumptions and ``decided_by == "mod-p"``, and
     ``monomial_towers`` is left as it was.  Otherwise the monomial columns
     go to the symbolic nullspace, and every Theta found is re-verified
-    exactly.
+    exactly; a Theta in one parameter is primitive (no spurious factor).
     """
     if deg_bound < 1:
         raise ExactError("degree bound must be >= 1")

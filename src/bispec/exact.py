@@ -1123,6 +1123,18 @@ def int_poly_gcd(a: list, b: list) -> list:
     return a
 
 
+def _univar_gcd(polys):
+    """A gcd, as an MPoly, of nonconstant polynomials that all lie in one
+    and the same relation-free parameter; None when they do not."""
+    s = polys[0]._univar()
+    if s is None or any(p._univar() != s for p in polys[1:]):
+        return None
+    g = polys[0].int_list(s)
+    for p in polys[1:]:
+        g = int_poly_gcd(g, p.int_list(s))
+    return MPoly({e << s: c for e, c in enumerate(g) if c})
+
+
 def cancel_common_factor(num: MPoly, den: MPoly):
     """(num / g, den / g) for a common factor g that is cheap to find: the
     gcd when both are polynomials in one and the same relation-free
@@ -1130,12 +1142,10 @@ def cancel_common_factor(num: MPoly, den: MPoly):
     (num, den) when none is found.  Monomials are left to normalisation."""
     if len(num.terms) < 2 or len(den.terms) < 2:
         return num, den
-    s = den._univar()
-    if s is not None and num._univar() == s:
-        g = int_poly_gcd(num.int_list(s), den.int_list(s))
-        if len(g) < 2:
+    g = _univar_gcd((num, den))
+    if g is not None:
+        if g.is_constant():
             return num, den
-        g = MPoly({e << s: c for e, c in enumerate(g) if c})
         return mpoly_divexact(num, g), mpoly_divexact(den, g)
     dn, dd = num.degree(), den.degree()
     try:
@@ -1174,11 +1184,13 @@ class NullspaceResult:
 def nullspace(matrix) -> NullspaceResult:
     """Basis of the right nullspace of a rectangular ParamScalar matrix.
 
-    Elimination is Bareiss-style fraction-free over the row-cleared
-    MPoly numerators; every non-constant pivot is recorded as a
-    "generic nonvanishing" assumption.  Falls back to ordinary field
-    elimination when relation-bearing parameters are present (Bareiss
-    exact division is only guaranteed over a polynomial ring).
+    Fraction-free Gauss–Jordan elimination (Bareiss 1968; Nakos, Turner &
+    Williams 1997) of the row-cleared MPoly numerators: every entry is a
+    minor, and the vector for a free column f is the last pivot d at f and
+    -R_i[f] at the pivot column of row i.  Vectors are primitive in one
+    parameter.  Every non-constant pivot is recorded as a "generic
+    nonvanishing" assumption.  Relation-bearing rows go to field elimination
+    (exact division needs a polynomial ring), which reads them with d = 1.
     """
     rows = [list(r) for r in matrix]
     if rows:
@@ -1263,13 +1275,16 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
 
 
 def _pick_pivot(rows, row_ids, col):
+    """The row of row_ids whose MPoly or ParamScalar entry in col is nonzero
+    and simplest (constant, then fewest numerator terms), or None."""
     best = None
     best_rank = None
     for idx in row_ids:
         p = rows[idx][col]
         if p.is_zero():
             continue
-        rank = (0 if p.is_constant() else 1, len(p.terms))
+        num = p.num if type(p) is ParamScalar else p
+        rank = (0 if p.is_constant() else 1, len(num.terms))
         if best_rank is None or rank < best_rank:
             best, best_rank = idx, rank
     return best
@@ -1277,8 +1292,7 @@ def _pick_pivot(rows, row_ids, col):
 
 def _nullspace_bareiss(rows, ncols) -> NullspaceResult:
     assumptions = []
-    nrows = len(rows)
-    remaining = list(range(nrows))
+    remaining = list(range(len(rows)))
     pivots = []  # (row index, col index)
     prev = _MP_ONE
     for col in range(ncols):
@@ -1286,29 +1300,24 @@ def _nullspace_bareiss(rows, ncols) -> NullspaceResult:
         if idx is None:
             continue
         remaining.remove(idx)
-        piv = rows[idx][col]
+        prow = rows[idx]
+        piv = prow[col]
         if not piv.is_constant() and all(piv != a for a in assumptions):
             assumptions.append(piv)
-        for other in remaining:
-            entry = rows[other][col]
-            if entry.is_zero():
-                row = rows[other]
-                for j in range(col, ncols):
-                    v = row[j] * piv
-                    row[j] = mpoly_divexact(v, prev) if not prev.is_constant() else v._scaled(
-                        RAT_ONE / prev.const_value())
-            else:
-                row = rows[other]
-                prow = rows[idx]
-                for j in range(col, ncols):
-                    v = row[j] * piv - prow[j] * entry
-                    row[j] = mpoly_divexact(v, prev) if not prev.is_constant() else v._scaled(
-                        RAT_ONE / prev.const_value())
+        # rows below are zero left of col; rows above are scaled in every column
+        for other, start in [(i, 0) for i, _ in pivots] + [(i, col) for i in remaining]:
+            row = rows[other]
+            entry = row[col]
+            for j in range(start, ncols):
+                v = row[j] * piv
+                if entry:
+                    v = v - prow[j] * entry
+                row[j] = mpoly_divexact(v, prev) if v else v
         pivots.append((idx, col))
         prev = piv
     for idx, _ in pivots:
         rows[idx] = [ParamScalar.from_poly(p) for p in rows[idx]]
-    return _back_substitute_ps(rows, pivots, ncols, assumptions)
+    return NullspaceResult(_kernel(rows, pivots, ncols, ParamScalar.from_poly(prev)), assumptions)
 
 
 def _nullspace_field(rows, ncols) -> NullspaceResult:
@@ -1316,73 +1325,60 @@ def _nullspace_field(rows, ncols) -> NullspaceResult:
     remaining = list(range(len(rows)))
     pivots = []
     for col in range(ncols):
-        best = None
-        best_rank = None
-        for idx in remaining:
-            p = rows[idx][col]
-            if p.is_zero():
-                continue
-            rank = (0 if p.is_constant() else 1, len(p.num.terms))
-            if best_rank is None or rank < best_rank:
-                best, best_rank = idx, rank
-        if best is None:
+        idx = _pick_pivot(rows, remaining, col)
+        if idx is None:
             continue
-        remaining.remove(best)
-        piv = rows[best][col]
+        remaining.remove(idx)
+        prow = rows[idx]
+        piv = prow[col]
         if not piv.is_constant() and all(piv.num != a for a in assumptions):
             assumptions.append(piv.num)
-        for other in remaining:
-            factor = rows[other][col]
+        # the pivot row is zero left of col, so no row changes there
+        for other in [i for i, _ in pivots] + remaining:
+            row = rows[other]
+            factor = row[col]
             if factor.is_zero():
                 continue
             ratio = factor / piv
-            row, prow = rows[other], rows[best]
             for j in range(col, ncols):
                 row[j] = row[j] - ratio * prow[j]
-        pivots.append((best, col))
-    return _back_substitute_ps(rows, pivots, ncols, assumptions)
+        prow[col:] = [e / piv for e in prow[col:]]
+        pivots.append((idx, col))
+    return NullspaceResult(_kernel(rows, pivots, ncols, PS_ONE), assumptions)
 
 
-def _back_substitute_ps(rows, pivots, ncols, assumptions) -> NullspaceResult:
-    """The nullspace basis from the ParamScalar pivot rows of an echelon form."""
-    rows = [rows[idx] for idx, _ in pivots]
-    pivots = [(i, col) for i, (_, col) in enumerate(pivots)]
-    pivot_cols = {col for _, col in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+def _kernel(rows, pivots, ncols, d) -> list:
+    """The nullspace basis from ParamScalar rows in Gauss–Jordan form: each
+    pivot row holds d in its pivot column and 0 in the other pivot columns."""
     basis = []
-    for free in free_cols:
+    for free in sorted(set(range(ncols)) - {col for _, col in pivots}):
         vec = [PS_ZERO] * ncols
-        vec[free] = PS_ONE
-        for i, col in reversed(pivots):
-            row = rows[i]
-            acc = PS_ZERO
-            for j in range(col + 1, ncols):
-                if not vec[j].is_zero() and not row[j].is_zero():
-                    acc = acc + row[j] * vec[j]
-            vec[col] = -acc / row[col]
-        basis.append(_tidy_vector(vec))
-    return NullspaceResult(basis, assumptions)
+        vec[free] = d
+        for idx, col in pivots:
+            vec[col] = -rows[idx][free]
+        basis.append(_tidy_vector(vec, free))
+    return basis
 
 
-def _tidy_vector(vec):
-    """Clear denominators and divide out common content/monomial factors."""
+def _tidy_vector(vec, free):
+    """Clear denominators, divide out the common content, the common
+    monomial and, when every nonzero entry lies in one relation-free
+    parameter, their gcd; then give the entry at free a positive lead."""
     polys = _clear_denominators(vec)
+    g = _univar_gcd([p for p in polys if p])
+    if g is not None and not g.is_constant():
+        polys = [mpoly_divexact(p, g) if p else p for p in polys]
     key = None
     num_gcd, den_lcm = 0, 1  # the common content is num_gcd / den_lcm
-    for p in polys:
-        if p.is_zero():
-            continue
+    for p in filter(None, polys):
         num_gcd = math.gcd(num_gcd, p.int_content())
         den_lcm = math.lcm(den_lcm, p.den)
         kd = p.monomial_gcd()
         key = kd if key is None else _key_min(key, kd)
-    out = []
-    for p in polys:
-        if p.is_zero():
-            out.append(PS_ZERO)
-        else:
-            out.append(ParamScalar.from_poly(p.div_monomial(key, num_gcd, den_lcm)))
-    return out
+    polys = [p.div_monomial(key, num_gcd, den_lcm) if p else p for p in polys]
+    if polys[free].terms[polys[free].lead_key()] < 0:
+        polys = [-p for p in polys]
+    return [ParamScalar.from_poly(p) if p else PS_ZERO for p in polys]
 
 
 # ---------------------------------------------------------------------------

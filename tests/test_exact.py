@@ -179,7 +179,8 @@ def test_nullspace_rank_one():
     m = [[ps(1), ps(4)], [ps(2), ps(8)]]
     basis, assumptions = nullspace(m)
     assert len(basis) == 1
-    assert vec_proportional(basis[0], [ps(4), ps(-1)])
+    # the free column's entry has a positive lead
+    assert basis[0] == [ps(-4), ps(1)]
     assert assumptions == []
 
 
@@ -237,6 +238,8 @@ def test_nullspace_bareiss_two_parameters():
     basis, _ = nullspace(m)
     assert len(basis) == 1
     assert any(not x.is_zero() for x in basis[0])
+    # entries are 3x3 minors of a matrix of degree-1 entries (Cramer)
+    assert all(x.num.degree() <= 3 and x.den.is_constant() for x in basis[0])
     for row in m:
         acc = ps(0)
         for entry, x in zip(row, basis[0]):

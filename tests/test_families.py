@@ -88,6 +88,10 @@ def test_step2_weight_discrepancy_is_resolved_by_solve_theta():
     assert empty.thetas == []
     good = solve_theta(entry.operator, reach_weights(3, 1), 6, monomial_towers=towers)
     assert len(good.thetas) == 1
+    # primitive over Q[k]: no spurious (k^2 - 4) factor
+    k = ParamScalar.var("k")
+    assert good.thetas[0] == XPoly({6: ParamScalar.const(1), 4: k * k * -3,
+                                    2: k ** 4 * 3 - k * k * 12})
 
 
 def test_theta_tau_proportionality():

@@ -540,15 +540,37 @@ def test_darboux_intertwining_on_random_seeds():
         count += 1
 
 
+def _random_poly_in_a(rng):
+    a = MPoly.var("a")
+    poly = MPoly.zero()
+    for _ in range(rng.randint(0, 3)):
+        poly = poly + a ** rng.randint(0, 2) * rng.randint(-6, 6)
+    return poly
+
+
+def _random_scalar_in_a(rng):
+    den = MPoly.zero()
+    while den.is_zero():
+        den = _random_poly_in_a(rng)
+    return ParamScalar(_random_poly_in_a(rng), den)
+
+
 def test_nullspace_back_substitution_random():
+    # the first half mixes a, b and sqrt2; the second half uses a alone, where
+    # every vector must also have no common polynomial factor
     rng = random.Random(1111)
-    for _ in range(N_INSTANCES):
+    for instance in range(2 * N_INSTANCES):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        use_params = rng.random() < 0.4
-        matrix = [[_random_scalar(rng, use_params) if rng.random() < 0.8 else PS_ZERO
-                   for _ in range(cols)] for _ in range(rows)]
+        if instance < N_INSTANCES:
+            use_params = rng.random() < 0.4
+            matrix = [[_random_scalar(rng, use_params) if rng.random() < 0.8 else PS_ZERO
+                       for _ in range(cols)] for _ in range(rows)]
+        else:
+            matrix = [[_random_scalar_in_a(rng) if rng.random() < 0.8 else PS_ZERO
+                       for _ in range(cols)] for _ in range(rows)]
         basis, _ = nullspace(matrix)
+        names = set().union(*(entry.params() for row in matrix for entry in row))
         for vec in basis:
             assert any(not entry.is_zero() for entry in vec)
             for row in matrix:
@@ -556,6 +578,17 @@ def test_nullspace_back_substitution_random():
                 for entry, x in zip(row, vec):
                     acc = acc + entry * x
                 assert acc.is_zero()
+            # primitive: integer content 1 and no common monomial
+            polys = [x.num for x in vec if not x.is_zero()]
+            assert all(x.den == MPoly.one() and x.num.den == 1 for x in vec if not x.is_zero())
+            assert math.gcd(*(p.int_content() for p in polys)) == 1
+            assert MPoly({key: 1 for p in polys for key in p.terms}).monomial_gcd() == 0
+            if len(names) == 1 and names != {"sqrt2"}:
+                shift = exact.PARAMS.shifts[next(iter(names))]
+                g = polys[0].int_list(shift)
+                for p in polys[1:]:
+                    g = exact.int_poly_gcd(g, p.int_list(shift))
+                assert len(g) == 1
 
 
 # ---------------------------------------------------------------------------
