@@ -9,6 +9,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,12 +38,16 @@ class UsageError(ValueError):
 
 
 def _parse_weights(text: str) -> WeightVector:
-    """Weights in the form '7:1,5:-14,3:49,1:-36' with rational values."""
+    """Weights in the form '7:1,5:-14,3:49,1:-36' with rational values; each
+    order at most once."""
     weights = {}
     try:
         for chunk in text.split(","):
             order, _, value = chunk.partition(":")
-            weights[int(order.strip())] = Rat(value.strip())
+            order = int(order.strip())
+            if order in weights:
+                raise ValueError(f"order {order} repeated")
+            weights[order] = Rat(value.strip())
     except (ValueError, ZeroDivisionError) as err:
         raise UsageError(f"bad weight list {text!r}: {err}") from None
     return WeightVector(weights)
@@ -287,7 +292,13 @@ def _cmd_probe(args) -> dict:
     return _report("probe-convention", {"id": args.id}, verdicts, [entry.provenance])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one in the process: parse_args leaves it unchanged, and each call gets
+    fresh defaults (``append`` copies the ``--param`` default list).  Each
+    subcommand's ``func`` default binds its ``_cmd_*`` function when the
+    parser is built, so a later rebinding of that name is not seen."""
     parser = argparse.ArgumentParser(
         prog="bispec",
         description="Exact verification and discovery of ad-conditions for "
@@ -363,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> dict:
-    """Parse arguments, execute, and return the report dict (also printed)."""
+    """Parse arguments, execute, and return the report dict; :func:`main`
+    prints it.  The parser is built once per process (:func:`build_parser`)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,7 +18,8 @@ through splits a base b = q*c listed next to c into q, and c takes b's
 exponent, so trial division meets every power of c in one base.  Bases are
 not made squarefree or coprime; a parametric square typed with no sibling
 base, such as 1/(x^4+2*k*x^2+k^2), stays one base (splitting it would need a
-parametric gcd).
+parametric gcd).  The catalog therefore enters the squared poles of its
+potentials as the factor (base, 2) (``families._inv_square``).
 
 A trial division that fails is refuted before it runs: numerator and base are
 mapped to GF(p), p = 2**61 - 1, with each parameter at a fixed residue derived
@@ -298,7 +299,8 @@ class XRat:
     """Rational function num / prod(base_i ** e_i) in x.
 
     Bases are monic, of positive degree and distinct, and none divides
-    another; a parametric square typed with no sibling base stays one base.
+    another; a parametric square typed with no sibling base stays one base,
+    so the catalog passes its squared poles as the factor ``(base, 2)``.
     Parameter-free values are kept fully reduced (gcd-cancelled, monic
     denominator), parametric values are only reduced on request via
     :meth:`reduced`.

@@ -160,6 +160,11 @@ def laguerre_phi(n: int) -> QuasiRat:
     return QuasiRat(tuple(factors), exp_part=XPoly.monomial(2, Rat(1, 8)))
 
 
+def _inv_square(c, base: XPoly) -> XRat:
+    """c / base^2 with the square kept as the factor (base, 2)."""
+    return XRat(XPoly.const(_coerce_ps(c)), ((base, 2),))
+
+
 def _step0_v() -> XRat:
     return (XRat.from_poly(XPoly.monomial(2, _SIXTEENTH))
             + XRat.from_ratio(XPoly.const((_K4 + 8 * _K2 + 12) * _SIXTEENTH),
@@ -169,8 +174,7 @@ def _step0_v() -> XRat:
 def _step1_v() -> XRat:
     xp = XPoly.from_list([_K, 1])
     xm = XPoly.from_list([-_K, 1])
-    return (XRat.from_ratio(XPoly.const(2), xp * xp)
-            + XRat.from_ratio(XPoly.const(2), xm * xm)
+    return (_inv_square(2, xp) + _inv_square(2, xm)
             + XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (8 - 2 * _K2) * _SIXTEENTH}))
             + XRat.from_ratio(XPoly.const((_K4 - 4) * _SIXTEENTH), XPoly.monomial(2)))
 
@@ -179,9 +183,9 @@ def _step2_v() -> XRat:
     qp = XPoly({2: PS_ONE, 0: -_K2 + 2 * _K})
     qm = XPoly({2: PS_ONE, 0: -_K2 - 2 * _K})
     return (XRat.from_ratio(XPoly.const(4), qp)
-            + XRat.from_ratio(XPoly.const(8 * _K2 - 16 * _K), qp * qp)
+            + _inv_square(8 * _K2 - 16 * _K, qp)
             + XRat.from_ratio(XPoly.const(4), qm)
-            + XRat.from_ratio(XPoly.const(8 * _K2 + 16 * _K), qm * qm)
+            + _inv_square(8 * _K2 + 16 * _K, qm)
             + XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (16 - 2 * _K2) * _SIXTEENTH}))
             + XRat.from_ratio(XPoly.const((_K4 - 8 * _K2 + 12) * _SIXTEENTH),
                               XPoly.monomial(2)))
@@ -310,10 +314,6 @@ def _pole(shift) -> XPoly:
     return XPoly.from_list([_coerce_ps(shift), 1])
 
 
-def _inv_square(c, base: XPoly) -> XRat:
-    return XRat.from_ratio(XPoly.const(_coerce_ps(c)), base * base)
-
-
 @lru_cache(maxsize=None)
 def _ansatz_solutions(equation: str) -> list:
     c = ParamScalar.var("c")
@@ -360,7 +360,7 @@ def _ansatz_solutions(equation: str) -> list:
         den4 = XPoly.from_list([c1, 2])
         sols.append((
             XPoly({2: PS_ONE, 1: c1}),
-            XRat.from_ratio(XPoly.const(4 * p1), den4 * den4)
+            _inv_square(4 * p1, den4)
             + XRat.from_poly(XPoly({2: _SIXTEENTH, 1: c1 * _SIXTEENTH})),
             ("c1", "p1"), "fourth solution", ""))
         # fifth: Theta = x(2x+a)(4x^2+2ax+4b-a^2)/8
@@ -373,15 +373,14 @@ def _ansatz_solutions(equation: str) -> list:
                * XPoly({2: PS_ONE, 1: 2 * e1, 0: b - 4 * e1 * e1}))
         sols.append((
             th6,
-            XRat.from_ratio(XPoly.const(p1), _pole(e1) * _pole(e1))
+            _inv_square(p1, _pole(e1))
             + XRat.from_poly(XPoly({2: _SIXTEENTH, 1: 2 * e1 * _SIXTEENTH})),
             ("e1", "b", "p1"), "sixth solution", ""))
         # most interesting solution, reparameterized so the square root of
         # 3 a3^2 - 8 a2 a4 lies in the field: a3 = 4 a4 t, a2 = 2 a4 (3t^2-u^2)
         u2 = u * u
         v7 = (_inv_square(2, _pole(t + u)) + _inv_square(2, _pole(t - u))
-              + XRat.from_ratio(XPoly.const((u2 * u2 - 4) * _SIXTEENTH),
-                                _pole(t) * _pole(t))
+              + _inv_square((u2 * u2 - 4) * _SIXTEENTH, _pole(t))
               + XRat.from_poly(XPoly({2: _SIXTEENTH, 1: t * Rat(1, 8),
                                       0: -t * t * Rat(1, 4) + u2 * Rat(1, 48)
                                          + c4 / (4 * a4)})))

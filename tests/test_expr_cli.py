@@ -181,6 +181,7 @@ def test_cli_errors_exit_2():
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,x"],
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,-1"],
     ["ad", "--L", "k^40000*x^2", "--param", "k", "--theta", "x", "--j", "1"],
+    ["solve-theta", "--L", "x^2 + 2/x^2", "--weights", "3:1,1:-16,1:5", "--deg", "3"],
 ])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -194,6 +195,19 @@ def test_cli_bad_param_name_exit_2(name, capsys):
     assert cli.main(argv) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["exit_code"] == 2 and repr(name) in payload["error"]
+
+
+def test_cli_one_parser_carries_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    run_cli(["ad", "--L", "k*x^2", "--param", "k", "--theta", "x", "--j", "1"])
+    args = cli.build_parser().parse_args(["ad", "--L", "x^2", "--theta", "x", "--j", "1"])
+    assert args.param == []
+    with pytest.raises(ParseError):
+        cli.run(["ad", "--L", "k*x^2", "--theta", "x", "--j", "1"])
+    with pytest.raises(cli.UsageError):
+        cli.run(["ad", "--L", "x^2", "--theta", "x", "--j", "one"])
+    report, _ = run_cli(["ad", "--L", "x^2", "--theta", "x", "--j", "1"])
+    assert report["exit_code"] == 0
 
 
 def test_cli_main_exit_codes(capsys):

@@ -15,6 +15,8 @@ from bispec.families import (
     laguerre_catalog,
     theta_tau_check,
     verify_entry,
+    _inv_square,
+    _pole,
 )
 
 
@@ -121,6 +123,38 @@ def test_fifth_quintic_solution_shape():
     assert v == XRat.from_poly(XPoly({2: ParamScalar.const(Rat(1, 16)),
                                       1: a * Rat(1, 32)}))
     assert theta.degree() == 4
+
+
+def _squared_pole_sites():
+    """(c, base) of every squared pole the catalog enters through _inv_square."""
+    k, c1, p1, e1, t, u = (ParamScalar.var(n) for n in ("k", "c1", "p1", "e1", "t", "u"))
+    sixteenth = ParamScalar.const(Rat(1, 16))
+    return [
+        (2, XPoly.from_list([k, 1])),                                   # _step1_v
+        (2, XPoly.from_list([-k, 1])),
+        (8 * k * k - 16 * k, XPoly({2: ParamScalar.const(1), 0: -k * k + 2 * k})),  # _step2_v
+        (8 * k * k + 16 * k, XPoly({2: ParamScalar.const(1), 0: -k * k - 2 * k})),
+        (4 * p1, XPoly.from_list([c1, 2])),                             # A5 fourth
+        (p1, _pole(e1)),                                                # A5 sixth
+        (2, _pole(t + u)),                                              # A5 seventh
+        (2, _pole(t - u)),
+        ((u ** 4 - 4) * sixteenth, _pole(t)),
+    ]
+
+
+@pytest.mark.parametrize("site", range(9))
+def test_squared_pole_factor_equals_expanded_square(site):
+    c, base = _squared_pole_sites()[site]
+    assert _inv_square(c, base) == XRat.from_ratio(XPoly.const(c), base * base)
+
+
+def test_quintic_seventh_potential_keeps_squared_poles_as_factors():
+    _, v = ansatz_solution_catalog("A5-5A3+4A1", 7)
+    t, u = ParamScalar.var("t"), ParamScalar.var("u")
+    poles = [_pole(t + u), _pole(t - u), _pole(t)]
+    assert len(v.factors) == 3
+    for pole in poles:
+        assert any(base == pole and exp == 2 for base, exp in v.factors)
 
 
 def test_unknown_catalog_id():
