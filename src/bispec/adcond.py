@@ -276,14 +276,18 @@ def fit_weights(op: DiffOp, theta, orders, tower=None) -> FitResult:
     order of the residual, denominators cleared, and returns a nullspace
     basis, primitive when it lies in one parameter.  Every returned vector
     is re-verified exactly.  Raises ExactError for orders that are empty,
-    repeated or negative, and for an op that is not -D^2 + V.
+    repeated or negative, for a theta without x (every A_j with j >= 1 is
+    then 0, so any weights would "fit"), and for an op that is not -D^2 + V.
     """
     orders = list(orders)
     if not orders or len(set(orders)) != len(orders):
         raise ExactError("orders must be nonempty and distinct")
     if min(orders) < 0:
         raise ExactError("commutator orders must be >= 0")
-    if modp.no_weights(op, as_operator(theta), orders):
+    theta_op = as_operator(theta)
+    if theta_op.order() <= 0 and theta_op.coeff(0).is_constant():
+        raise ExactError("theta' vanishes: theta must be non-constant")
+    if modp.no_weights(op, theta_op, orders):
         return FitResult([], [], decided_by="mod-p")
     top = max(orders)
     if tower is None or len(tower) <= top:

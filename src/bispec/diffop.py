@@ -9,25 +9,37 @@ place on the numerator's x-slices, and an x-degree is at most 32767.
 Operators are kept in right normal form ``sum_r c_r(x) * D**r`` with every
 ``c_r`` an :class:`XRat`.  Denominators of rational functions are stored as
 monic factor lists ``prod b_i(x)**e_i`` so repeated differentiation grows the
-exponents linearly instead of squaring blindly; parameter-free values are
-fully reduced by univariate gcd, parametric values only by trial division
-against their own denominator factors.
+exponents linearly instead of squaring blindly.  ``XRat.reduced`` is one loop
+of trial divisions against a value's own denominator factors; parameter-free
+values end fully reduced, because a base that does not divide the numerator
+is either proven coprime to it or partly cancelled through a rational gcd.
 
-No base of a factor list divides another: the normaliser every XRat passes
-through splits a base b = q*c listed next to c into q, and c takes b's
-exponent, so trial division meets every power of c in one base.  Bases are
+No base of a factor list divides another: wherever lists meet, a base
+b = q*c listed next to c is split into q, and c takes b's exponent, so trial
+division meets every power of c in one base.  Bases are
 not made squarefree or coprime; a parametric square typed with no sibling
 base, such as 1/(x^4+2*k*x^2+k^2), stays one base (splitting it would need a
 parametric gcd).  The catalog therefore enters the squared poles of its
-potentials as the factor (base, 2) (``families._inv_square``).
+potentials as the factor (base, 2) (``families._inv_square``).  A list that
+is already normal is not normalised again: a sum over one list, a derivative
+(each exponent + 1), a power and a reduced value keep theirs, and a product
+or a sum over a merged list only merges equal bases and splits divisible ones.
 
-A trial division that fails is refuted before it runs: numerator and base are
-mapped to GF(p), p = 2**61 - 1, with each parameter at a fixed residue derived
-from its name (``exact.mod_p_residue``), and a nonzero image remainder proves
-a nonzero remainder (Schwartz 1980, Zippel 1979).  When an image is undefined
-(a relation-bearing parameter, or a denominator or the base's leading
-coefficient mapping to 0), the check is undecided and the symbolic division
-decides as before.
+Trial divisions are decided mod p first.  Numerator and base are mapped to
+GF(p), p = 2**61 - 1, with each parameter at a fixed residue derived from its
+name (``exact.mod_p_residue``).  Where every image is defined and the base's
+leading coefficient maps to a unit, the map is a ring homomorphism, so a
+nonzero image remainder proves a nonzero remainder (Schwartz 1980, Zippel
+1979), and after an exact division the image quotient is the image of the
+new numerator, which ``reduced`` carries instead of mapping it again.  For a
+parameter-free value a unit gcd of the two images proves that numerator and
+base are coprime over Q (Brown 1971): a monic factor over Q of a monic base
+whose coefficients have images also has images, and would divide both images.
+The rational gcd runs only where the images share a factor.  When an image is
+undefined (a relation-bearing parameter, or a denominator or the base's
+leading coefficient mapping to 0), the check is undecided and the symbolic
+division decides as before.  The images only prove negative facts: every
+cancellation is an exact symbolic division.
 """
 
 from __future__ import annotations
@@ -229,9 +241,11 @@ class XPoly:
         dd = other.degree()
         if self.degree() < dd:
             return _XP_ZERO, self
-        lead, base = other.monic()
-        if base is not other:
-            quo, rem = self.divmod(base)
+        top = other.num.x_slice(dd)
+        if top != other.den:
+            # not monic: divide by other / lead, then scale the quotient
+            lead = ParamScalar(top, other.den)
+            quo, rem = self.divmod(_xp_norm(other.num, top))
             return quo.scale(lead.invert()), rem
         if other.den is _MP_ONE:
             # the top coefficient is 1 and no parameter denominator: in place
@@ -301,9 +315,8 @@ class XRat:
     Bases are monic, of positive degree and distinct, and none divides
     another; a parametric square typed with no sibling base stays one base,
     so the catalog passes its squared poles as the factor ``(base, 2)``.
-    Parameter-free values are kept fully reduced (gcd-cancelled, monic
-    denominator), parametric values are only reduced on request via
-    :meth:`reduced`.
+    Values are cancelled on request via :meth:`reduced`: fully when
+    parameter-free, by trial division against their own bases otherwise.
     """
 
     __slots__ = ("num", "factors", "_den", "_deriv")
@@ -393,9 +406,9 @@ class XRat:
         if other.num.is_zero():
             return self
         if _same_factors(self.factors, other.factors):
-            return XRat(self.num + other.num, self.factors)
+            return _xrat_normal(self.num + other.num, self.factors)
         merged, (n1, n2) = _over_common_den((self, other))
-        return XRat(n1 + n2, merged)
+        return _xrat_merged(n1 + n2, merged)
 
     __radd__ = __add__
 
@@ -419,7 +432,7 @@ class XRat:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return XR_ZERO
-        return XRat(self.num * other.num, self.factors + other.factors)
+        return _xrat_merged(self.num * other.num, self.factors + other.factors)
 
     __rmul__ = __mul__
 
@@ -448,7 +461,7 @@ class XRat:
         if n < 0:
             return self.invert() ** (-n)
         factors = tuple((b, e * n) for b, e in self.factors)
-        return XRat(self.num ** n, factors)
+        return XRat(self.num ** n, factors, _normalize=False)
 
     def derivative(self) -> "XRat":
         """d/dx by the factored quotient rule; each factor exponent grows by one."""
@@ -469,68 +482,69 @@ class XRat:
                         partial = partial * bb
                 log_term = log_term + (b.derivative() * partial).scale(e)
             new_num = self.num.derivative() * prod_all - self.num * log_term
-            factors = tuple((b, e + 1) for b, e in self.factors)
-            result = XRat(new_num, factors)
+            result = _xrat_normal(new_num, tuple((b, e + 1) for b, e in self.factors))
         self._deriv = result
         return result
 
     def reduced(self) -> "XRat":
-        """Cancel the numerator against the denominator.
+        """Cancel the numerator against the denominator: one loop of trial
+        divisions over the factor list, for parametric and parameter-free
+        values alike.
 
-        Parametric values are reduced by trial division against their own
-        denominator factors (no multivariate gcd).  Before each symbolic
-        ``num.divmod(base)`` both are mapped to GF(2**61 - 1) at the fixed
-        point of ``exact.mod_p_residue``; a nonzero image remainder proves the
-        division fails, so that base is done with (:func:`_refutes_division`).
-        When the check is undecided (an undefined image, a leading coefficient
-        mapping to 0) the symbolic division decides.  Either way
-        the result is the one plain trial division gives.  Parameter-free
-        values are fully gcd-reduced: the numerator ends up coprime to every
-        (monic) denominator base, splitting bases when only part of one
-        cancels.
+        Each base is mapped once to GF(2**61 - 1), and the numerator only once
+        a base's image is defined; after an exact division the image quotient
+        is carried as the new numerator's image (:func:`_image_divmod`).  The
+        symbolic ``num.divmod(base)`` runs only when the image remainder is
+        zero or undecided, since a nonzero one proves the division fails
+        (Schwartz 1980, Zippel 1979).  A parametric value is then done with
+        that base: no multivariate gcd.  A parameter-free value is done with
+        it only once the two are coprime, which a unit gcd of the images
+        proves (:func:`_images_coprime`, Brown 1971); when the images share a
+        factor the rational gcd runs, and a base that only partly cancels is
+        split as base**(e-1) * rest.  So parameter-free values end fully
+        reduced.  The module docstring gives the soundness argument; every
+        cancellation is an exact symbolic division.
         """
         if not self.factors or self.num.is_zero():
             return self
         num = self.num
-        changed = False
-        if num.is_parameter_free() and all(b.is_parameter_free() for b, _ in self.factors):
-            work = [[b, e] for b, e in self.factors]
-            idx = 0
-            while idx < len(work):
-                base, exp = work[idx]
-                while exp > 0 and num.degree() >= 1:
-                    g = xpoly_gcd_rational(num, base)
-                    if g.degree() < 1:
-                        break
-                    num, _ = num.divmod(g)
-                    changed = True
-                    if g.degree() == base.degree():
-                        exp -= 1
-                    else:
-                        # only part of the base cancels: split off the rest
-                        rest, _ = base.divmod(g)
-                        exp -= 1
-                        work.append([rest.monic()[1], 1])
-                work[idx][1] = exp
-                idx += 1
-            if not changed:
-                return self
-            return XRat(num, tuple((b, e) for b, e in work if e))
-        out = []
-        for base, exp in self.factors:
-            while exp > 0 and not _refutes_division(num, base):
-                quo, rem = num.divmod(base)
-                if rem.is_zero():
-                    num = quo
-                    exp -= 1
-                    changed = True
-                else:
+        free = self.is_parameter_free()
+        image, imaged = None, False  # num's image, once mapped (None: undefined)
+        work = [[b, e] for b, e in self.factors]
+        changed = split = False
+        for item in work:  # a split appends its rest, which is visited too
+            base, exp = item
+            b = _mod_p_coeffs(base)
+            if b is not None and not b[-1]:
+                b = None
+            while exp:
+                if b is not None and not imaged:
+                    image, imaged = _mod_p_coeffs(num), True
+                division = _image_divmod(image, b) if b is not None and image is not None else None
+                if division is None or not any(division[1]):
+                    quo, rem = num.divmod(base)
+                    if rem.is_zero():
+                        num, exp, changed = quo, exp - 1, True
+                        image, imaged = (division[0], True) if division else (None, False)
+                        continue
+                if not free or (division is not None and _images_coprime(b, division[1])):
                     break
-            if exp:
-                out.append((base, exp))
+                g = xpoly_gcd_rational(num, base)
+                if g.degree() < 1:
+                    break
+                # only part of the base cancels: base**e = base**(e-1) * g * rest
+                num = num.divmod(g)[0]
+                work.append([base.divmod(g)[0], 1])
+                exp -= 1
+                changed = split = True
+                imaged = False
+            item[1] = exp
         if not changed:
             return self
-        return XRat(num, tuple(out))
+        factors = [(b, e) for b, e in work if e]
+        if split:
+            return _xrat_merged(num, factors)
+        return XRat(num, tuple(factors), _normalize=False)
 
     def substitute(self, mapping: dict) -> "XRat":
         num = self.num.substitute(mapping)
@@ -565,32 +579,61 @@ def _mod_p_coeffs(p: XPoly):
     return p.num.x_images_mod(den) if den else None
 
 
-def _refutes_division(num: XPoly, base: XPoly) -> bool:
-    """True when num mod base provably leaves a nonzero remainder.
+def _image_divmod(a: list, b: list) -> tuple:
+    """(quotient, remainder) of the images a by b in GF(MOD_P), both ascending
+    coefficient lists, b with a nonzero top entry; the remainder has len(b) - 1
+    entries, or those of a when a is shorter.
 
-    Both are mapped to GF(MOD_P) at the fixed point of MPoly.evaluate_mod.
-    Where every coefficient has an image and base's leading coefficient maps
-    to a unit, that map is a ring homomorphism which carries the quotient and
-    remainder of num by base to those of the images; so a nonzero image
-    remainder proves a nonzero remainder (Schwartz 1980, Zippel 1979).  False
-    means undecided: an image is undefined or the leading coefficient maps
-    to 0.
+    Where every coefficient has an image and the base's leading coefficient
+    maps to a unit, the map to GF(MOD_P) is a ring homomorphism which carries
+    the quotient and remainder of a division to those of the images; so a
+    nonzero image remainder proves a nonzero remainder (Schwartz 1980, Zippel
+    1979), and the image quotient of an exact division is the quotient's image.
+    """
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, MOD_P)
+    quo = [0] * max(len(a) - db, 0)
+    for top in range(len(a) - 1, db - 1, -1):
+        q = a[top] * inv % MOD_P
+        if q:
+            shift = top - db
+            quo[shift] = q
+            for idx in range(db):
+                a[shift + idx] = (a[shift + idx] - q * b[idx]) % MOD_P
+    return quo, a[:db]
+
+
+def _images_coprime(b: list, r: list) -> bool:
+    """True when the gcd over GF(MOD_P) of the images b and r is a unit, for b
+    with a nonzero top entry and r a remainder modulo b (Euclid's algorithm).
+
+    Then num and base, whose images are a and b with r = a mod b, are coprime
+    over Q (Brown 1971): a monic factor g over Q of the monic base b has
+    p-integral coefficients, since they are integral over the p-integral
+    coefficients of b and Z localised at p is integrally closed; so g has an
+    image, and the monic image of g divides both images.
+    """
+    while True:
+        r = list(r)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return len(b) == 1
+        b, r = r, _image_divmod(b, r)[1]
+
+
+def _refutes_division(num: XPoly, base: XPoly) -> bool:
+    """True when num mod base provably leaves a nonzero remainder: both map to
+    GF(MOD_P) at the fixed point of MPoly.evaluate_mod and the image remainder
+    is nonzero (:func:`_image_divmod`).  False means undecided too: an image
+    is undefined, or base's leading coefficient maps to 0.
     """
     b = _mod_p_coeffs(base)
     if b is None or not b[-1]:
         return False
     a = _mod_p_coeffs(num)
-    if a is None:
-        return False
-    db = len(b) - 1
-    inv = pow(b[-1], -1, MOD_P)
-    for top in range(len(a) - 1, db - 1, -1):
-        q = a[top] * inv % MOD_P
-        if q:
-            shift = top - db
-            for idx in range(db):
-                a[shift + idx] = (a[shift + idx] - q * b[idx]) % MOD_P
-    return any(a[:db])
+    return a is not None and any(_image_divmod(a, b)[1])
 
 
 def _coerce_xrat(value):
@@ -615,9 +658,23 @@ def _same_factors(f1, f2) -> bool:
 def _find_base(factors: list, base: XPoly):
     deg = base.degree()
     for idx, (b, _) in enumerate(factors):
+        # the degree rejects cheaply: == cross-multiplies when the dens differ
         if b is base or (b.degree() == deg and b == base):
             return idx
     return None
+
+
+def _merge_equal(pairs) -> list:
+    """[base, exp] lists of pairs, with the exponents of equal bases summed
+    into the first one."""
+    out = []
+    for base, exp in pairs:
+        idx = _find_base(out, base)
+        if idx is None:
+            out.append([base, exp])
+        else:
+            out[idx][1] += exp
+    return out
 
 
 def _merge_factors(f1, f2):
@@ -642,12 +699,31 @@ def _complement(merged, own) -> XPoly:
     return out
 
 
+def _xrat_normal(num: XPoly, factors: tuple) -> "XRat":
+    """num / prod factors for a factor list already in normal form."""
+    if num.is_zero():
+        return XR_ZERO
+    return XRat(num, factors, _normalize=False)
+
+
+def _xrat_merged(num: XPoly, pairs) -> "XRat":
+    """num / prod pairs for pairs taken from normal factor lists (monic bases
+    of positive degree, positive exponents): equal bases are merged and
+    divisible ones split, and nothing else is done to them."""
+    if num.is_zero():
+        return XR_ZERO
+    out = _merge_equal(pairs)
+    if len(out) > 1:
+        _split_divisible(out)
+    return XRat(num, tuple((b, e) for b, e in out), _normalize=False)
+
+
 def _normalize_xrat(num: XPoly, factors):
     """num and factors in normal form: monic bases of positive degree, equal
     ones merged, none dividing another, negative exponents moved to num."""
     if num.is_zero():
         return _XP_ZERO, ()
-    out = []
+    pairs = []
     for base, exp in factors:
         if exp == 0 or base.is_constant():
             if base.is_constant() and exp:
@@ -657,13 +733,9 @@ def _normalize_xrat(num: XPoly, factors):
         if monic is not base:
             base = monic
             num = num.scale(lead ** (-exp))
-        idx = _find_base(out, base)
-        if idx is None:
-            out.append([base, exp])
-        else:
-            out[idx][1] += exp
+        pairs.append((base, exp))
     pos = []
-    for base, exp in out:
+    for base, exp in _merge_equal(pairs):
         if exp < 0:
             num = num * base ** (-exp)
         elif exp:
@@ -681,8 +753,9 @@ def _split_divisible(work: list) -> None:
     degree, so the loop ends.  _refutes_division rules a pair out first.
     """
     while True:
-        for big, small in permutations(work, 2):
-            if small[0].degree() < big[0].degree() and not _refutes_division(big[0], small[0]):
+        degs = [f[0].degree() for f in work]
+        for (big, dbig), (small, dsmall) in permutations(zip(work, degs), 2):
+            if dsmall < dbig and not _refutes_division(big[0], small[0]):
                 quo, rem = big[0].divmod(small[0])
                 if rem.is_zero():
                     break
@@ -885,7 +958,7 @@ def schrodinger_commutator(v_derivs: list, a: DiffOp) -> DiffOp:
         factors, nums = _over_common_den(rats)
         num = sum(nums, _XP_ZERO)
         if not num.is_zero():
-            out[r] = XRat(num, factors)
+            out[r] = _xrat_merged(num, factors)
     return DiffOp(out, _normalize=False)
 
 

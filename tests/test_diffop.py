@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bispec import cli
+from bispec import cli, diffop
 from bispec.exact import EXP_MAX, ExactError, MPoly, PS_ONE, ParamScalar, Rat, mod_p_residue
 from bispec.adcond import WeightVector
 from bispec.ansatz import generate_system
@@ -20,6 +20,9 @@ from bispec.diffop import (
     equals,
     is_eigenfunction,
     log_derivative,
+    _image_divmod,
+    _images_coprime,
+    _mod_p_coeffs,
     _refutes_division,
 )
 
@@ -261,6 +264,117 @@ def test_split_divisible_runs_only_exact_divisions(monkeypatch):
     monkeypatch.setattr(XPoly, "divmod", recording)
     assert verify_entry(entry).holds
     assert seen and all(seen)
+
+
+def test_rational_gcd_runs_only_where_images_share_a_factor(monkeypatch):
+    """The parameter-free counterpart: every base that the numerator of
+    hermite-exc:k=3's tower does not divide is proven coprime to it mod p,
+    except x^3 - 3/2*x, of which only x cancels; the rational gcd runs for
+    that base alone."""
+    entry = get_entry("hermite-exc:k=3")  # the catalog is built before the wrap
+    seen = []
+    gcd = diffop.xpoly_gcd_rational
+
+    def recording(num, base):
+        seen.append(base)
+        return gcd(num, base)
+
+    monkeypatch.setattr(diffop, "xpoly_gcd_rational", recording)
+    assert verify_entry(entry).holds
+    assert len(seen) == 2
+    assert all(base == xp(0, Rat(-3, 2), 0, 1) for base in seen)
+
+
+def _images(num, base):
+    """The images of num and base, or None when undecided."""
+    a, b = _mod_p_coeffs(num), _mod_p_coeffs(base)
+    if a is None or b is None or not b[-1]:
+        return None
+    return a, b
+
+
+def _random_free_xpoly(rng, deg, monic=False):
+    coeffs = {d: Rat(rng.randint(-6, 6), rng.randint(1, 3)) for d in range(deg + 1)}
+    if monic:
+        coeffs[deg] = 1
+    return XPoly({d: c for d, c in coeffs.items() if c})
+
+
+def test_carried_image_quotient_is_the_quotients_image():
+    """After an exact division num = q*base, the image quotient that
+    XRat.reduced carries as the new numerator's image is q's own image."""
+    rng = random.Random(20261019)
+    checked = {"free": 0, "parametric": 0}
+    for case in range(160):
+        kind = "free" if case % 2 else "parametric"
+        if kind == "free":
+            base = _random_free_xpoly(rng, rng.randint(1, 3), monic=True)
+            q = _random_free_xpoly(rng, rng.randint(0, 3))
+        else:
+            base = _random_xpoly(rng, rng.randint(1, 3), monic=True)
+            q = _random_xpoly(rng, rng.randint(0, 3))
+        if q.is_zero():
+            continue
+        num = q * base
+        images = _images(num, base)
+        if images is None:
+            continue
+        quo, rem = _image_divmod(*images)
+        assert not any(rem)
+        assert quo == _mod_p_coeffs(q)
+        assert num.divmod(base) == (q, XPoly.zero())
+        checked[kind] += 1
+    assert min(checked.values()) >= 50
+
+
+def test_images_never_call_a_common_factor_coprime():
+    """num = g*h and base = g*k with deg g >= 1 share g, so the images are
+    never reported coprime; unrelated pairs mostly are."""
+    rng = random.Random(20261020)
+    shared = coprime = 0
+    for case in range(160):
+        make = _random_free_xpoly if case % 2 else _random_xpoly
+        g = make(rng, rng.randint(1, 2), monic=True)
+        h = make(rng, rng.randint(0, 2))
+        k = make(rng, rng.randint(0, 2), monic=True)
+        if h.is_zero():
+            continue
+        images = _images(g * h, g * k)
+        if images is None:
+            continue
+        a, b = images
+        assert not _images_coprime(b, _image_divmod(a, b)[1])
+        shared += 1
+        images = _images(h + 1, g)
+        if images is not None:
+            a, b = images
+            coprime += _images_coprime(b, _image_divmod(a, b)[1])
+    assert shared >= 100 and coprime >= 50
+
+
+def test_relation_bearing_base_is_left_to_the_symbolic_division(monkeypatch):
+    """A base in sqrt2 has no image, so reduced runs the symbolic division,
+    which cancels an exact factor and keeps one that does not divide."""
+    sqrt2 = ParamScalar.var("sqrt2")
+    base = xp(sqrt2, 1)
+    assert _mod_p_coeffs(base) is None
+    seen = []
+    divmod_ = XPoly.divmod
+
+    def recording(self, other):
+        quo, rem = divmod_(self, other)
+        if sys._getframe(1).f_code.co_name == "reduced":
+            seen.append(rem.is_zero())
+        return quo, rem
+
+    monkeypatch.setattr(XPoly, "divmod", recording)
+    exact_ = XRat(base * xp(1, 0, 1), ((base, 2),)).reduced()
+    assert exact_.num == xp(1, 0, 1) and exact_.factors == ((base, 1),)
+    assert seen == [True, False]
+    seen.clear()
+    inexact = XRat(xp(1, 0, 1), ((base, 1),))
+    assert inexact.reduced() is inexact
+    assert seen == [False]
 
 
 def test_xrat_equals_mpoly_and_param_scalar():

@@ -182,6 +182,8 @@ def test_cli_errors_exit_2():
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,-1"],
     ["ad", "--L", "k^40000*x^2", "--param", "k", "--theta", "x", "--j", "1"],
     ["solve-theta", "--L", "x^2 + 2/x^2", "--weights", "3:1,1:-16,1:5", "--deg", "3"],
+    ["fit-weights", "--L", "x^2", "--theta", "5", "--orders", "3,1"],  # theta without x
+    ["fit-weights", "--L", "x^2", "--theta", "0", "--orders", "2,0"],
 ])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bispec import exact
 from bispec.exact import (
@@ -32,6 +32,7 @@ from bispec.diffop import (
     compose,
     equals,
     is_eigenfunction,
+    xpoly_gcd_rational,
 )
 from bispec.adcond import ad_power, ad_tower
 from bispec.darboux import darboux_step, intertwine_check
@@ -760,3 +761,78 @@ def test_xrat_factor_lists_have_no_dividing_bases():
         for r, num, den in cases:
             assert_no_base_divides_another(r.factors)
             assert r.num * den == num * r.den
+
+
+# ---------------------------------------------------------------------------
+# XRat.reduced on parameter-free values against the all-gcd loop
+# ---------------------------------------------------------------------------
+
+
+def _gcd_reduced(f):
+    """The reduction of parameter-free values before images mod p: a rational
+    gcd of numerator and base at every step, a base that only partly cancels
+    split as base**(e-1) * rest."""
+    num = f.num
+    work = [[b, e] for b, e in f.factors]
+    changed = False
+    idx = 0
+    while idx < len(work):
+        base, exp = work[idx]
+        while exp > 0 and num.degree() >= 1:
+            g = xpoly_gcd_rational(num, base)
+            if g.degree() < 1:
+                break
+            num, _ = num.divmod(g)
+            changed = True
+            exp -= 1
+            if g.degree() < base.degree():
+                rest, _ = base.divmod(g)
+                work.append([rest.monic()[1], 1])
+        work[idx][1] = exp
+        idx += 1
+    if not changed:
+        return f
+    return XRat(num, tuple((b, e) for b, e in work if e))
+
+
+_X = XPoly.x()
+# linear factors, an irreducible quadratic and a shifted cube; products of
+# them share some factors and not others
+_FREE_FACTORS = [_X - 1, _X + 1, _X - 2, _X + Fraction(1, 2), _X,
+                 _X * _X + 1, _X * _X * _X - 3]
+
+
+@st.composite
+def free_products(draw, max_factors=3):
+    out = XPoly.const(draw(st.fractions(min_value=-5, max_value=5,
+                                        max_denominator=4).filter(bool)))
+    for _ in range(draw(st.integers(min_value=0, max_value=max_factors))):
+        out = out * draw(st.sampled_from(_FREE_FACTORS))
+    if draw(st.booleans()):
+        out = out + draw(st.integers(min_value=-3, max_value=3))
+    return out
+
+
+@st.composite
+def free_xrats(draw):
+    bases = draw(st.lists(free_products(), min_size=1, max_size=3))
+    factors = tuple((b, draw(st.integers(min_value=1, max_value=3)))
+                    for b in bases if b.degree() >= 1)
+    return XRat(draw(free_products(max_factors=5)), factors)
+
+
+_SAMPLE_Q = _X * _X + _X + 3
+
+
+@settings(max_examples=N_INSTANCES, deadline=None)
+@given(free_xrats())
+@example(XRat((_X - 1) * _SAMPLE_Q, ((_X * _X - 1, 2),)))        # x^2 - 1 partly cancels
+@example(XRat((_X - 2) ** 3 * _X, ((_X - 2, 2), (_X * _X + 1, 1))))  # a base listed squared
+@example(XRat(_SAMPLE_Q, ((_X - 1, 1), (_X * _X + 1, 2))))         # coprime to every base
+def test_reduced_matches_the_all_gcd_loop(f):
+    want = _gcd_reduced(f)
+    got = f.reduced()
+    assert got.num == want.num
+    assert len(got.factors) == len(want.factors)
+    for (b1, e1), (b2, e2) in zip(got.factors, want.factors):
+        assert b1 == b2 and e1 == e2
