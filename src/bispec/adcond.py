@@ -266,7 +266,7 @@ class FitResult:
         return iter((self.vectors, self.assumptions))
 
 
-def fit_weights(op: DiffOp, theta, orders, tower=None) -> FitResult:
+def fit_weights(op: DiffOp, theta, orders) -> FitResult:
     """Find all weight vectors supported on ``orders`` annihilating (op, theta).
 
     First tries to prove that none exists by a rank certificate mod p
@@ -289,9 +289,7 @@ def fit_weights(op: DiffOp, theta, orders, tower=None) -> FitResult:
         raise ExactError("theta' vanishes: theta must be non-constant")
     if modp.no_weights(op, theta_op, orders):
         return FitResult([], [], decided_by="mod-p")
-    top = max(orders)
-    if tower is None or len(tower) <= top:
-        tower = ad_tower(op, theta, top)
+    tower = ad_tower(op, theta, max(orders))
     columns = [tower[j] for j in orders]
     rows = _linear_rows(columns)
     result = nullspace(rows)

@@ -1138,8 +1138,9 @@ def _univar_gcd(polys):
 def cancel_common_factor(num: MPoly, den: MPoly):
     """(num / g, den / g) for a common factor g that is cheap to find: the
     gcd when both are polynomials in one and the same relation-free
-    parameter, else num or den itself when it divides the other exactly;
-    (num, den) when none is found.  Monomials are left to normalisation."""
+    parameter, else num or den itself when it divides the other exactly in
+    K[params] (mpoly_divexact; relation-bearing sides included); (num, den)
+    when none is found.  Monomials are left to normalisation."""
     if len(num.terms) < 2 or len(den.terms) < 2:
         return num, den
     g = _univar_gcd((num, den))
@@ -1185,12 +1186,13 @@ def nullspace(matrix) -> NullspaceResult:
     """Basis of the right nullspace of a rectangular ParamScalar matrix.
 
     Fraction-free Gauss–Jordan elimination (Bareiss 1968; Nakos, Turner &
-    Williams 1997) of the row-cleared MPoly numerators: every entry is a
-    minor, and the vector for a free column f is the last pivot d at f and
-    -R_i[f] at the pivot column of row i.  Vectors are primitive in one
-    parameter.  Every non-constant pivot is recorded as a "generic
-    nonvanishing" assumption.  Relation-bearing rows go to field elimination
-    (exact division needs a polynomial ring), which reads them with d = 1.
+    Williams 1997) of the row-cleared MPoly numerators over K[params], K =
+    Q(the declared roots), an integral domain (see mpoly_divexact): every
+    entry is a minor, and the vector for a free column f is the last pivot
+    d at f and -R_i[f] at the pivot column of row i.  Vectors are primitive
+    in one parameter.  The assumptions are the zero sets of the non-constant
+    pivots (see _pivot_factors), and none when the basis is empty: a trivial
+    kernel over K(params) is a claim for generic parameters.
     """
     rows = [list(r) for r in matrix]
     if rows:
@@ -1202,14 +1204,32 @@ def nullspace(matrix) -> NullspaceResult:
         return NullspaceResult([], [])
     if ncols == 0:
         return NullspaceResult([], [])
-
-    relmask = PARAMS.relmask
-    has_relation = any((_key_or(entry.num.terms) | _key_or(entry.den.terms)) & relmask
-                       for r in rows for entry in r)
-    if has_relation:
-        return _nullspace_field(rows, ncols)
-    cleared = [_clear_denominators(r) for r in rows]
-    return _nullspace_bareiss(cleared, ncols)
+    rows = [_clear_denominators(r) for r in rows]
+    remaining = list(range(len(rows)))
+    pivots = []  # (row index, col index)
+    chosen = []  # each pivot as it was chosen
+    prev = _MP_ONE
+    for col in range(ncols):
+        idx = _pick_pivot(rows, remaining, col)
+        if idx is None:
+            continue
+        remaining.remove(idx)
+        prow = rows[idx]
+        piv = prow[col]
+        chosen.append(piv)
+        # rows below are zero left of col; rows above are scaled in every column
+        for other, start in [(i, 0) for i, _ in pivots] + [(i, col) for i in remaining]:
+            row = rows[other]
+            entry = row[col]
+            for j in range(start, ncols):
+                v = row[j] * piv
+                if entry:
+                    v = v - prow[j] * entry
+                row[j] = mpoly_divexact(v, prev) if v else v
+        pivots.append((idx, col))
+        prev = piv
+    basis = _kernel(rows, pivots, ncols)
+    return NullspaceResult(basis, _pivot_factors(chosen) if basis else [])
 
 
 def _clear_denominators(entries):
@@ -1226,17 +1246,23 @@ def _clear_denominators(entries):
 
 
 def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
-    """Exact multivariate division a/b; raises ExactError if not divisible.
+    """Exact division a/b in K[params], K = Q(the declared roots); raises
+    ExactError if b does not divide a.
 
-    Relation-bearing parameters are rejected: leading-term division is
-    only sound over a genuine polynomial ring.  Leading terms are taken in
-    graded order on packed keys (_grlex), a monomial order, so every exact
-    division succeeds.
+    declare_param keeps K a field, so K[params] is an integral domain.  For
+    each relation-bearing parameter s of b, both sides are multiplied by the
+    conjugate of b under s -> -s (its terms that hold s negated): the product
+    is fixed by that map, so it holds no s.  Then no quotient term times a
+    term of b folds, and leading-term division in graded order on packed
+    keys (_grlex, a monomial order) gives the quotient, or fails when there
+    is none.
     """
     if b.is_zero():
         raise ExactError("division by zero polynomial")
-    if (_key_or(a.terms) | _key_or(b.terms)) & PARAMS.relmask:
-        raise ExactError("exact division with relation-bearing parameters")
+    while rel := _key_or(b.terms) & PARAMS.relmask:
+        s = rel & -rel
+        conj = MPoly({k: -c if k & s else c for k, c in b.terms.items()}, b.den)
+        a, b = a * conj, b * conj
     if b.is_constant():
         return a._scaled(RAT_ONE / b.const_value())
     g = PARAMS.guard
@@ -1256,7 +1282,7 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
         qc = rc / bc
         out[qk] = qc
         for k, c in b_items:
-            kk = qk + k  # no relation-bearing names, so no fold
+            kk = qk + k  # b holds no relation-bearing field, so no fold
             if kk & g:
                 raise _overflow_error()
             v = qc * c
@@ -1275,84 +1301,46 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
 
 
 def _pick_pivot(rows, row_ids, col):
-    """The row of row_ids whose MPoly or ParamScalar entry in col is nonzero
-    and simplest (constant, then fewest numerator terms), or None."""
+    """The row of row_ids whose entry in col is nonzero and simplest
+    (constant, then fewest terms), or None."""
     best = None
     best_rank = None
     for idx in row_ids:
         p = rows[idx][col]
         if p.is_zero():
             continue
-        num = p.num if type(p) is ParamScalar else p
-        rank = (0 if p.is_constant() else 1, len(num.terms))
+        rank = (0 if p.is_constant() else 1, len(p.terms))
         if best_rank is None or rank < best_rank:
             best, best_rank = idx, rank
     return best
 
 
-def _nullspace_bareiss(rows, ncols) -> NullspaceResult:
-    assumptions = []
-    remaining = list(range(len(rows)))
-    pivots = []  # (row index, col index)
-    prev = _MP_ONE
-    for col in range(ncols):
-        idx = _pick_pivot(rows, remaining, col)
-        if idx is None:
+def _pivot_factors(pivots) -> list:
+    """Factors whose zero sets cover those of the non-constant pivots: the
+    relation-free parameters of each pivot's monomial factor, in name order,
+    then its primitive rest with a positive lead when that is non-constant;
+    each factor once.  The relation-bearing parameters are units of K."""
+    out = []
+    for p in pivots:
+        if p.is_constant():
             continue
-        remaining.remove(idx)
-        prow = rows[idx]
-        piv = prow[col]
-        if not piv.is_constant() and all(piv != a for a in assumptions):
-            assumptions.append(piv)
-        # rows below are zero left of col; rows above are scaled in every column
-        for other, start in [(i, 0) for i, _ in pivots] + [(i, col) for i in remaining]:
-            row = rows[other]
-            entry = row[col]
-            for j in range(start, ncols):
-                v = row[j] * piv
-                if entry:
-                    v = v - prow[j] * entry
-                row[j] = mpoly_divexact(v, prev) if v else v
-        pivots.append((idx, col))
-        prev = piv
-    for idx, _ in pivots:
-        rows[idx] = [ParamScalar.from_poly(p) for p in rows[idx]]
-    return NullspaceResult(_kernel(rows, pivots, ncols, ParamScalar.from_poly(prev)), assumptions)
+        key = p.monomial_gcd()
+        factors = [MPoly.var(n) for n, _ in _decode(key) if n not in PARAMS.relations]
+        rest = p.div_monomial(key, p.int_content(), p.den)
+        if not rest.is_constant():
+            factors.append(rest if rest.terms[rest.lead_key()] > 0 else -rest)
+        out += [f for f in factors if f not in out]
+    return out
 
 
-def _nullspace_field(rows, ncols) -> NullspaceResult:
-    assumptions = []
-    remaining = list(range(len(rows)))
-    pivots = []
-    for col in range(ncols):
-        idx = _pick_pivot(rows, remaining, col)
-        if idx is None:
-            continue
-        remaining.remove(idx)
-        prow = rows[idx]
-        piv = prow[col]
-        if not piv.is_constant() and all(piv.num != a for a in assumptions):
-            assumptions.append(piv.num)
-        # the pivot row is zero left of col, so no row changes there
-        for other in [i for i, _ in pivots] + remaining:
-            row = rows[other]
-            factor = row[col]
-            if factor.is_zero():
-                continue
-            ratio = factor / piv
-            for j in range(col, ncols):
-                row[j] = row[j] - ratio * prow[j]
-        prow[col:] = [e / piv for e in prow[col:]]
-        pivots.append((idx, col))
-    return NullspaceResult(_kernel(rows, pivots, ncols, PS_ONE), assumptions)
-
-
-def _kernel(rows, pivots, ncols, d) -> list:
-    """The nullspace basis from ParamScalar rows in Gauss–Jordan form: each
-    pivot row holds d in its pivot column and 0 in the other pivot columns."""
+def _kernel(rows, pivots, ncols) -> list:
+    """The nullspace basis from MPoly rows in fraction-free Gauss–Jordan
+    form: each pivot row holds the last pivot d in its pivot column and 0
+    in the other pivot columns."""
+    d = rows[pivots[-1][0]][pivots[-1][1]] if pivots else _MP_ONE
     basis = []
     for free in sorted(set(range(ncols)) - {col for _, col in pivots}):
-        vec = [PS_ZERO] * ncols
+        vec = [_MP_ZERO] * ncols
         vec[free] = d
         for idx, col in pivots:
             vec[col] = -rows[idx][free]
@@ -1360,11 +1348,10 @@ def _kernel(rows, pivots, ncols, d) -> list:
     return basis
 
 
-def _tidy_vector(vec, free):
-    """Clear denominators, divide out the common content, the common
-    monomial and, when every nonzero entry lies in one relation-free
-    parameter, their gcd; then give the entry at free a positive lead."""
-    polys = _clear_denominators(vec)
+def _tidy_vector(polys, free):
+    """Divide out the common content, the common monomial and, when every
+    nonzero entry lies in one relation-free parameter, their gcd; then give
+    the entry at free a positive lead.  Returns ParamScalar entries."""
     g = _univar_gcd([p for p in polys if p])
     if g is not None and not g.is_constant():
         polys = [mpoly_divexact(p, g) if p else p for p in polys]

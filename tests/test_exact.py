@@ -230,21 +230,30 @@ def test_mpoly_divexact_rejects_inexact_division():
     a, b = var("a"), var("b")
     with pytest.raises(ExactError):
         mpoly_divexact(a * a + b, a + b)
+    # over Q(sqrt2)[a]: a - sqrt2 divides a^2 - 2 but not a^2 + sqrt2
+    s2 = var("sqrt2")
+    assert mpoly_divexact(a * a - 2, a - s2) == a + s2
+    with pytest.raises(ExactError):
+        mpoly_divexact(a * a + s2, a - s2)
 
 
 def test_nullspace_bareiss_two_parameters():
     a, b = ParamScalar.var("a"), ParamScalar.var("b")
     m = [[a + b, a, ps(1), ps(0)], [a - b, b, ps(0), ps(1)], [a + 2 * b, ps(1), a, b]]
-    basis, _ = nullspace(m)
-    assert len(basis) == 1
-    assert any(not x.is_zero() for x in basis[0])
-    # entries are 3x3 minors of a matrix of degree-1 entries (Cramer)
-    assert all(x.num.degree() <= 3 and x.den.is_constant() for x in basis[0])
-    for row in m:
-        acc = ps(0)
-        for entry, x in zip(row, basis[0]):
-            acc = acc + entry * x
-        assert acc.is_zero()
+    # the last b scaled by sqrt2: relation-bearing rows, the same elimination
+    scaled = m[:2] + [m[2][:3] + [b * ParamScalar.var("sqrt2")]]
+    # entries are 3x3 minors of a matrix of degree-1 entries (Cramer), and
+    # sqrt2 adds at most one to a minor's degree
+    for matrix, bound in ((m, 3), (scaled, 4)):
+        basis, _ = nullspace(matrix)
+        assert len(basis) == 1
+        assert any(not x.is_zero() for x in basis[0])
+        assert all(x.num.degree() <= bound and x.den.is_constant() for x in basis[0])
+        for row in matrix:
+            acc = ps(0)
+            for entry, x in zip(row, basis[0]):
+                acc = acc + entry * x
+            assert acc.is_zero()
 
 
 def test_exponent_limit():

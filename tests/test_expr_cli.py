@@ -126,13 +126,20 @@ def test_cli_fit_weights_resolves_step2():
 
 
 def test_cli_fit_weights_none_exists_reports_assumptions():
-    # sqrt2 leaves the decision to the symbolic nullspace, which divides by 4*k*sqrt2
+    # sqrt2 leaves the decision to the symbolic nullspace, k*x^2 to the mod-p
+    # certificate; either way "none exists" is a claim for generic k
     report, _ = run_cli(["fit-weights", "--L", "sqrt2*k*x^2", "--param", "k",
                          "--theta", "x", "--orders", "2,1"])
     (verdict,) = report["verdicts"]
     assert verdict["claim"] == "no condition exists on the given orders"
     assert verdict["decided_by"] == "symbolic"
-    assert verdict["assumptions"] == ["4*k*sqrt2"]
+    assert verdict["assumptions"] == []
+    report, _ = run_cli(["fit-weights", "--L", "k*x^2", "--param", "k",
+                         "--theta", "x", "--orders", "2,1"])
+    (twin,) = report["verdicts"]
+    assert twin["claim"] == verdict["claim"]
+    assert twin["decided_by"] == "mod-p"
+    assert twin["assumptions"] == []
 
 
 def test_cli_ad_and_solve_theta():

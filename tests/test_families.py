@@ -87,9 +87,11 @@ def test_step2_weight_discrepancy_is_resolved_by_solve_theta():
     entry = laguerre_catalog(2)
     towers = {}
     empty = solve_theta(entry.operator, STEP2_WEIGHTS_PRINTED, 6, monomial_towers=towers)
-    assert empty.thetas == []
+    assert empty.thetas == [] and empty.assumptions == []
     good = solve_theta(entry.operator, reach_weights(3, 1), 6, monomial_towers=towers)
     assert len(good.thetas) == 1
+    # the pivots' zero sets, once each: k = 0 and k^2 = 4
+    assert [str(a) for a in good.assumptions] == ["k", "k^2 - 4"]
     # primitive over Q[k]: no spurious (k^2 - 4) factor
     k = ParamScalar.var("k")
     assert good.thetas[0] == XPoly({6: ParamScalar.const(1), 4: k * k * -3,

@@ -280,16 +280,24 @@ def test_packed_monomial_ops_match_tuple_oracle():
 
 
 def test_mpoly_divexact_recovers_every_factor():
+    # the second set divides in K[k], K = Q(sqrt2, sqrt3, i, sqrt7): a divisor
+    # holding a root is first multiplied by its conjugates
+    declare_param("divq7", 7)
     rng = random.Random(708)
-    names = ["a", "b", "c", "k"]
-    checked = 0
-    for _ in range(3 * N_INSTANCES):
-        p, _ = _oracle_poly(rng, names, max_terms=5)
-        q, _ = _oracle_poly(rng, names, max_terms=4)
-        if q:
-            assert exact.mpoly_divexact(p * q, q) == p
-            checked += 1
-    assert checked >= 250
+    for names in (["a", "b", "c", "k"], ["sqrt2", "sqrt3", "i", "divq7", "k"]):
+        checked = inexact = 0
+        for _ in range(3 * N_INSTANCES):
+            p, _ = _oracle_poly(rng, names, max_terms=5)
+            q, _ = _oracle_poly(rng, names, max_terms=4)
+            if q:
+                assert exact.mpoly_divexact(p * q, q) == p
+                checked += 1
+            if "k" in q.params():
+                # off by a constant, a divisor of positive degree in k never divides
+                with pytest.raises(ExactError):
+                    exact.mpoly_divexact(p * q + 1, q)
+                inexact += 1
+        assert checked >= 250 and inexact >= 100
 
 
 # ---------------------------------------------------------------------------
