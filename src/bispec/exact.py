@@ -20,8 +20,9 @@ A monomial is one int, a packed exponent vector (Monagan & Pearce 2007):
 every parameter owns a fixed 16-bit field, 15 exponent bits under a guard
 bit, so the key of a product is the sum of the keys and an exponent may
 be at most 32767; a larger one raises :class:`ExactError`.  Names and
-exponents are decoded only to render, sort for display, substitute and
-map to GF(p).
+exponents are read back only to render, sort for display, substitute and
+map to GF(p), and nothing is cached per key: rendering and the map to GF(p)
+read one exponent column per field a polynomial uses, in bulk.
 
 Field 0 belongs to x, the function variable, which is never a parameter:
 ``diffop.XPoly`` stores an x-polynomial as one MPoly whose keys carry the
@@ -40,7 +41,6 @@ polynomial zero testing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +64,22 @@ class ExactError(ValueError):
     """Raised for ill-formed exact-arithmetic requests (zero denominators etc.)."""
 
 
+# Refutation by specialisation maps values to GF(MOD_P) at one fixed point;
+# see MPoly.evaluate_mod.
+MOD_P = (1 << 61) - 1
+
+
+def mod_p_residue(name: str) -> int:
+    """The residue of parameter ``name`` at the fixed point.
+
+    The name's bytes, read as an integer, raised to the power 65537: the same
+    in every process and call order, and with no low-degree relation between
+    the residues of names such as ``a1`` and ``a2``.  ParamRegistry keeps the
+    powers of the residue of each name it hands a field (see _powers_mod).
+    """
+    return pow(int.from_bytes(name.encode(), "big"), 65537, MOD_P)
+
+
 class ParamRegistry:
     """The parameters of the process: each name's field in a packed monomial
     key, and the quadratic relations.
@@ -84,6 +100,9 @@ class ParamRegistry:
         self.rel_values: dict[int, int] = {}
         # the lowest bit of every relation-bearing field; such a field holds 0 or 1
         self.relmask = 0
+        # field index -> [1, r, r**2, ...] in GF(MOD_P), r = mod_p_residue(name);
+        # x is never mapped, so its list stays [1]
+        self.powers: list[list[int]] = [[1]]
 
     def shift(self, name: str) -> int:
         """The bit offset of name's field, handing out the next one on first use."""
@@ -91,6 +110,7 @@ class ParamRegistry:
         if s is None:
             s = self.shifts[name] = _FIELD * len(self.names)
             self.names.append(name)
+            self.powers.append([1, mod_p_residue(name)])
             self.guard |= 1 << (s + _FIELD - 1)
         return s
 
@@ -182,73 +202,54 @@ declare_param("sqrt3", 3)
 declare_param("i", -1)
 
 
-# Refutation by specialisation maps values to GF(MOD_P) at one fixed point;
-# see MPoly.evaluate_mod.
-MOD_P = (1 << 61) - 1
-
-
-@functools.lru_cache(maxsize=None)
-def mod_p_residue(name: str) -> int:
-    """The residue of parameter ``name`` at the fixed point.
-
-    The name's bytes, read as an integer, raised to the power 65537: the same
-    in every process and call order, and with no low-degree relation between
-    the residues of names such as ``a1`` and ``a2``.
-    """
-    return pow(int.from_bytes(name.encode(), "big"), 65537, MOD_P)
-
-
 # -- packed monomial keys ------------------------------------------------------
-# Caches below are keyed by packed key alone; that is sound because a field
-# never changes its name (see ParamRegistry).
+# A field never changes its name (see ParamRegistry), so a key means the same
+# monomial for the life of the process.  Nothing is cached per key: in one
+# CLI process most keys are met only once or twice, so a memo would hold
+# every key ever seen and be read seldom.
 
 
-@functools.lru_cache(maxsize=None)
+def _field_shifts(key: int) -> list:
+    """The bit offsets of the nonzero fields of key, lowest first."""
+    out = []
+    while key:
+        s = (key & -key).bit_length() - 1
+        s -= s % _FIELD
+        out.append(s)
+        key &= ~(_FIELD_MASK << s)
+    return out
+
+
 def _decode(key: int) -> tuple:
     """The (name, exponent) pairs of a packed key, sorted by name, exponents >= 1."""
     names = PARAMS.names
-    out = []
-    i = 0
-    while key:
-        e = key & _FIELD_MASK
-        if e:
-            out.append((names[i], e))
-        key >>= _FIELD
-        i += 1
-    out.sort()
-    return tuple(out)
+    return tuple(sorted((names[s // _FIELD], (key >> s) & _FIELD_MASK)
+                        for s in _field_shifts(key)))
 
 
-@functools.lru_cache(maxsize=None)
 def _key_degree(key: int) -> int:
-    d = 0
-    while key:
-        d += key & _FIELD_MASK
-        key >>= _FIELD
-    return d
+    return sum((key >> s) & _FIELD_MASK for s in _field_shifts(key))
 
 
-@functools.lru_cache(maxsize=None)
 def _key_sort(key: int):
     """Display order: total degree first, then the decoded (name, exp) tuple.
 
-    Not a monomial order (b > a, yet a*a > a*b); division uses _grlex.
+    Not a monomial order (b > a, yet a*a > a*b); mpoly_divexact grades
+    the packed int instead.
     """
     return (_key_degree(key), _decode(key))
 
 
-@functools.lru_cache(maxsize=None)
-def _key_residue(key: int) -> int:
-    """The image of monomial(key) in GF(MOD_P) at the fixed point of mod_p_residue."""
-    r = 1
-    for name, e in _decode(key):
-        r = r * pow(mod_p_residue(name), e, MOD_P) % MOD_P
-    return r
-
-
-def _grlex(key: int):
-    # total degree, then the packed int: lex on fields, a true monomial order
-    return (_key_degree(key), key)
+def _powers_mod(field: int, n: int) -> list:
+    """A list whose entry e is r**e in GF(MOD_P) for e = 0 .. n at least, r
+    the residue of the field's name.  The list is the registry's, extended
+    on demand, so it is bounded by the largest exponent ever mapped."""
+    powers = PARAMS.powers[field]
+    if len(powers) <= n:
+        r = powers[1]
+        for _ in range(n + 1 - len(powers)):
+            powers.append(powers[-1] * r % MOD_P)
+    return powers
 
 
 def _key_or(terms) -> int:
@@ -479,21 +480,37 @@ class MPoly:
         None when that is undefined: a relation-bearing parameter occurs (the
         point need not satisfy its relation), or the denominator maps to 0.
         Otherwise the map is a ring homomorphism on the polynomials it is
-        defined for.
+        defined for.  Each field in use gives one column of exponents and a
+        table of its residue's powers.
         """
         den = self.den * den % MOD_P
         if not den:
             return None
-        relmask = PARAMS.relmask
+        terms = self.terms
+        used = _key_or(terms) >> _FIELD << _FIELD  # the parameter fields
+        if used & PARAMS.relmask:
+            return None
         out = [0] * (self.x_degree() + 1)
-        for key, c in self.terms.items():
-            d = key & _FIELD_MASK
-            key ^= d
-            if key:
-                if key & relmask:
-                    return None
-                c *= _key_residue(key)
-            out[d] += c
+        top = (used.bit_length() - 1) // _FIELD * _FIELD
+        if not used:
+            for key, c in terms.items():
+                out[key] += c
+        elif used >> top << top == used:
+            # one parameter: key >> top is its exponent
+            powers = _powers_mod(top // _FIELD, used >> top)
+            for key, c in terms.items():
+                out[key & _FIELD_MASK] += c * powers[key >> top]
+        else:
+            keys = list(terms)
+            values = [v % MOD_P for v in terms.values()]
+            for s in _field_shifts(used):
+                powers = _powers_mod(s // _FIELD, (used >> s) & _FIELD_MASK)
+                values = [v * powers[e] % MOD_P if (e := (k >> s) & _FIELD_MASK) else v
+                          for k, v in zip(keys, values)]
+            for k, v in zip(keys, values):
+                out[k & _FIELD_MASK] += v
+        if den == 1:
+            return [v % MOD_P for v in out]
         inv = pow(den, -1, MOD_P)
         return [v * inv % MOD_P for v in out]
 
@@ -762,19 +779,20 @@ class MPoly:
     def lead_coeff(self) -> Rat:
         return Rat(self.terms[self.lead_key()], self.den)
 
-    def monomial_gcd(self) -> int:
-        """The key of the largest monomial dividing every term."""
+    def monomial_gcd(self, start: int | None = None) -> int:
+        """The key of the largest monomial dividing every term and, when
+        given, monomial(start); the scan stops once that key is 0."""
         if 0 in self.terms:
             return 0
         keys = iter(self.terms)
-        key = next(keys, 0)
+        key = next(keys, 0) if start is None else start
         g = PARAMS.guard
         for k in keys:
+            if not key:
+                break
             # _key_min(key, k), inlined
             m = ((((key | g) - k) & g) >> (_FIELD - 1)) * _FIELD_MASK
             key ^= (key ^ k) & m
-            if not key:
-                break
         return key
 
     def div_monomial(self, key: int, p: int, q: int) -> "MPoly":
@@ -1048,7 +1066,7 @@ def _normalize_fraction_parts(num: MPoly, den: MPoly):
         # num / (n / den.den) = num * den.den / n
         return (num._times(den.den, n) if n > 0 else num._times(-den.den, -n)), _MP_ONE
     dk = den.monomial_gcd()
-    common = _key_min(num.monomial_gcd(), dk) if dk else 0
+    common = num.monomial_gcd(dk) if dk else 0
     # den's content is g / den.den, two coprime ints
     g, dd = den.int_content(), den.den
     if common or g != 1 or dd != 1:
@@ -1253,9 +1271,11 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
     each relation-bearing parameter s of b, both sides are multiplied by the
     conjugate of b under s -> -s (its terms that hold s negated): the product
     is fixed by that map, so it holds no s.  Then no quotient term times a
-    term of b folds, and leading-term division in graded order on packed
-    keys (_grlex, a monomial order) gives the quotient, or fails when there
-    is none.
+    term of b folds, and leading-term division in graded order gives the
+    quotient, or fails when there is none.  The order is the int order of a
+    key with its total degree put in one more field above the others (total
+    degree, then lex on fields: a monomial order); a sum of such keys is the
+    graded key of the product.
     """
     if b.is_zero():
         raise ExactError("division by zero polynomial")
@@ -1266,21 +1286,21 @@ def mpoly_divexact(a: MPoly, b: MPoly) -> MPoly:
     if b.is_constant():
         return a._scaled(RAT_ONE / b.const_value())
     g = PARAMS.guard
+    top = _FIELD * len(PARAMS.names)  # the degree field of a graded key
     # over Rat: the quotient's coefficients need not share a's denominator
-    rem = {k: Rat(c, a.den) for k, c in a.terms.items()}
+    rem = {k | _key_degree(k) << top: Rat(c, a.den) for k, c in a.terms.items()}
     out: dict = {}
-    bk = max(b.terms, key=_grlex)
-    bc = Rat(b.terms[bk], b.den)
-    b_items = [(k, Rat(c, b.den)) for k, c in b.terms.items()]
+    b_items = [(k | _key_degree(k) << top, Rat(c, b.den)) for k, c in b.terms.items()]
+    bk, bc = max(b_items)
     while rem:
-        rk = max(rem, key=_grlex)
+        rk = max(rem)
         rc = rem[rk]
         qk = (rk | g) - bk
         if qk & g != g:
             raise ExactError("polynomials do not divide exactly")
         qk ^= g
         qc = rc / bc
-        out[qk] = qc
+        out[qk & ((1 << top) - 1)] = qc
         for k, c in b_items:
             kk = qk + k  # b holds no relation-bearing field, so no fold
             if kk & g:
@@ -1360,8 +1380,7 @@ def _tidy_vector(polys, free):
     for p in filter(None, polys):
         num_gcd = math.gcd(num_gcd, p.int_content())
         den_lcm = math.lcm(den_lcm, p.den)
-        kd = p.monomial_gcd()
-        key = kd if key is None else _key_min(key, kd)
+        key = p.monomial_gcd(key)
     polys = [p.div_monomial(key, num_gcd, den_lcm) if p else p for p in polys]
     if polys[free].terms[polys[free].lead_key()] < 0:
         polys = [-p for p in polys]
@@ -1373,21 +1392,41 @@ def _tidy_vector(polys, free):
 # ---------------------------------------------------------------------------
 
 
-def _render_monomial(key) -> str:
-    parts = []
-    for name, e in key:
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+def _render_monomial(pairs) -> str:
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs)
 
 
 def render_mpoly(p: MPoly) -> str:
-    if not p.terms:
+    """The terms in display order (see _key_sort), each coefficient in lowest
+    terms.  The fields in use are put in name order once, and each gives one
+    column of exponents."""
+    terms = p.terms
+    if not terms:
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: _key_sort(kv[0]), reverse=True)
+    names = PARAMS.names
+    used = _key_or(terms)
+    top = (used.bit_length() - 1) // _FIELD * _FIELD
+    if not used:
+        rows = [("", terms[0])]
+    elif used >> top << top == used:
+        # one field: every key is e << top, so key order is exponent order,
+        # which is the display order
+        name = names[top // _FIELD]
+        rows = [(_render_monomial(((name, key >> top),)) if key else "", c)
+                for key, c in sorted(terms.items(), reverse=True)]
+    else:
+        fields = sorted((names[s // _FIELD], s) for s in _field_shifts(used))
+        keys = list(terms)
+        columns = [[(k >> s) & _FIELD_MASK for k in keys] for _, s in fields]
+        order = []
+        for exps, c in zip(zip(*columns), terms.values()):
+            pairs = tuple((name, e) for (name, _), e in zip(fields, exps) if e)
+            order.append((sum(exps), pairs, c))
+        order.sort(reverse=True)  # (degree, pairs) differ between keys, so c is never compared
+        rows = [(_render_monomial(pairs), c) for _, pairs, c in order]
     den = p.den
     chunks = []
-    for n, (key, c) in enumerate(items):
-        mono = _render_monomial(_decode(key))
+    for n, (mono, c) in enumerate(rows):
         neg = c < 0
         mag = -c if neg else c
         # the coefficient's magnitude mag/den in lowest terms

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from bispec.exact import ExactError, ParamScalar, Rat
@@ -74,6 +77,22 @@ def _substitution_mapping(system, theta, v, deg_p):
     for name in system.p_names:
         mapping[name] = p.coeff(int(name[1:]))
     return mapping
+
+
+def test_generated_system_leaves_no_memory_behind():
+    # exact caches nothing per monomial key: once the quintic system and its
+    # text are dropped, almost nothing allocated while building them is held
+    tracemalloc.start()
+    try:
+        system = generate_system(W5)
+        texts = [str(eq) for eq in system.equations]
+        assert len(texts) == 49
+        del system, texts
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5 * 2 ** 20
 
 
 def test_quintic_solutions_satisfy_generated_system():

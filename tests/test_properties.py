@@ -279,6 +279,105 @@ def test_packed_monomial_ops_match_tuple_oracle():
                     exact.mpoly_divexact(p * q + 1, q)
 
 
+# 17 names registered in reverse name order, so packed keys pass 256 bits and
+# field order disagrees with name order; with x and one relation-bearing name
+_COLUMN_NAMES = [f"kc{c}" for c in "qponmlkjihgfedcba"]
+
+
+def _field_decode(key):
+    """(name, exponent) pairs, by name, read one 16-bit field at a time."""
+    names, out, i = exact.PARAMS.names, [], 0
+    while key:
+        if key & 0xFFFF:
+            out.append((names[i], key & 0xFFFF))
+        key >>= 16
+        i += 1
+    return tuple(sorted(out))
+
+
+def _oracle_render(p):
+    """render_mpoly's text, built from terms sorted by (degree, decoded pairs)."""
+    if not p.terms:
+        return "0"
+    order = sorted(p.terms, key=lambda k: (sum(e for _, e in _field_decode(k)),
+                                           _field_decode(k)), reverse=True)
+    out = ""
+    for n, key in enumerate(order):
+        c = Fraction(p.terms[key], p.den)
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in _field_decode(key))
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        sign = ("-" if c < 0 else "") if n == 0 else (" - " if c < 0 else " + ")
+        out += sign + body
+    return out
+
+
+def _oracle_images(p, den):
+    """x_images_mod term by term: each parameter's residue to its power."""
+    d = p.den * den % exact.MOD_P
+    if not d or any(exact.relation_of(name) for key in p.terms
+                    for name, _ in _field_decode(key)):
+        return None
+    out = [0] * (p.x_degree() + 1)
+    for key, c in p.terms.items():
+        for name, e in _field_decode(key):
+            if name != "x":
+                c *= pow(exact.mod_p_residue(name), e, exact.MOD_P)
+        out[key & 0xFFFF] += c
+    return [v * pow(d, -1, exact.MOD_P) % exact.MOD_P for v in out]
+
+
+def _column_poly(rng, names):
+    """A random polynomial in none, one or many of names ("x" is x), each
+    term using a random subset of them."""
+    used = rng.choice([[], [rng.choice(names)], rng.sample(names, rng.randint(2, len(names)))])
+    poly = MPoly.zero()
+    for _ in range(rng.randint(1, 6)):
+        term = MPoly.const(Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 6])))
+        for name in used:
+            e = rng.choice([0, 0, 0, 1, 2, 3, 7, 300])
+            term = term * (MPoly.from_x_ints([0] * e + [1]) if name == "x"
+                           else MPoly.var(name, e))
+        poly = poly + term
+    return poly
+
+
+def test_key_columns_match_field_by_field_decoding():
+    for name in _COLUMN_NAMES:
+        MPoly.var(name)
+    shifts = [exact.PARAMS.shifts[n] for n in _COLUMN_NAMES]
+    assert shifts == sorted(shifts) and _COLUMN_NAMES != sorted(_COLUMN_NAMES)
+    rng = random.Random(1601)
+    names = _COLUMN_NAMES + ["x", "sqrt2"]
+    wide = undefined = 0
+    field_counts = set()  # none, one or many fields in use
+    for _ in range(3 * N_INSTANCES):
+        p = _column_poly(rng, names)
+        field_counts.add(min(len(_field_decode(exact._key_or(p.terms))), 2))
+        for key in p.terms:
+            assert exact._decode(key) == _field_decode(key)
+            assert exact._key_degree(key) == sum(e for _, e in _field_decode(key))
+        assert exact.render_mpoly(p) == _oracle_render(p)
+        if p.terms:
+            assert exact._decode(p.lead_key()) == max(
+                map(_field_decode, p.terms), key=lambda t: (sum(e for _, e in t), t))
+        den = rng.choice([1, 3, rng.randrange(1, exact.MOD_P)])
+        images = p.x_images_mod(den)
+        assert images == _oracle_images(p, den)
+        undefined += images is None
+        # the monomial gcd, seeded with a monomial or not: field-wise minimum
+        start = rng.choice([None, 0, *p.terms, *_column_poly(rng, names).terms])
+        keys = list(p.terms) + ([] if start is None else [start])
+        want = {}
+        if keys and 0 not in p.terms:
+            want = dict(_field_decode(keys[0]))
+            for key in keys[1:]:
+                have = dict(_field_decode(key))
+                want = {n: min(e, have[n]) for n, e in want.items() if n in have}
+        assert _field_decode(p.monomial_gcd(start)) == tuple(sorted(want.items()))
+        wide += max(p.terms, default=0).bit_length() > 256
+    assert wide >= 20 and undefined >= 20 and field_counts == {0, 1, 2}
+
+
 def test_mpoly_divexact_recovers_every_factor():
     # the second set divides in K[k], K = Q(sqrt2, sqrt3, i, sqrt7): a divisor
     # holding a root is first multiplied by its conjugates
