@@ -40,13 +40,12 @@ from .adcond import (
     solve_theta,
     verify_condition,
 )
-from .darboux import DarbouxError, DarbouxStep, darboux_chain, darboux_step, intertwine_check
+from .darboux import DarbouxError, DarbouxStep, darboux_step, intertwine_check
 from .ansatz import AnsatzSystem, build_V, generate_system, verify_candidate
 from .matrixop import (
     MatCondition,
     MatDiffOp,
     convention_probe,
-    mat_ad_power,
     mat_commutator,
     verify_matrix_condition,
 )
@@ -58,7 +57,6 @@ from .families import (
     get_entry,
     hermite_poly,
     laguerre_catalog,
-    theta_tau_check,
     verify_entry,
 )
 from .expr import ParseError, parse_expr, render

@@ -52,8 +52,8 @@ class SpectrumStep:
 class WeightVector:
     """Constant weights a_j of an ad-condition, indexed by commutator order j.
 
-    Behaves like a polynomial in the ad operator: multiplication is
-    convolution of orders.  The weight at the top order is nonzero.
+    Behaves like a polynomial in the ad operator.  The weight at the top
+    order is nonzero.
     """
 
     __slots__ = ("weights",)
@@ -96,12 +96,6 @@ class WeightVector:
 
     __hash__ = None
 
-    def proportional_to(self, other: "WeightVector") -> bool:
-        return self.monic() == other.monic()
-
-    def shift(self, by: int = 1) -> "WeightVector":
-        return WeightVector({j + by: c for j, c in self.weights.items()})
-
     def quadratic_step(self, c) -> "WeightVector":
         """Multiply by (ad^2 - c)."""
         c = _coerce_ps(c)
@@ -109,17 +103,6 @@ class WeightVector:
         for j, w in self.weights.items():
             acc = out.get(j, PS_ZERO) - w * c
             out[j] = acc
-        return WeightVector(out)
-
-    def __mul__(self, other):
-        """Product as polynomials in the ad operator (order convolution)."""
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        out: dict = {}
-        for j1, c1 in self.weights.items():
-            for j2, c2 in other.weights.items():
-                j = j1 + j2
-                out[j] = out.get(j, PS_ZERO) + c1 * c2
         return WeightVector(out)
 
     def __str__(self):
@@ -262,9 +245,6 @@ class FitResult:
     reports: list = field(default_factory=list)
     decided_by: str = "symbolic"
 
-    def __iter__(self):
-        return iter((self.vectors, self.assumptions))
-
 
 def fit_weights(op: DiffOp, theta, orders) -> FitResult:
     """Find all weight vectors supported on ``orders`` annihilating (op, theta).
@@ -316,9 +296,6 @@ class SolveResult:
     thetas: list
     assumptions: list
     decided_by: str = "symbolic"
-
-    def __iter__(self):
-        return iter((self.thetas, self.assumptions))
 
 
 def solve_theta(op: DiffOp, w: WeightVector, deg_bound: int,

@@ -131,15 +131,9 @@ def _cmd_catalog(args) -> dict:
         entry = get_entry(cid)
         listing.append({"id": cid, "kind": entry.kind, "provenance": entry.provenance,
                         "expected_to_hold": entry.expect_holds})
-    return {
-        "schema": SCHEMA,
-        "command": "catalog list",
-        "inputs": {},
-        "entries": listing,
-        "verdicts": verdicts,
-        "provenance": [],
-        "exit_code": 0,
-    }
+    report = _report("catalog list", {}, verdicts, [])
+    report["entries"] = listing
+    return report
 
 
 def _cmd_verify(args) -> dict:

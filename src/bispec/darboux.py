@@ -50,20 +50,6 @@ def darboux_step(op: DiffOp, seed: QuasiRat) -> tuple:
     return DiffOp.schrodinger(new_v), record
 
 
-def darboux_chain(op: DiffOp, seeds) -> list:
-    """Iterate darboux_step; each seed must be an eigenfunction of the
-    operator produced by the previous step."""
-    out = []
-    current = op
-    for idx, seed in enumerate(seeds):
-        try:
-            current, _ = darboux_step(current, seed)
-        except DarbouxError as err:
-            raise DarbouxError(f"step {idx}: {err}", residual=err.residual) from None
-        out.append(current)
-    return out
-
-
 def intertwine_check(op: DiffOp, op_new: DiffOp, seed: QuasiRat) -> bool:
     """Exact operator identity op_new (D - w) = (D - w) op, w = (log seed)'."""
     w = seed.log_derivative()

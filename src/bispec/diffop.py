@@ -57,6 +57,7 @@ from .exact import (
     ParamScalar,
     Rat,
     ExactError,
+    _coerce,
     _normalize_fraction_parts,
     cancel_common_factor,
     denominator_cofactors,
@@ -68,13 +69,10 @@ _MP_ONE = MPoly.one()  # the den of every XPoly without a parameter denominator
 
 
 def _coerce_ps(value) -> ParamScalar:
-    if isinstance(value, ParamScalar):
-        return value
-    if isinstance(value, (int, Rat)):
-        return ParamScalar.const(value)
-    if isinstance(value, MPoly):
-        return ParamScalar.from_poly(value)
-    raise TypeError(f"cannot use {value!r} as a scalar coefficient")
+    c = _coerce(value)
+    if c is None:
+        raise TypeError(f"cannot use {value!r} as a scalar coefficient")
+    return c
 
 
 class XPoly:
@@ -140,9 +138,6 @@ class XPoly:
 
     def coeff(self, deg: int) -> ParamScalar:
         return _coefficient(self.num.x_slice(deg), self.den)
-
-    def lead_coeff(self) -> ParamScalar:
-        return self.coeff(self.degree())
 
     def is_parameter_free(self) -> bool:
         return self.den is _MP_ONE and not self.num.has_params()
@@ -241,25 +236,21 @@ class XPoly:
         dd = other.degree()
         if self.degree() < dd:
             return _XP_ZERO, self
-        top = other.num.x_slice(dd)
-        if top != other.den:
-            # not monic: divide by other / lead, then scale the quotient
-            lead = ParamScalar(top, other.den)
-            quo, rem = self.divmod(_xp_norm(other.num, top))
-            return quo.scale(lead.invert()), rem
-        if other.den is _MP_ONE:
+        lead = other.num.x_slice(dd)
+        if other.den is _MP_ONE and lead == _MP_ONE:
             # the top coefficient is 1 and no parameter denominator: in place
             quo, rem = self.num.x_divmod(other.num)
             return _xp_norm(quo, self.den), _xp_norm(rem, self.den)
-        # a parameter denominator db: pseudo-division, quo and rem over one den
-        # that takes a factor db per step
-        quo, rem, den, db = MPoly.zero(), self.num, self.den, other.den
+        # pseudo-division by other.num, whose top coefficient is lead: quo and
+        # rem over one den that takes a factor lead per step, and
+        # self = quo * other.num / den + rem / den
+        quo, rem, den = MPoly.zero(), self.num, self.den
         while rem and (n := rem.x_degree()) >= dd:
             top = rem.x_slice(n).x_shift(n - dd)
-            quo = (quo + top) * db
-            rem = rem * db - top * other.num
-            den = den * db
-        return _xp_norm(quo, den), _xp_norm(rem, den)
+            quo = quo * lead + top
+            rem = rem * lead - top * other.num
+            den = den * lead
+        return _xp_norm(quo * other.den, den), _xp_norm(rem, den)
 
     def substitute(self, mapping: dict) -> "XPoly":
         return XPoly({d: c.substitute(mapping) for d, c in self.coeffs.items()})

@@ -1108,16 +1108,11 @@ def _primitive(c: list) -> list:
 
 
 def _pseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    a = list(a)
+    """Pseudo-remainder of integer coefficient lists (ascending, no trailing
+    zeros)."""
     db = len(b) - 1
     lb = b[-1]
     while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            if not a:
-                return []
-            continue
         la = a[-1]
         shift = len(a) - 1 - db
         a = [v * lb for v in a]

@@ -622,14 +622,3 @@ def probe_entry(entry: CatalogEntry) -> dict:
     if entry.kind != "matrix":
         raise ExactError("convention probe applies to matrix entries")
     return convention_probe(entry.operator, entry.condition)
-
-
-def theta_tau_check(entry: CatalogEntry) -> bool:
-    """True iff the entry's theta' is a scalar multiple of its tau polynomial."""
-    if entry.tau is None or entry.theta is None:
-        raise ExactError(f"entry {entry.id} has no tau polynomial")
-    dtheta = entry.theta.derivative()
-    tau = entry.tau
-    if dtheta.is_zero() or tau.is_zero():
-        return dtheta.is_zero() and tau.is_zero()
-    return dtheta.scale(tau.lead_coeff()) == tau.scale(dtheta.lead_coeff())

@@ -216,10 +216,6 @@ def mat_ad_tower(op: MatDiffOp, theta: MatDiffOp, up_to: int) -> list:
     return tower
 
 
-def mat_ad_power(op: MatDiffOp, theta: MatDiffOp, j: int) -> MatDiffOp:
-    return mat_ad_tower(op, theta, j)[j]
-
-
 @dataclass
 class MatCondition:
     """sum over terms (j, M_j) of ad L^j(theta) composed with the constant

@@ -138,16 +138,16 @@ def test_weight_vector_invariants():
 def test_fit_weights_examples():
     result = fit_weights(HARMONIC, X, [2, 0])
     assert len(result.vectors) == 1
-    assert result.vectors[0].proportional_to(WeightVector({2: 1, 0: -4}))
+    assert result.vectors[0].monic() == WeightVector({2: 1, 0: -4})
 
     result = fit_weights(HARMONIC, X, [3, 1])
     assert len(result.vectors) == 1
-    assert result.vectors[0].proportional_to(WeightVector({3: 1, 1: -4}))
+    assert result.vectors[0].monic() == WeightVector({3: 1, 1: -4})
 
     op, theta = exc_hermite_k1()
     result = fit_weights(op, theta, [3, 1])
     assert len(result.vectors) == 1
-    assert result.vectors[0].proportional_to(WeightVector({3: 1, 1: -16}))
+    assert result.vectors[0].monic() == WeightVector({3: 1, 1: -16})
 
 
 def test_fit_weights_no_condition():
@@ -183,10 +183,11 @@ def test_implication_chain_weight_factorization():
     lowered = hermite_new_weights(1)
     assert lowered.quadratic_step(4) == WeightVector({5: 1, 3: -20, 1: 64})
     # k=0: ladder condition = ad applied to the lowered one
-    assert hermite_new_weights(0).shift(1) == WeightVector({3: 1, 1: -4})
+    shifted0 = WeightVector({j + 1: c for j, c in hermite_new_weights(0).items()})
+    assert shifted0 == WeightVector({3: 1, 1: -4})
     # k=2: (ad^2-16) ad applied to the lowered condition gives the ladder
-    lowered2 = hermite_new_weights(2)
-    assert lowered2.shift(1).quadratic_step(16) == reach_weights(3, 2)
+    shifted2 = WeightVector({j + 1: c for j, c in hermite_new_weights(2).items()})
+    assert shifted2.quadratic_step(16) == reach_weights(3, 2)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

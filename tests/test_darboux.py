@@ -4,7 +4,6 @@ from bispec.exact import PS_ONE, ParamScalar, Rat
 from bispec.diffop import DiffOp, QuasiRat, XPoly, XRat, equals
 from bispec.darboux import (
     DarbouxError,
-    darboux_chain,
     darboux_step,
     intertwine_check,
     potentials_match_up_to_constant,
@@ -45,19 +44,6 @@ def test_seed_must_be_eigenfunction():
         darboux_step(HARMONIC, bad)
     assert err.value.residual is not None
     assert err.value.residual.constant_value() is None
-
-
-def test_chain_matches_single_step():
-    ops = darboux_chain(FREE, [SEED_X])
-    assert len(ops) == 1
-    assert equals(ops[0], darboux_step(FREE, SEED_X)[0])
-    ops2 = darboux_chain(HARMONIC, [SEED_GAUSS_X])
-    assert equals(ops2[0], darboux_step(HARMONIC, SEED_GAUSS_X)[0])
-
-
-def test_chain_error_carries_step_index():
-    with pytest.raises(DarbouxError, match="step 1"):
-        darboux_chain(FREE, [SEED_X, SEED_X])
 
 
 def test_laguerre_one_step_reproduces_catalog():

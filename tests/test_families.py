@@ -13,7 +13,6 @@ from bispec.families import (
     get_entry,
     hermite_poly,
     laguerre_catalog,
-    theta_tau_check,
     verify_entry,
     _inv_square,
     _pole,
@@ -98,11 +97,22 @@ def test_step2_weight_discrepancy_is_resolved_by_solve_theta():
                                     2: k ** 4 * 3 - k * k * 12})
 
 
-def test_theta_tau_proportionality():
-    assert theta_tau_check(get_entry("hermite-exc:k=0"))
-    assert theta_tau_check(get_entry("hermite-exc:k=1"))
-    assert theta_tau_check(get_entry("hermite-exc:k=4"))
-    assert theta_tau_check(get_entry("hermite-exc:p22"))
+def test_theta_derivative_is_a_constant_multiple_of_tau():
+    # theta' = c * tau on the Hermite entries and c * x * tau on the Laguerre
+    # chain, c constant in x; only the printed tau of laguerre-step:3 breaks it
+    checked = []
+    for cid in catalog_ids():
+        entry = get_entry(cid)
+        if entry.tau is None:
+            continue
+        tau = entry.tau if cid.startswith("hermite-exc:") else entry.tau * XPoly.x()
+        dtheta = entry.theta.derivative()
+        c = dtheta.coeff(dtheta.degree()) / tau.coeff(tau.degree())
+        assert (dtheta == tau.scale(c)) is (cid != "laguerre-step:3"), cid
+        checked.append(cid)
+    assert checked == [f"hermite-exc:k={k}" for k in range(5)] + ["hermite-exc:p22"] + [
+        "laguerre-step:0", "laguerre-step:1", "laguerre-step:2", "laguerre-step:2-product",
+        "laguerre-step:3", "laguerre-step:3-wronskian"]
 
 
 def test_ansatz_catalog_lookup():

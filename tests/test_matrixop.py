@@ -8,7 +8,6 @@ from bispec.diffop import DiffOp, XPoly, XRat, commutator as scalar_commutator, 
 from bispec.matrixop import (
     MatCondition,
     MatDiffOp,
-    mat_ad_power,
     mat_ad_tower,
     mat_commutator,
     mat_compose,
@@ -89,7 +88,7 @@ def test_1x1_embedding_reproduces_scalar_commutator(side):
 def test_first_ad_power_of_hermite_example():
     # [L, xI] has D-coefficient 2I and order-0 coefficient B(x)
     op = hermite_matrix_op()
-    a1 = mat_ad_power(op, theta_x(), 1)
+    a1 = mat_ad_tower(op, theta_x(), 1)[1]
     assert a1.order() == 1
     two_eye = ((XRat.const(2), XRat.const(0)), (XRat.const(0), XRat.const(2)))
     for i in range(2):
@@ -101,7 +100,7 @@ def test_first_ad_power_of_hermite_example():
 def test_mat_ad_power_requires_order_zero_theta():
     op = hermite_matrix_op()
     with pytest.raises(ExactError):
-        mat_ad_power(op, op, 1)
+        mat_ad_tower(op, op, 1)[1]
 
 
 def test_hermite_condition_family_and_independence():
@@ -122,7 +121,7 @@ def test_hermite_condition_family_and_independence():
 
 def test_right_factor_composition_associative():
     op = hermite_matrix_op()
-    a2 = mat_ad_power(op, theta_x(), 2)
+    a2 = mat_ad_tower(op, theta_x(), 2)[2]
     m1 = [[1, 2], [0, 1]]
     m2 = [[0, 1], [3, 0]]
     prod = [[sum(m1[i][l] * m2[l][j] for l in range(2)) for j in range(2)] for i in range(2)]
@@ -144,11 +143,11 @@ def test_convention_probe_on_catalog():
     # an off-family factor, while under the right action A_2 - 4 A_0 vanishes
     # identically and carries no factor information
     op = hermite_matrix_op("right")
-    a2 = mat_ad_power(op, theta_x(2, "right"), 2)
+    a2 = mat_ad_tower(op, theta_x(2, "right"), 2)[2]
     a0 = theta_x(2, "right")
     assert (a2 - a0.right_factor([[4, 0], [0, 4]])).is_zero()
     op_left = hermite_matrix_op("left")
-    a2l = mat_ad_power(op_left, theta_x(2, "left"), 2)
+    a2l = mat_ad_tower(op_left, theta_x(2, "left"), 2)[2]
     assert not (a2l - theta_x(2, "left").right_factor([[4, 0], [0, 4]])).is_zero()
 
 

@@ -772,7 +772,7 @@ def _xp_denominators():
             k + 1, a - 2, k * a + 3]                  # not monomials
 
 
-def _random_coeff(rng, kind):
+def _random_coeff(rng, kind, names=_XP_NAMES):
     """A random coefficient: parameter-free, a polynomial or a fraction."""
     if kind == "free":
         return ParamScalar.const(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
@@ -780,7 +780,7 @@ def _random_coeff(rng, kind):
     for _ in range(rng.randint(1, 2)):
         term = MPoly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
         for _ in range(rng.randint(0, 2)):
-            term = term * MPoly.var(rng.choice(_XP_NAMES))
+            term = term * MPoly.var(rng.choice(names))
         num = num + term
     if kind == "poly":
         return ParamScalar.from_poly(num)
@@ -826,6 +826,46 @@ def test_packed_xpoly_matches_param_scalar_reference():
             # the quotient and remainder of a division are unique
             assert rem.degree() < base.degree()
             _assert_matches_ref(a, _ref_add(_ref_mul(quo.coeffs, base.coeffs), rem.coeffs))
+
+
+_DIVMOD_NAMES = ["k", "a", "sqrt2"]  # no relation a test declares for itself
+
+
+def _random_divisor(rng, kind):
+    """A divisor of degree 1-3: non-monic over Q ("rational"), with a leading
+    coefficient in k and a ("param-lead"), or with a parametric denominator
+    ("param-den", monic or not)."""
+    deg = rng.randint(1, 3)
+    if kind == "rational":
+        rest, lead = "free", PS_ZERO
+        while lead.is_zero() or lead.is_one():
+            lead = _random_coeff(rng, "free")
+    elif kind == "param-lead":
+        rest, lead = "poly", PS_ZERO
+        while lead.is_constant():
+            lead = _random_coeff(rng, "poly", ["k", "a"])
+    else:
+        rest = "frac"
+        lead = PS_ONE if rng.random() < 0.5 else _random_coeff(rng, "frac", _DIVMOD_NAMES)
+    coeffs = {d: _random_coeff(rng, rest, _DIVMOD_NAMES) for d in range(deg)}
+    return XPoly({**coeffs, deg: lead})
+
+
+def test_divmod_by_any_divisor_satisfies_the_division_identity():
+    rng = random.Random(1801)
+    kinds = ["rational", "param-lead", "param-den"]
+    dividing = 0
+    for case in range(120):
+        b = _random_divisor(rng, kinds[case % 3])
+        kind = rng.choice(["free", "poly", "frac"])
+        a = XPoly({d: _random_coeff(rng, kind, _DIVMOD_NAMES) for d in range(rng.randint(1, 6))})
+        quo, rem = a.divmod(b)
+        for p in (quo, rem):
+            _assert_xpoly_canonical(p)
+        assert rem.degree() < b.degree()
+        assert a == quo * b + rem
+        dividing += a.degree() >= b.degree()
+    assert dividing >= 60
 
 
 # ---------------------------------------------------------------------------
