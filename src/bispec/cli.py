@@ -8,10 +8,9 @@ parse error.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from .exact import ExactError, Rat, check_param_name
 from .diffop import DiffOp, QuasiRat, XPoly, XRat
@@ -73,19 +72,15 @@ def _render_weights(w: WeightVector) -> dict:
     return {str(j): str(c) for j, c in w.items()}
 
 
-def _parse(text: str, params) -> object:
-    return parse_expr(text, params=params)
-
-
-def _schrodinger_from(args, params) -> DiffOp:
-    if getattr(args, "catalog", None):
+def _schrodinger_from(args) -> DiffOp:
+    if args.catalog:
         entry = get_entry(args.catalog)
         if entry.kind != "scalar":
             raise UsageError(f"catalog entry {entry.id} is not a scalar operator")
         return entry.operator, entry
-    if getattr(args, "L", None) is None:
+    if args.L is None:
         raise UsageError("need --L <potential expression> or --catalog <id>")
-    v = _parse(args.L, params)
+    v = parse_expr(args.L, params=args.param)
     if isinstance(v, QuasiRat):
         raise UsageError("the potential must be rational, not quasi-rational")
     if isinstance(v, XPoly):
@@ -93,9 +88,9 @@ def _schrodinger_from(args, params) -> DiffOp:
     return DiffOp.schrodinger(v), None
 
 
-def _theta_from(args, params, entry):
-    if getattr(args, "theta", None) is not None:
-        theta = _parse(args.theta, params)
+def _theta_from(args, entry):
+    if args.theta is not None:
+        theta = parse_expr(args.theta, params=args.param)
         if isinstance(theta, (QuasiRat, XRat)):
             raise UsageError("theta must be a polynomial in x")
         return theta
@@ -138,6 +133,8 @@ def _cmd_catalog(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     if args.all:
+        if args.id:
+            raise UsageError("verify takes a catalog id or --all, not both")
         ids = catalog_ids()
     else:
         if not args.id:
@@ -163,9 +160,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_ad(args) -> dict:
-    params = args.param
-    op, entry = _schrodinger_from(args, params)
-    theta = _theta_from(args, params, entry)
+    op, entry = _schrodinger_from(args)
+    theta = _theta_from(args, entry)
     power = ad_power(op, theta, args.j)
     verdicts = [_verdict(f"ad power {args.j}", True, residual=power,
                          order=power.order())]
@@ -174,9 +170,8 @@ def _cmd_ad(args) -> dict:
 
 
 def _cmd_fit_weights(args) -> dict:
-    params = args.param
-    op, entry = _schrodinger_from(args, params)
-    theta = _theta_from(args, params, entry)
+    op, entry = _schrodinger_from(args)
+    theta = _theta_from(args, entry)
     orders = _parse_orders(args.orders)
     result = fit_weights(op, theta, orders)
     verdicts = []
@@ -197,8 +192,7 @@ def _cmd_fit_weights(args) -> dict:
 
 
 def _cmd_solve_theta(args) -> dict:
-    params = args.param
-    op, entry = _schrodinger_from(args, params)
+    op, entry = _schrodinger_from(args)
     w = _parse_weights(args.weights)
     result = solve_theta(op, w, args.deg, fix_zero=not args.allow_constant)
     verdicts = []
@@ -231,9 +225,8 @@ def _cmd_hermite_new_weights(args) -> dict:
 
 
 def _cmd_darboux(args) -> dict:
-    params = args.param
-    op, entry = _schrodinger_from(args, params)
-    seed = _parse(args.seed, params)
+    op, entry = _schrodinger_from(args)
+    seed = parse_expr(args.seed, params=args.param)
     if not isinstance(seed, QuasiRat):
         seed = QuasiRat() * (XRat.from_poly(seed) if isinstance(seed, XPoly) else seed)
     new_op, record = darboux_step(op, seed)
@@ -258,9 +251,8 @@ def _cmd_gen_system(args) -> dict:
 
 
 def _cmd_heisenberg(args) -> dict:
-    params = args.param
-    op, entry = _schrodinger_from(args, params)
-    theta = _theta_from(args, params, entry)
+    op, entry = _schrodinger_from(args)
+    theta = _theta_from(args, entry)
     report = heisenberg_series(op, theta, args.order)
     relations = [{"from_order": j, "to_order": j + 2, "constant": str(c)}
                  for j, c in report.relations]
@@ -286,101 +278,109 @@ def _cmd_probe(args) -> dict:
     return _report("probe-convention", {"id": args.id}, verdicts, [entry.provenance])
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every later
-    one in the process: parse_args leaves it unchanged, and each call gets
-    fresh defaults (``append`` copies the ``--param`` default list).  Each
-    subcommand's ``func`` default binds its ``_cmd_*`` function when the
-    parser is built, so a later rebinding of that name is not seen."""
-    parser = argparse.ArgumentParser(
-        prog="bispec",
-        description="Exact verification and discovery of ad-conditions for "
-                    "second-order differential operators.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_EXPR = {"--L": "value", "--catalog": "value", "--param": "repeat"}
+_THETA = {**_EXPR, "--theta": "value"}
+_ALIASES = {"--catalog-id": "--catalog"}
+_HELP = ("-h", "--help")
 
-    def add_expr_opts(p, theta=True):
-        p.add_argument("--L", help="potential V of the operator -D^2 + V")
-        p.add_argument("--catalog", "--catalog-id", dest="catalog",
-                       help="catalog id supplying operator (and theta)")
-        if theta:
-            p.add_argument("--theta", help="eigenvalue polynomial in x")
-        p.add_argument("--param", action="append", default=[],
-                       help="declare a parameter name (repeatable)")
+# command: (function, help, positionals, options).  A positional ending in "?"
+# may be left out; "name=word" accepts only that word.  An option's kind is
+# "value" (a string), "int", "flag" or "repeat" (a list, one item per use); a
+# trailing "!" makes it required, and "value=text" gives it a default.
+COMMANDS = {
+    "catalog": (_cmd_catalog, "list catalog entries", ("action=list",), {}),
+    "verify": (_cmd_verify, "verify a catalog entry (or all)", ("id?",), {"--all": "flag"}),
+    "ad": (_cmd_ad, "compute an iterated commutator power", (), {**_THETA, "--j": "int!"}),
+    "fit-weights": (_cmd_fit_weights, "find conditions supported on given orders", (),
+                    {**_THETA, "--orders": "value!"}),
+    "solve-theta": (_cmd_solve_theta, "solve for eigenvalue polynomials", (),
+                    {**_EXPR, "--weights": "value!", "--deg": "int!", "--allow-constant": "flag"}),
+    "reach-weights": (_cmd_reach_weights, "ladder weights for a linear spectrum", (),
+                      {"--n": "int!", "--step": "value=1"}),
+    "hermite-new-weights": (_cmd_hermite_new_weights, "lowered condition weights", (),
+                            {"--k": "int!"}),
+    "darboux": (_cmd_darboux, "one Darboux step from a seed eigenfunction", (),
+                {**_EXPR, "--seed": "value!"}),
+    "gen-system": (_cmd_gen_system, "generate the polynomial constraint system", (),
+                   {"--weights": "value!", "--allow-constant": "flag"}),
+    "heisenberg": (_cmd_heisenberg, "conjugation series and its relations", (),
+                   {**_THETA, "--order": "int!"}),
+    "probe-convention": (_cmd_probe, "matrix action-side probe", ("id",), {}),
+}
 
-    p = sub.add_parser("catalog", help="list catalog entries")
-    p.add_argument("action", choices=["list"])
-    p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("verify", help="verify a catalog entry (or all)")
-    p.add_argument("id", nargs="?", help="catalog id")
-    p.add_argument("--all", action="store_true",
-                   help="verify every entry against its documented expectation")
-    p.set_defaults(func=_cmd_verify)
+def _help(command=None):
+    """Print the commands, or one command's row of COMMANDS; exit 0."""
+    lines = ["usage: bispec <command> [options]; bispec <command> --help lists its options"]
+    lines += [f"  {name:<20} {spec[1]}" for name, spec in COMMANDS.items()]
+    if command is not None:
+        _, text, positionals, options = COMMANDS[command]
+        words = [f"[{p[:-1]}]" if p[-1] == "?" else p.partition("=")[2] or p for p in positionals]
+        lines = [f"usage: bispec {' '.join([command, *words])} [options]", text,
+                 "options, by kind (value, int, flag, repeat; ! required, =default):"]
+        lines += [f"  {name:<18} {spec}" for name, spec in options.items()]
+        lines += [f"  {a:<18} alias of {o}" for a, o in _ALIASES.items() if o in options]
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    p = sub.add_parser("ad", help="compute an iterated commutator power")
-    add_expr_opts(p)
-    p.add_argument("--j", type=int, required=True)
-    p.set_defaults(func=_cmd_ad)
 
-    p = sub.add_parser("fit-weights", help="find conditions supported on given orders")
-    add_expr_opts(p)
-    p.add_argument("--orders", required=True, help="comma-separated commutator orders")
-    p.set_defaults(func=_cmd_fit_weights)
-
-    p = sub.add_parser("solve-theta", help="solve for eigenvalue polynomials")
-    add_expr_opts(p, theta=False)
-    p.add_argument("--weights", required=True, help="order:weight pairs, e.g. 3:1,1:-16")
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--allow-constant", action="store_true",
-                   help="drop the Theta(0)=0 normalization")
-    p.set_defaults(func=_cmd_solve_theta)
-
-    p = sub.add_parser("reach-weights", help="ladder weights for a linear spectrum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--step", default="1", help="spectrum spacing (rational)")
-    p.set_defaults(func=_cmd_reach_weights)
-
-    p = sub.add_parser("hermite-new-weights", help="lowered condition weights")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_hermite_new_weights)
-
-    p = sub.add_parser("darboux", help="one Darboux step from a seed eigenfunction")
-    add_expr_opts(p, theta=False)
-    p.add_argument("--seed", required=True, help="quasi-rational seed expression")
-    p.set_defaults(func=_cmd_darboux)
-
-    p = sub.add_parser("gen-system", help="generate the polynomial constraint system")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--allow-constant", action="store_true")
-    p.set_defaults(func=_cmd_gen_system)
-
-    p = sub.add_parser("heisenberg", help="conjugation series and its relations")
-    add_expr_opts(p)
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=_cmd_heisenberg)
-
-    p = sub.add_parser("probe-convention", help="matrix action-side probe")
-    p.add_argument("id", help="matrix catalog id")
-    p.set_defaults(func=_cmd_probe)
-
-    return parser
+def parse_args(argv) -> SimpleNamespace:
+    """The namespace of one command line, read from :data:`COMMANDS`: ``command``,
+    ``func`` and an attribute per positional and option (``--allow-constant`` gives
+    ``allow_constant``).  Options take ``--name value`` or ``--name=value`` in any
+    order, the last one given wins; bad usage raises :class:`UsageError`."""
+    command, *rest = argv or [""]
+    if command in _HELP:
+        _help()
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}; commands: {', '.join(COMMANDS)}")
+    func, _, positionals, options = COMMANDS[command]
+    kinds, values, words, tokens = {}, {}, [], iter(rest)
+    for name, spec in options.items():
+        kinds[name], _, default = spec.rstrip("!").partition("=")
+        values[name] = {"repeat": [], "flag": False}.get(kinds[name], default or None)
+    for token in tokens:
+        if token in _HELP:
+            _help(command)
+        if not token.startswith("--"):
+            words.append(token)
+            continue
+        name, has_value, value = token.partition("=")
+        name = _ALIASES.get(name, name)
+        kind = kinds.get(name)
+        if kind is None or kind == "flag" and has_value:
+            raise UsageError(f"{command}: unknown option {token!r}")
+        if kind != "flag" and not has_value and (value := next(tokens, None)) is None:
+            raise UsageError(f"{command}: {name} needs a value")
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{command}: {name} takes an integer, not {value!r}") from None
+        values[name] = values[name] + [value] if kind == "repeat" else kind == "flag" or value
+    for name, spec in options.items():
+        if spec.endswith("!") and values[name] is None:
+            raise UsageError(f"{command}: missing required option {name}")
+    for spec in positionals:
+        name, _, word = spec.rstrip("?").partition("=")
+        values[name] = words.pop(0) if words else None
+        if values[name] is None and not spec.endswith("?"):
+            raise UsageError(f"{command}: missing {name}")
+        if word and values[name] != word:
+            raise UsageError(f"{command}: {name} must be {word!r}, not {values[name]!r}")
+    if words:
+        raise UsageError(f"{command}: unexpected argument {words[0]!r}")
+    values = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def run(argv=None) -> dict:
-    """Parse arguments, execute, and return the report dict; :func:`main`
-    prints it.  The parser is built once per process (:func:`build_parser`)."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if not exc.code:  # --help and friends are not errors
-            raise
-        raise UsageError("invalid arguments") from exc
+    """Parse ``argv`` (default ``sys.argv[1:]``) with :func:`parse_args`, check the
+    declared parameter names, run the command and return the report dict."""
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     for name in getattr(args, "param", ()):
         check_param_name(name)
-    report = args.func(args)
-    return report
+    return args.func(args)
 
 
 def _summarize(report: dict, stream) -> None:

@@ -330,14 +330,13 @@ def _ansatz_solutions(equation: str) -> list:
     if equation == "A3-16A1":
         a1, a2 = ParamScalar.var("a1"), ParamScalar.var("a2")
         c0, c1, c2 = (ParamScalar.var(n) for n in ("c0", "c1", "c2"))
-        den1 = XPoly.from_list([a1, 2 * a2])
+        # the pole (2*a2*x + a1)^2 * 4*a2^2 = 16*a2^4 * (x + a1/(2*a2))^2
         v = (XRat.from_poly(
                 XPoly({2: 4 * a2 * a2, 1: 4 * a1 * a2, 0: 2 * a2 * c2 - a1 * a1})
                 .scale((4 * a2 * a2).invert()))
-             - XRat.from_ratio(
-                XPoly.const(2 * a1 * a1 * a2 * c2 + 8 * c0 * a2 ** 3
-                            - 4 * a1 * c1 * a2 * a2 - a1 ** 4),
-                (den1 * den1).scale(4 * a2 * a2)))
+             - _inv_square((2 * a1 * a1 * a2 * c2 + 8 * c0 * a2 ** 3
+                            - 4 * a1 * c1 * a2 * a2 - a1 ** 4) * (16 * a2 ** 4).invert(),
+                           _pole(a1 * (2 * a2).invert())))
         special = (XRat.from_poly(XPoly.monomial(2))
                    + XRat.from_ratio(XPoly.const(2), XPoly.monomial(2)))
         return [

@@ -1,4 +1,9 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +187,22 @@ def test_cli_errors_exit_2():
     assert cli.main(["ad", "--L", "x +", "--theta", "x", "--j", "1"]) == 2
 
 
+# usage errors, each with the token its message names
+_USAGE_ERRORS = [
+    (["frobnicate"], "frobnicate"),
+    (["ad", "--L", "x^2", "--theta", "x", "--j", "1", "--bogus", "1"], "--bogus"),
+    (["heisenberg", "--cat", "hermite-exc:k=1", "--order", "4"], "--cat"),  # no prefixes
+    (["ad", "--L", "x^2", "--theta", "x"], "--j"),
+    (["ad", "--L", "x^2", "--theta", "x", "--j"], "--j"),
+    (["ad", "--L", "x^2", "--theta", "x", "--j", "one"], "one"),
+    (["solve-theta", "--L", "x^2", "--weights", "2:1,0:-4", "--deg", "2.5"], "2.5"),
+    (["catalog", "show"], "show"),
+    (["catalog", "list", "extra"], "extra"),
+    (["verify", "a", "b"], "b"),
+    (["verify", "hermite-exc:k=1", "--all"], "--all"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["reach-weights", "--n", "2", "--step", "abc"],
     ["reach-weights", "--n", "2", "--step", "1/0"],
@@ -191,11 +212,14 @@ def test_cli_errors_exit_2():
     ["solve-theta", "--L", "x^2 + 2/x^2", "--weights", "3:1,1:-16,1:5", "--deg", "3"],
     ["fit-weights", "--L", "x^2", "--theta", "5", "--orders", "3,1"],  # theta without x
     ["fit-weights", "--L", "x^2", "--theta", "0", "--orders", "2,0"],
-])
+] + [argv for argv, _ in _USAGE_ERRORS])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["exit_code"] == 2 and payload["error"]
+    for usage_argv, token in _USAGE_ERRORS:
+        if argv == usage_argv:
+            assert token in payload["error"]
 
 
 @pytest.mark.parametrize("name", ["x", "exp", "D", "1a"])
@@ -207,9 +231,8 @@ def test_cli_bad_param_name_exit_2(name, capsys):
 
 
 def test_cli_one_parser_carries_no_state(capsys):
-    assert cli.build_parser() is cli.build_parser()
     run_cli(["ad", "--L", "k*x^2", "--param", "k", "--theta", "x", "--j", "1"])
-    args = cli.build_parser().parse_args(["ad", "--L", "x^2", "--theta", "x", "--j", "1"])
+    args = cli.parse_args(["ad", "--L", "x^2", "--theta", "x", "--j", "1"])
     assert args.param == []
     with pytest.raises(ParseError):
         cli.run(["ad", "--L", "k*x^2", "--theta", "x", "--j", "1"])
@@ -217,6 +240,64 @@ def test_cli_one_parser_carries_no_state(capsys):
         cli.run(["ad", "--L", "x^2", "--theta", "x", "--j", "one"])
     report, _ = run_cli(["ad", "--L", "x^2", "--theta", "x", "--j", "1"])
     assert report["exit_code"] == 0
+
+
+@pytest.mark.parametrize("argv, shows", [
+    (["--help"], "probe-convention"),
+    (["-h"], "probe-convention"),
+    (["ad", "--help"], "--theta"),
+    (["verify", "-h"], "--all"),
+    (["ad", "--L", "x^2", "-h", "--j", "one"], "--catalog-id"),
+])
+def test_cli_help_exits_0(argv, shows, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: bispec") and shows in out
+
+
+def test_cli_equals_form_gives_the_same_report():
+    one, _ = run_cli(["ad", "--L=x^2", "--theta", "x", "--j=2"])
+    two, _ = run_cli(["ad", "--j", "2", "--theta", "x", "--L", "x^2"])
+    assert one == two
+    args = cli.parse_args(["reach-weights", "--n", "3", "--step", "-1/2", "--n=4"])
+    assert (args.n, args.step) == (4, "-1/2")  # the value is the next token; last one wins
+
+
+def _readme_cli_examples() -> list:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert len(examples) == 12
+    for prog, command, *rest in examples:
+        args = cli.parse_args([command, *rest])
+        assert prog == "bispec" and args.command == command
+        assert args.func is cli.COMMANDS[command][0]
+        if rest and not rest[0].startswith("--"):
+            assert rest[0] in (getattr(args, "id", None), getattr(args, "action", None))
+        for token, value in zip(rest, rest[1:] + [None]):
+            if token.startswith("--"):
+                dest = cli._ALIASES.get(token, token)[2:].replace("-", "_")
+                got = getattr(args, dest)
+                assert got is True or value in (got if isinstance(got, list) else [str(got)])
+
+
+def test_cli_help_and_import_in_a_fresh_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "bispec.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert all(f"  {name} " in proc.stdout for name in cli.COMMANDS) and len(cli.COMMANDS) == 11
+    probe = "import sys, bispec.cli; print('argparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_cli_main_exit_codes(capsys):

@@ -140,6 +140,7 @@ def test_fifth_quintic_solution_shape():
 def _squared_pole_sites():
     """(c, base) of every squared pole the catalog enters through _inv_square."""
     k, c1, p1, e1, t, u = (ParamScalar.var(n) for n in ("k", "c1", "p1", "e1", "t", "u"))
+    a1, a2, c0, c2 = (ParamScalar.var(n) for n in ("a1", "a2", "c0", "c2"))
     sixteenth = ParamScalar.const(Rat(1, 16))
     return [
         (2, XPoly.from_list([k, 1])),                                   # _step1_v
@@ -151,10 +152,12 @@ def _squared_pole_sites():
         (2, _pole(t + u)),                                              # A5 seventh
         (2, _pole(t - u)),
         ((u ** 4 - 4) * sixteenth, _pole(t)),
+        ((2 * a1 * a1 * a2 * c2 + 8 * c0 * a2 ** 3 - 4 * a1 * c1 * a2 * a2 - a1 ** 4)
+         * (-16 * a2 ** 4).invert(), _pole(a1 * (2 * a2).invert())),   # A3 general
     ]
 
 
-@pytest.mark.parametrize("site", range(9))
+@pytest.mark.parametrize("site", range(10))
 def test_squared_pole_factor_equals_expanded_square(site):
     c, base = _squared_pole_sites()[site]
     assert _inv_square(c, base) == XRat.from_ratio(XPoly.const(c), base * base)
