@@ -9,7 +9,6 @@ method, and extends the machinery to matrix-valued operators.
 
 from .exact import (
     MPoly,
-    Param,
     ParamScalar,
     Rat,
     declare_param,
@@ -29,7 +28,6 @@ from .diffop import (
 )
 from .adcond import (
     ConditionReport,
-    SpectrumStep,
     WeightVector,
     ad_power,
     ad_tower,

@@ -10,10 +10,10 @@ expands the conjugation series e^{tL} Theta e^{-tL}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import modp
-from .exact import PS_ONE, PS_ZERO, ParamScalar, Rat, ExactError, nullspace
+from .exact import EXP_MAX, PS_ONE, PS_ZERO, ParamScalar, Rat, ExactError, nullspace
 from .diffop import (
     DiffOp,
     XPoly,
@@ -35,18 +35,6 @@ def as_operator(theta) -> DiffOp:
     if isinstance(theta, XRat):
         return DiffOp.mul_by(theta)
     return DiffOp.mul_by(XRat.const(theta))
-
-
-@dataclass(frozen=True)
-class SpectrumStep:
-    """Spacing s of a linear operator spectrum lambda_n = s*n."""
-
-    s: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", Rat(self.s))
-        if not self.s:
-            raise ExactError("spectrum step must be nonzero")
 
 
 class WeightVector:
@@ -113,13 +101,11 @@ class WeightVector:
         return f"WeightVector({self})"
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport", "holds residual assumptions",
+                                  defaults=((),))):
     """Outcome of one identity check: holds iff the residual operator is zero."""
 
-    holds: bool
-    residual: DiffOp
-    assumptions: list = field(default_factory=list)
+    __slots__ = ()
 
 
 def ad_power(op: DiffOp, theta, j: int) -> DiffOp:
@@ -160,12 +146,14 @@ def ad_tower(op: DiffOp, theta, up_to: int) -> list:
 def reach_weights(n: int, step) -> WeightVector:
     """Weights of prod_{i=1..n}(ad^2 - (s*i)^2) * ad, for spectrum lambda_m = s*m.
 
-    The weight at order 2n+1-2m is (-1)^m times the m-th elementary symmetric
-    polynomial of {(s*i)^2 : i = 1..n}.
+    The step s is a nonzero rational value.  The weight at order 2n+1-2m is
+    (-1)^m times the m-th elementary symmetric polynomial of {(s*i)^2 : i = 1..n}.
     """
     if n < 1:
         raise ExactError("recursion ladder needs n >= 1")
-    s = step.s if isinstance(step, SpectrumStep) else SpectrumStep(step).s
+    s = Rat(step)
+    if not s:
+        raise ExactError("spectrum step must be nonzero")
     w = WeightVector({1: PS_ONE})
     for i in range(1, n + 1):
         w = w.quadratic_step((s * i) ** 2)
@@ -232,18 +220,15 @@ def _linear_rows(columns: list) -> list:
     return rows
 
 
-@dataclass
-class FitResult:
+class FitResult(namedtuple("FitResult", "vectors assumptions reports decided_by",
+                            defaults=((), "symbolic"))):
     """Weight vectors spanning all conditions supported on the given orders.
 
     ``decided_by`` is "mod-p" when a rank certificate proved that none exists,
     else "symbolic".
     """
 
-    vectors: list
-    assumptions: list
-    reports: list = field(default_factory=list)
-    decided_by: str = "symbolic"
+    __slots__ = ()
 
 
 def fit_weights(op: DiffOp, theta, orders) -> FitResult:
@@ -285,52 +270,45 @@ def fit_weights(op: DiffOp, theta, orders) -> FitResult:
     return FitResult(vectors, result.assumptions, reports)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(namedtuple("SolveResult", "thetas assumptions decided_by",
+                              defaults=("symbolic",))):
     """Polynomial eigenvalue functions solving a fixed ad-condition.
 
     ``decided_by`` is "mod-p" when a rank certificate proved that none exists,
     else "symbolic".
     """
 
-    thetas: list
-    assumptions: list
-    decided_by: str = "symbolic"
+    __slots__ = ()
 
 
 def solve_theta(op: DiffOp, w: WeightVector, deg_bound: int,
-                fix_zero: bool = True, monomial_towers: dict | None = None) -> SolveResult:
+                fix_zero: bool = True) -> SolveResult:
     """Basis of polynomials Theta of degree <= deg_bound with
     sum_j w_j ad op^j(Theta) = 0.
 
     Theta(0) = 0 is imposed by default (an additive constant never changes an
     ad-condition); pass fix_zero=False to include the constant direction.
-    Each A_j is linear in Theta, so columns are computed per monomial x^i;
-    ``monomial_towers`` may carry precomputed towers keyed by i.
+    Each A_j is linear in Theta, so columns are computed per monomial x^i.
+    A bound above EXP_MAX, the largest x-degree a polynomial can hold, raises
+    ExactError.
 
     First tries to prove that no Theta exists by a rank certificate mod p
     (:func:`modp.no_theta`), which needs no symbolic tower; the result then
-    has no thetas, no assumptions and ``decided_by == "mod-p"``, and
-    ``monomial_towers`` is left as it was.  Otherwise the monomial columns
-    go to the symbolic nullspace, and every Theta found is re-verified
-    exactly; a Theta in one parameter is primitive (no spurious factor).
+    has no thetas, no assumptions and ``decided_by == "mod-p"``.  Otherwise
+    the monomial columns go to the symbolic nullspace, and every Theta found
+    is re-verified exactly; a Theta in one parameter is primitive (no
+    spurious factor).
     """
     if deg_bound < 1:
         raise ExactError("degree bound must be >= 1")
+    if deg_bound > EXP_MAX:
+        raise ExactError(f"degree bound {deg_bound} exceeds the largest x-degree {EXP_MAX}")
     low = 1 if fix_zero else 0
     degrees = list(range(low, deg_bound + 1))
     if modp.no_theta(op, w, degrees):
         return SolveResult([], [], decided_by="mod-p")
-    top = w.top_order
-    columns = []
-    for i in degrees:
-        if monomial_towers is not None and i in monomial_towers and len(monomial_towers[i]) > top:
-            tower = monomial_towers[i]
-        else:
-            tower = ad_tower(op, XPoly.monomial(i), top)
-            if monomial_towers is not None:
-                monomial_towers[i] = tower
-        columns.append(residual_from_tower(tower, w))
+    columns = [residual_from_tower(ad_tower(op, XPoly.monomial(i), w.top_order), w)
+               for i in degrees]
     rows = _linear_rows(columns)
     result = nullspace(rows)
     thetas = []
@@ -361,8 +339,8 @@ def proportionality(a: DiffOp, b: DiffOp):
     return None
 
 
-@dataclass
-class HeisenbergReport:
+class HeisenbergReport(namedtuple("HeisenbergReport", "powers relations rate "
+                                   "closed_form_matches even_chain_matches")):
     """Expansion data for e^{tL} Theta e^{-tL} = sum t^j/j! A_j.
 
     ``relations`` holds every detected proportionality A_{j+2} = c_j A_j.
@@ -372,11 +350,7 @@ class HeisenbergReport:
     ``even_chain_matches[2i]`` records A_{2i} = rate^(i-1) * A_2 for i >= 1.
     """
 
-    powers: list
-    relations: list
-    rate: object
-    closed_form_matches: dict
-    even_chain_matches: dict
+    __slots__ = ()
 
 
 def heisenberg_series(op: DiffOp, theta, n: int) -> HeisenbergReport:

@@ -12,7 +12,7 @@ substitutes and verifies, and solves only the linear subproblems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact import ParamScalar, ExactError, nullspace
 from .diffop import DiffOp, XPoly, XRat
@@ -28,8 +28,8 @@ def build_V(theta: XPoly, p: XPoly) -> XRat:
     return XRat.from_ratio(p, dtheta).derivative()
 
 
-@dataclass
-class AnsatzSystem:
+class AnsatzSystem(namedtuple("AnsatzSystem", "weights theta_names p_names equations forced "
+                               "cleared theta_template p_template", defaults=(None, None))):
     """Polynomial system in the coefficients of Theta and P.
 
     ``equations`` are MPoly values that must all vanish; ``forced`` lists the
@@ -38,14 +38,7 @@ class AnsatzSystem:
     removed from the residual (a Theta' != 0 genericity assumption).
     """
 
-    weights: WeightVector
-    theta_names: list
-    p_names: list
-    equations: list
-    forced: list
-    cleared: str
-    theta_template: XPoly = None
-    p_template: XPoly = None
+    __slots__ = ()
 
     @property
     def unknowns(self) -> list:

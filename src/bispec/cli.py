@@ -15,7 +15,6 @@ from types import SimpleNamespace
 from .exact import ExactError, Rat, check_param_name
 from .diffop import DiffOp, QuasiRat, XPoly, XRat
 from .adcond import (
-    SpectrumStep,
     WeightVector,
     ad_power,
     fit_weights,
@@ -211,7 +210,7 @@ def _cmd_solve_theta(args) -> dict:
 
 
 def _cmd_reach_weights(args) -> dict:
-    w = reach_weights(args.n, SpectrumStep(_parse_step(args.step)))
+    w = reach_weights(args.n, _parse_step(args.step))
     verdicts = [_verdict(f"ladder weights for n={args.n}, step={args.step}", True,
                          weights=_render_weights(w))]
     return _report("reach-weights", {"n": args.n, "step": args.step}, verdicts, [])

@@ -8,7 +8,7 @@ w = (log psi)' serves as an independent exactness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact import ExactError
 from .diffop import DiffOp, QuasiRat, XRat, compose, eigen_ratio, equals
@@ -22,14 +22,10 @@ class DarbouxError(ExactError):
         self.residual = residual
 
 
-@dataclass
-class DarbouxStep:
+class DarbouxStep(namedtuple("DarbouxStep", "seed eigenvalue input_v output_v")):
     """Record of one transformation: V_out = V_in - 2*(log seed)''."""
 
-    seed: QuasiRat
-    eigenvalue: object
-    input_v: XRat
-    output_v: XRat
+    __slots__ = ()
 
 
 def darboux_step(op: DiffOp, seed: QuasiRat) -> tuple:

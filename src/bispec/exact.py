@@ -42,7 +42,7 @@ polynomial zero testing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from fractions import Fraction as Rat
 
@@ -130,18 +130,6 @@ class ParamRegistry:
 PARAMS = ParamRegistry()
 
 
-@dataclass(frozen=True)
-class Param:
-    """A named scalar parameter; ``relation`` is the integer value of its square, if any.
-
-    An integer value loses no field: a root of a/q is sqrt(a*q)/q, so a
-    parameter with the relation a*q covers it.
-    """
-
-    name: str
-    relation: object = None
-
-
 def check_param_name(name: str) -> None:
     """Raise ExactError unless ``name`` can name a parameter."""
     if not name.isidentifier():
@@ -154,16 +142,17 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def declare_param(name: str, relation=None) -> Param:
+def declare_param(name: str, relation=None) -> None:
     """Register a parameter name, optionally with a quadratic relation p**2 = relation.
 
-    The relation value must be an integer (see Param); any other value raises
-    ExactError.  Re-declaring a name is allowed only with the identical
-    relation.  A new relation value r is rejected when r times a product of
-    declared relation values (the empty product included) is a square: p
-    would then be a product of the other roots up to a rational, and p minus
-    that product a zero divisor.  Relations that pass keep the coefficient ring a
-    field of degree 2**n over Q(free parameters).  A relation is also
+    The relation value must be an integer; any other value raises
+    ExactError.  An integer loses no field: a root of a/q is sqrt(a*q)/q, so
+    the relation a*q covers it.  Re-declaring a name is allowed only with the
+    identical relation.  A new relation value r is rejected when r times a
+    product of declared relation values (the empty product included) is a
+    square: p would then be a product of the other roots up to a rational,
+    and p minus that product a zero divisor.  Relations that pass keep the
+    coefficient ring a field of degree 2**n over Q(free parameters).  A relation is also
     refused for a name already in use as a free parameter: live values may
     hold it squared, which a relation-bearing field cannot.
     """
@@ -189,7 +178,6 @@ def declare_param(name: str, relation=None) -> Param:
         PARAMS.add_relation(name, rel)
     elif old != rel:
         raise ExactError(f"parameter {name!r} already declared with relation {old}")
-    return Param(name, rel)
 
 
 def relation_of(name: str):
@@ -1184,15 +1172,10 @@ PS_ONE = ParamScalar.const(1)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NullspaceResult:
+class NullspaceResult(namedtuple("NullspaceResult", "basis assumptions")):
     """Right-nullspace basis plus the generic-nonvanishing pivot assumptions."""
 
-    basis: list
-    assumptions: list
-
-    def __iter__(self):
-        return iter((self.basis, self.assumptions))
+    __slots__ = ()
 
 
 def nullspace(matrix) -> NullspaceResult:

@@ -28,7 +28,7 @@ CLI:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exact import PS_ONE, ParamScalar, Rat, ExactError
@@ -47,21 +47,18 @@ from .matrixop import (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(namedtuple("CatalogEntry", "id kind operator theta condition provenance "
+                               "parameters tau expect_holds notes",
+                               defaults=((), None, True, ""))):
     """One verifiable claim: an operator, an eigenvalue function, a weight
-    vector (or matrix condition), and where the data comes from."""
+    vector (or matrix condition), and where the data comes from.
 
-    id: str
-    kind: str                      # "scalar" | "matrix"
-    operator: object               # DiffOp | MatDiffOp
-    theta: object                  # XPoly | None (matrix theta lives in condition)
-    condition: object              # WeightVector | MatCondition
-    provenance: str
-    parameters: tuple = ()
-    tau: object = None             # XPoly | None
-    expect_holds: bool = True
-    notes: str = ""
+    ``kind`` is "scalar" or "matrix"; ``operator`` a DiffOp or MatDiffOp;
+    ``theta`` an XPoly, or None when the matrix theta lives in the condition;
+    ``condition`` a WeightVector or MatCondition; ``tau`` an XPoly or None.
+    """
+
+    __slots__ = ()
 
 
 _K = ParamScalar.var("k")

@@ -22,7 +22,7 @@ determines it empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact import ExactError
 from .diffop import DiffOp, XRat, XR_ZERO, _coerce_xrat, compose
@@ -216,21 +216,18 @@ def mat_ad_tower(op: MatDiffOp, theta: MatDiffOp, up_to: int) -> list:
     return tower
 
 
-@dataclass
-class MatCondition:
+class MatCondition(namedtuple("MatCondition", "terms theta")):
     """sum over terms (j, M_j) of ad L^j(theta) composed with the constant
     right factor M_j; theta is an order-0 operator."""
 
-    terms: list
-    theta: MatDiffOp
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ExactError("matrix condition needs at least one term")
+    __slots__ = ()
 
 
 def verify_matrix_condition(op: MatDiffOp, cond: MatCondition) -> ConditionReport:
-    """Exact check of sum_j (ad op^j(theta) o M_j) = 0."""
+    """Exact check of sum_j (ad op^j(theta) o M_j) = 0; a condition without
+    terms raises ExactError."""
+    if not cond.terms:
+        raise ExactError("matrix condition needs at least one term")
     theta = cond.theta.with_side(op.action_side)
     tower = mat_ad_tower(op, theta, max(j for j, _ in cond.terms))
     parts = [tower[j].right_factor(m) for j, m in cond.terms]

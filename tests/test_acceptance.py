@@ -117,7 +117,6 @@ def test_criterion_07_chain_conditions_and_weight_determination():
         # step 2: the determination is the artifact.  With the frozen theta the
         # fitted weight space is exactly the product-formula vector...
         step2 = laguerre_catalog(2)
-        towers = {}
         fitted = fit_weights(step2.operator, step2.theta, [7, 5, 3, 1])
         assert len(fitted.vectors) == 1
         resolved = fitted.vectors[0].monic()
@@ -127,11 +126,9 @@ def test_criterion_07_chain_conditions_and_weight_determination():
         # -36 admits exactly one ray
         assert not verify_condition(step2.operator, step2.theta,
                                     STEP2_WEIGHTS_PRINTED).holds
-        none_printed = solve_theta(step2.operator, STEP2_WEIGHTS_PRINTED, 6,
-                                   monomial_towers=towers)
+        none_printed = solve_theta(step2.operator, STEP2_WEIGHTS_PRINTED, 6)
         assert none_printed.thetas == []
-        one_product = solve_theta(step2.operator, reach_weights(3, 1), 6,
-                                  monomial_towers=towers)
+        one_product = solve_theta(step2.operator, reach_weights(3, 1), 6)
         assert len(one_product.thetas) == 1
         print("        step-2 A_1 weight: -36 (ladder product formula), "
               "not -34 (as printed with the two-step display)")

@@ -3,7 +3,6 @@ import pytest
 from bispec.exact import ExactError, ParamScalar, Rat
 from bispec.diffop import DiffOp, XPoly, XRat, commutator, equals, schrodinger_commutator
 from bispec.adcond import (
-    SpectrumStep,
     WeightVector,
     ad_power,
     ad_tower,
@@ -86,13 +85,13 @@ def elementary_symmetric(values, m):
     (4, 2, {9: 1, 7: -120, 5: 4368, 3: -52480, 1: 147456}),
 ])
 def test_reach_weights(n, s, expected):
-    assert reach_weights(n, SpectrumStep(s)) == WeightVector(expected)
+    assert reach_weights(n, s) == WeightVector(expected)
 
 
 @pytest.mark.parametrize("n,s", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 3)])
 def test_reach_weights_elementary_symmetric_oracle(n, s):
     # independent oracle: expand prod (z - (s i)^2) by elementary symmetric sums
-    w = reach_weights(n, SpectrumStep(s))
+    w = reach_weights(n, s)
     squares = [Rat(s * i) ** 2 for i in range(1, n + 1)]
     for m in range(n + 1):
         order = 2 * n + 1 - 2 * m

@@ -206,12 +206,16 @@ _USAGE_ERRORS = [
 @pytest.mark.parametrize("argv", [
     ["reach-weights", "--n", "2", "--step", "abc"],
     ["reach-weights", "--n", "2", "--step", "1/0"],
+    ["reach-weights", "--n", "2", "--step", "0"],
+    ["reach-weights", "--n", "0"],
+    ["hermite-new-weights", "--k", "-1"],
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,x"],
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,-1"],
     ["ad", "--L", "k^40000*x^2", "--param", "k", "--theta", "x", "--j", "1"],
     ["solve-theta", "--L", "x^2 + 2/x^2", "--weights", "3:1,1:-16,1:5", "--deg", "3"],
     ["fit-weights", "--L", "x^2", "--theta", "5", "--orders", "3,1"],  # theta without x
     ["fit-weights", "--L", "x^2", "--theta", "0", "--orders", "2,0"],
+    ["solve-theta", "--L", "x^2", "--weights", "2:1,0:-4", "--deg", "40000"],  # > EXP_MAX
 ] + [argv for argv, _ in _USAGE_ERRORS])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -294,10 +298,11 @@ def test_cli_help_and_import_in_a_fresh_process():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert all(f"  {name} " in proc.stdout for name in cli.COMMANDS) and len(cli.COMMANDS) == 11
-    probe = "import sys, bispec.cli; print('argparse' in sys.modules)"
+    probe = ("import sys, bispec.cli; "
+             "print([m for m in ('argparse', 'dataclasses', 'inspect') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 def test_cli_main_exit_codes(capsys):

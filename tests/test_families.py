@@ -84,10 +84,9 @@ def test_laguerre_step0_potential():
 def test_step2_weight_discrepancy_is_resolved_by_solve_theta():
     # printed -34 admits no eigenvalue polynomial; -36 admits exactly one ray
     entry = laguerre_catalog(2)
-    towers = {}
-    empty = solve_theta(entry.operator, STEP2_WEIGHTS_PRINTED, 6, monomial_towers=towers)
+    empty = solve_theta(entry.operator, STEP2_WEIGHTS_PRINTED, 6)
     assert empty.thetas == [] and empty.assumptions == []
-    good = solve_theta(entry.operator, reach_weights(3, 1), 6, monomial_towers=towers)
+    good = solve_theta(entry.operator, reach_weights(3, 1), 6)
     assert len(good.thetas) == 1
     # the pivots' zero sets, once each: k = 0 and k^2 = 4
     assert [str(a) for a in good.assumptions] == ["k", "k^2 - 4"]

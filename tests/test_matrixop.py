@@ -8,6 +8,7 @@ from bispec.diffop import DiffOp, XPoly, XRat, commutator as scalar_commutator, 
 from bispec.matrixop import (
     MatCondition,
     MatDiffOp,
+    convention_probe,
     mat_ad_tower,
     mat_commutator,
     mat_compose,
@@ -117,6 +118,15 @@ def test_hermite_condition_family_and_independence():
             terms=[(2, mat), (0, [[-4 * v for v in row] for row in mat])],
             theta=theta_x())
         assert verify_matrix_condition(op, cond).holds
+
+
+def test_matrix_condition_without_terms_rejected():
+    op = hermite_matrix_op()
+    empty = MatCondition([], theta_x())
+    with pytest.raises(ExactError, match="at least one term"):
+        verify_matrix_condition(op, empty)
+    with pytest.raises(ExactError, match="at least one term"):
+        convention_probe(op, empty)
 
 
 def test_right_factor_composition_associative():
