@@ -146,8 +146,9 @@ def ad_tower(op: DiffOp, theta, up_to: int) -> list:
 def reach_weights(n: int, step) -> WeightVector:
     """Weights of prod_{i=1..n}(ad^2 - (s*i)^2) * ad, for spectrum lambda_m = s*m.
 
-    The step s is a nonzero rational value.  The weight at order 2n+1-2m is
-    (-1)^m times the m-th elementary symmetric polynomial of {(s*i)^2 : i = 1..n}.
+    The weight at order 2n+1-2m is (-1)^m times the m-th elementary symmetric
+    polynomial of {(s*i)^2 : i = 1..n}.  The step s is a rational value; zero
+    raises ExactError.
     """
     if n < 1:
         raise ExactError("recursion ladder needs n >= 1")

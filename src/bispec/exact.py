@@ -145,14 +145,14 @@ def _is_square(n: int) -> bool:
 def declare_param(name: str, relation=None) -> None:
     """Register a parameter name, optionally with a quadratic relation p**2 = relation.
 
-    The relation value must be an integer; any other value raises
-    ExactError.  An integer loses no field: a root of a/q is sqrt(a*q)/q, so
-    the relation a*q covers it.  Re-declaring a name is allowed only with the
-    identical relation.  A new relation value r is rejected when r times a
-    product of declared relation values (the empty product included) is a
-    square: p would then be a product of the other roots up to a rational,
-    and p minus that product a zero divisor.  Relations that pass keep the
-    coefficient ring a field of degree 2**n over Q(free parameters).  A relation is also
+    The relation value must be an integer, which loses no field (a root of
+    a/q is sqrt(a*q)/q, so the relation a*q covers it); any other value raises
+    ExactError.  Re-declaring a name is allowed only with the identical
+    relation.  A new relation value r is rejected when r times a product of
+    declared relation values (the empty product included) is a square: p
+    would then be a product of the other roots up to a rational, and p minus
+    that product a zero divisor.  Relations that pass keep the coefficient ring a
+    field of degree 2**n over Q(free parameters).  A relation is also
     refused for a name already in use as a free parameter: live values may
     hold it squared, which a relation-bearing field cannot.
     """
