@@ -101,9 +101,16 @@ class WeightVector:
         return f"WeightVector({self})"
 
 
-class ConditionReport(namedtuple("ConditionReport", "holds residual assumptions",
-                                  defaults=((),))):
-    """Outcome of one identity check: holds iff the residual operator is zero."""
+class ConditionReport(namedtuple("ConditionReport",
+                                  "holds residual assumptions decided_by witness",
+                                  defaults=((), "symbolic", None))):
+    """Outcome of one identity check: holds iff the residual operator is zero.
+
+    ``decided_by`` is "symbolic" when the residual was expanded, and "mod-p"
+    when a nonzero image of it proved the identity false; such a report has
+    no residual but a ``witness`` dict (see ``modp.condition_witness`` and
+    ``matrixop.matrix_condition_witness``).
+    """
 
     __slots__ = ()
 

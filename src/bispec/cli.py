@@ -99,8 +99,10 @@ def _theta_from(args, entry):
 
 
 def _verdict(claim: str, holds: bool, residual="", assumptions=(), **extra) -> dict:
-    v = {"claim": claim, "holds": bool(holds), "residual": str(residual),
-         "assumptions": [str(a) for a in assumptions]}
+    """One verdict; a ``residual`` of None leaves the key out."""
+    v = {"claim": claim, "holds": bool(holds), "assumptions": [str(a) for a in assumptions]}
+    if residual is not None:
+        v["residual"] = str(residual)
     v.update(extra)
     return v
 
@@ -146,7 +148,10 @@ def _cmd_verify(args) -> dict:
         report = verify_entry(entry)
         provenance.append(f"{cid}: {entry.provenance}")
         extra = {"expected_to_hold": entry.expect_holds,
-                 "matches_expectation": report.holds == entry.expect_holds}
+                 "matches_expectation": report.holds == entry.expect_holds,
+                 "decided_by": report.decided_by}
+        if report.witness is not None:
+            extra["witness"] = report.witness
         if entry.notes:
             extra["notes"] = entry.notes
         if args.all:

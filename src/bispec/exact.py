@@ -1408,11 +1408,15 @@ def render_mpoly(p: MPoly) -> str:
         neg = c < 0
         mag = -c if neg else c
         # the coefficient's magnitude mag/den in lowest terms
-        if den == 1:
-            text = str(mag)
-        else:
-            g = math.gcd(mag, den)
-            text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        try:
+            if den == 1:
+                text = str(mag)
+            else:
+                g = math.gcd(mag, den)
+                text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        except ValueError:
+            raise ExactError("a coefficient exceeds Python's limit on integer-string "
+                             "conversion") from None
         if not mono:
             body = text
         elif text == "1":

@@ -17,8 +17,18 @@ values; sums of those are rejected.
 
 from __future__ import annotations
 
-from .exact import ParamScalar, relation_of
+from .exact import ExactError, ParamScalar, relation_of
 from .diffop import QuasiRat, XPoly, XRat, XR_ONE
+
+
+def _int_literal(text: str) -> int:
+    """The value of a run of digits; ExactError past Python's limit on the
+    digits of a str-to-int conversion."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExactError(f"integer literal of {len(text)} digits exceeds Python's "
+                         "limit on integer-string conversion") from None
 
 
 class ParseError(ValueError):
@@ -167,7 +177,7 @@ class _Parser:
             return value
         if self.peek()[0] == "int":
             tok = self.take()
-            return _Value(xrat=XRat.const(int(tok[1])))
+            return _Value(xrat=XRat.const(_int_literal(tok[1])))
         tok = self.peek()
         if tok[0] == "name":
             return self.atom()
@@ -217,7 +227,7 @@ class _Parser:
         kind, textv, pos = tok
         if kind == "int":
             self.take()
-            return _Value(xrat=XRat.const(int(textv)))
+            return _Value(xrat=XRat.const(_int_literal(textv)))
         if kind == "(":
             self.take()
             value = self.expr()

@@ -31,10 +31,13 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
+from . import modp
 from .exact import PS_ONE, ParamScalar, Rat, ExactError
 from .diffop import DiffOp, QuasiRat, XPoly, XRat, _coerce_ps
 from .adcond import (
+    ConditionReport,
     WeightVector,
+    as_operator,
     hermite_new_weights,
     reach_weights,
     verify_condition,
@@ -43,6 +46,7 @@ from .matrixop import (
     MatCondition,
     MatDiffOp,
     convention_probe,
+    matrix_condition_witness,
     verify_matrix_condition,
 )
 
@@ -608,7 +612,20 @@ def get_entry(entry_id: str) -> CatalogEntry:
 
 def verify_entry(entry: CatalogEntry):
     """Run the entry's own condition; returns an ``adcond.ConditionReport``
-    for scalar and matrix entries alike."""
+    for scalar and matrix entries alike.
+
+    The residual is first evaluated at one point of GF(p) (``modp``): a
+    nonzero image proves that the condition fails, and the report then has
+    ``decided_by == "mod-p"``, the witness and no residual.  Otherwise the
+    symbolic check decides, and it alone may say that the condition holds.
+    """
+    if entry.kind == "scalar":
+        witness = modp.condition_witness(entry.operator, as_operator(entry.theta),
+                                         entry.condition)
+    else:
+        witness = matrix_condition_witness(entry.operator, entry.condition)
+    if witness is not None:
+        return ConditionReport(False, None, decided_by="mod-p", witness=witness)
     if entry.kind == "scalar":
         return verify_condition(entry.operator, entry.theta, entry.condition)
     return verify_matrix_condition(entry.operator, entry.condition)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exact import ExactError
+from . import modp
+from .exact import ExactError, MOD_P
 from .diffop import DiffOp, XRat, XR_ZERO, _coerce_xrat, compose
 from .adcond import ConditionReport
 
@@ -113,6 +114,75 @@ class MatCoeff:
 
     def reduced(self) -> "MatCoeff":
         return self._map(lambda x: x.reduced())
+
+
+class JetCoeff(MatCoeff):
+    """Square matrix of Taylor jets in e = x - x0 over GF(MOD_P), the
+    coefficient of a matrix operator's image at one point (see
+    :func:`matrix_condition_witness`).
+
+    An entry is a list of ints, reduced mod p only by :meth:`reduced` (which
+    ``mat_ad_tower`` calls once per step), or None for a zero jet.  Every
+    entry is exact to its first ``n`` terms: a sum or product is good to the
+    shorter operand's ``n``, and a derivative to one term less.  Products
+    keep the order of ``MatCoeff.__mul__``; a product with the identity
+    (``unit``) is the other factor.
+    """
+
+    __slots__ = ("n", "unit", "_deriv")
+
+    def __init__(self, rows: list, side: str, n: int, unit: bool = False):
+        self.rows = rows
+        self.side = side
+        self.n = n
+        self.unit = unit
+        self._deriv = None
+
+    def is_zero(self) -> bool:
+        return not any(x % MOD_P for row in self.rows for jet in row if jet for x in jet)
+
+    def __add__(self, other: "JetCoeff") -> "JetCoeff":
+        return JetCoeff([[b if a is None else a if b is None else [x + y for x, y in zip(a, b)]
+                          for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+                        self.side, min(self.n, other.n))
+
+    def __neg__(self) -> "JetCoeff":
+        return self * -1
+
+    def __mul__(self, other) -> "JetCoeff":
+        if not isinstance(other, JetCoeff):
+            return JetCoeff([[jet and [x * other for x in jet] for jet in row] for row in self.rows],
+                            self.side, self.n)
+        n = min(self.n, other.n)
+        if self.unit or other.unit:
+            return JetCoeff((other if self.unit else self).rows, self.side, n)
+        x, y = (self.rows, other.rows) if self.side == "left" else (other.rows, self.rows)
+        out = []
+        for xi in x:
+            oi = [None] * len(xi)
+            for xit, yt in zip(xi, y):
+                if xit:
+                    for q, ytq in enumerate(yt):
+                        if ytq:
+                            acc = oi[q]
+                            if acc is None:
+                                acc = oi[q] = [0] * n
+                            modp._mul_into(acc, xit, ytq, 1)
+            out.append(oi)
+        return JetCoeff(out, self.side, n)
+
+    def derivative(self) -> "JetCoeff":
+        if self._deriv is None:
+            rows = [[jet and [i * jet[i] for i in range(1, len(jet))] for jet in row]
+                    for row in self.rows]
+            self._deriv = JetCoeff([[jet if jet and any(jet) else None for jet in row]
+                                    for row in rows], self.side, self.n - 1)
+        return self._deriv
+
+    def reduced(self) -> "JetCoeff":
+        rows = [[jet and [x % MOD_P for x in jet] for jet in row] for row in self.rows]
+        return JetCoeff([[jet if jet and any(jet) else None for jet in row] for row in rows],
+                        self.side, self.n)
 
 
 class MatDiffOp(DiffOp):
@@ -233,6 +303,78 @@ def verify_matrix_condition(op: MatDiffOp, cond: MatCondition) -> ConditionRepor
     parts = [tower[j].right_factor(m) for j, m in cond.terms]
     residual = sum(parts[1:], parts[0])
     return ConditionReport(residual.is_zero(), residual)
+
+
+def _images(rows):
+    """The images mod p (``modp._image``) of a matrix's entries, or None when
+    one is undefined."""
+    out = [[modp._image(x) for x in row] for row in rows]
+    return None if any(img is None for row in out for img in row) else out
+
+
+def _jet_coeff(images: list, x0: int, n: int, side: str):
+    """The JetCoeff of length n at x0 of the matrix with entry ``images``, or
+    None when a denominator vanishes at x0."""
+    rows = [[modp._jet(img, x0, n) for img in row] for row in images]
+    if any(jet is None for row in rows for jet in row):
+        return None
+    unit = [1] + [0] * (n - 1)
+    return JetCoeff([[jet if any(jet) else None for jet in row] for row in rows], side, n,
+                    all(jet == unit if i == k else not any(jet)
+                        for i, row in enumerate(rows) for k, jet in enumerate(row)))
+
+
+def matrix_condition_witness(op: MatDiffOp, cond: MatCondition):
+    """A witness that sum_j (ad op^j(theta) o M_j) is not zero under op's
+    action side: the point of ``modp`` and the lowest derivative order r, then
+    matrix entry (i, k), whose image is nonzero there.  None means undecided,
+    and so does a condition that :func:`verify_matrix_condition` rejects (no
+    terms, or theta not of order 0).
+
+    The tower is :func:`mat_ad_tower` itself, on the operators whose
+    coefficients are the JetCoeffs of op's and theta's at x0, of length
+    ord(op) * top + 1: each step uses up ord(op) jet terms, and A_top arrives
+    as its value.  The factor M_j multiplies each coefficient from the right
+    on both sides, as in :meth:`MatDiffOp.right_factor`.
+    """
+    theta = cond.theta
+    if not cond.terms or theta.order() > 0:
+        return None
+    factors = [(j, _as_xrat_matrix(m)) for j, m in cond.terms]
+    op_images = {r: _images(c.rows) for r, c in op.coeffs.items()}
+    theta_images = {r: _images(c.rows) for r, c in theta.coeffs.items()}
+    factor_images = [(j, _images(m)) for j, m in factors]
+    if any(img is None for img in (*op_images.values(), *theta_images.values(),
+                                   *(img for _, img in factor_images))):
+        return None
+    top = max(j for j, _ in factors)
+    n = max(op.order(), 0) * top + 1
+    side = op.action_side
+    for x0 in modp._points():
+        op_jets = {r: _jet_coeff(img, x0, n, side) for r, img in op_images.items()}
+        theta_jets = {r: _jet_coeff(img, x0, n, side) for r, img in theta_images.items()}
+        values = [(j, _jet_coeff(img, x0, 1, side)) for j, img in factor_images]
+        if not any(c is None for c in (*op_jets.values(), *theta_jets.values(),
+                                       *(c for _, c in values))):
+            break
+    tower = mat_ad_tower(op._like(op_jets), op._like(theta_jets), top)
+    residual: dict = {}
+    for j, m in values:
+        for r, c in tower[j].coeffs.items():
+            # right_factor's product c M_j, on either side, is the left-action one
+            term = JetCoeff(c.rows, "left", c.n) * m
+            residual[r] = term + residual[r] if r in residual else term
+    for r in sorted(residual):
+        for i, row in enumerate(residual[r].rows):
+            for k, jet in enumerate(row):
+                if jet and jet[0] % MOD_P:
+                    rats = [x for rows in (*(c.rows for c in op.coeffs.values()),
+                                           *(c.rows for c in theta.coeffs.values()),
+                                           *(m for _, m in factors))
+                            for row in rows for x in row]
+                    return modp._witness(x0, rats, (), order=r, entry=[i, k],
+                                         image=jet[0] % MOD_P)
+    return None
 
 
 def convention_probe(op: MatDiffOp, cond: MatCondition) -> dict:

@@ -216,7 +216,12 @@ _USAGE_ERRORS = [
     ["fit-weights", "--L", "x^2", "--theta", "5", "--orders", "3,1"],  # theta without x
     ["fit-weights", "--L", "x^2", "--theta", "0", "--orders", "2,0"],
     ["solve-theta", "--L", "x^2", "--weights", "2:1,0:-4", "--deg", "40000"],  # > EXP_MAX
-] + [argv for argv, _ in _USAGE_ERRORS])
+] + [argv for argv, _ in _USAGE_ERRORS] + [
+    # over Python's 4 300-digit limit on integer-string conversion: parsing,
+    # and printing the square
+    ["ad", "--L", "x^2", "--theta", "1" * 4400 + "*x", "--j", "1"],
+    ["ad", "--L", "x^2", "--theta", "7" * 2200 + "^2*x", "--j", "1"],
+])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2
     payload = json.loads(capsys.readouterr().out)
@@ -303,6 +308,22 @@ def test_cli_help_and_import_in_a_fresh_process():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("entry_id", ["laguerre-step:3", "matrix:laguerre:1a-printed"])
+def test_cli_refutation_is_the_same_in_every_process(entry_id):
+    # the witness must not depend on set or dict order, so on the hash seed
+    outputs = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+               "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-m", "bispec.cli", "verify", entry_id],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    (verdict,) = json.loads(outputs[0])["verdicts"]
+    assert verdict["decided_by"] == "mod-p" and verdict["witness"]["image"]
 
 
 def test_cli_main_exit_codes(capsys):

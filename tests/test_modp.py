@@ -1,13 +1,32 @@
-"""Rank certificates mod p (bispec.modp) and the ``decided_by`` verdicts of
-fit_weights and solve_theta."""
+"""Rank certificates mod p (bispec.modp), the ``decided_by`` verdicts of
+fit_weights and solve_theta, and the witnesses that refute a failing
+condition in ``verify``."""
 
 import random
 
+import pytest
+
 from bispec import cli, modp
-from bispec.exact import MOD_P, ParamScalar
+from bispec.exact import MOD_P, ParamScalar, mod_p_residue
 from bispec.diffop import DiffOp, XPoly, XRat
-from bispec.adcond import WeightVector, ad_tower, as_operator, fit_weights, solve_theta
-from bispec.families import catalog_ids, get_entry
+from bispec.adcond import (
+    WeightVector,
+    ad_tower,
+    as_operator,
+    fit_weights,
+    solve_theta,
+    verify_condition,
+)
+from bispec.matrixop import (
+    JetCoeff,
+    MatDiffOp,
+    _images,
+    _jet_coeff,
+    mat_ad_tower,
+    matrix_condition_witness,
+    verify_matrix_condition,
+)
+from bispec.families import catalog_ids, get_entry, verify_entry
 
 N_INSTANCES = 100
 K = ParamScalar.var("k")
@@ -143,3 +162,159 @@ def test_pole_at_a_point_is_skipped():
     assert modp._tower_at(modp._image(v), a_images, x0, 2) is None
     op = DiffOp.schrodinger(v)
     assert modp.no_weights(op, as_operator(XPoly.x()), [2, 1, 0])
+
+
+FIRST_POINT = pow(2, 65537, MOD_P)
+
+
+def _horner(images: list, x0: int) -> int:
+    acc = 0
+    for c in reversed(images):
+        acc = (acc * x0 + c) % MOD_P
+    return acc
+
+
+def _image_at(f: XRat, x0: int) -> int:
+    """f at x = x0 in GF(p), from the images of the coefficients of its
+    expanded numerator and denominator (``x_images_mod``), by Horner's rule."""
+    def at(p: XPoly) -> int:
+        return _horner(p.num.x_images_mod(p.den.evaluate_mod()), x0)
+
+    return at(f.num) * pow(at(f.den), -1, MOD_P) % MOD_P
+
+
+def test_scalar_witness_is_the_symbolic_residual_mod_p():
+    entry = get_entry("laguerre-step:2")
+    witness = modp.condition_witness(entry.operator, as_operator(entry.theta),
+                                     entry.condition)
+    residual = verify_condition(entry.operator, entry.theta, entry.condition).residual
+    assert witness["prime"] == MOD_P and witness["x0"] == FIRST_POINT
+    assert witness["parameters"] == {"k": mod_p_residue("k")}
+    r = witness["order"]
+    assert witness["image"] == _image_at(residual.coeff(r), FIRST_POINT) != 0
+    # the witness names the lowest order with a nonzero image
+    assert all(_image_at(residual.coeff(s), FIRST_POINT) == 0
+               for s in residual.coeffs if s < r)
+
+
+def test_random_scalar_witnesses_match_the_symbolic_residual():
+    # oracle: the witness names the lowest order whose residual coefficient
+    # has a nonzero image at its point, and there is none exactly when every
+    # image there is zero
+    rng = random.Random(22)
+    refuted = 0
+    for idx in range(30):
+        v = _random_potential(rng, ["polynomial", "rational", "parametric"][idx % 3])
+        theta = _random_poly(rng, rng.randint(1, 3), rng.random() < 0.5)
+        op = DiffOp.schrodinger(v)
+        w = WeightVector({j: rng.randint(-3, 3) or 1 for j in rng.sample(range(5), 2)})
+        witness = modp.condition_witness(op, as_operator(theta), w)
+        residual = verify_condition(op, theta, w).residual
+        x0 = FIRST_POINT if witness is None else witness["x0"]
+        images = {r: _image_at(residual.coeff(r), x0) for r in residual.coeffs}
+        if witness is None:
+            assert not any(images.values())
+            continue
+        refuted += 1
+        r = witness["order"]
+        assert witness["image"] == images[r] != 0
+        assert not any(images[s] for s in images if s < r)
+    assert refuted > 20
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_matrix_witness_is_the_symbolic_residual_mod_p(side):
+    entry = get_entry("matrix:laguerre:1a-printed")
+    op = entry.operator.with_side(side)
+    witness = matrix_condition_witness(op, entry.condition)
+    residual = verify_matrix_condition(op, entry.condition).residual
+    assert witness["x0"] == FIRST_POINT and witness["parameters"] == {"a": mod_p_residue("a")}
+    i, k = witness["entry"]
+    assert witness["image"] == _image_at(residual.coeff(witness["order"])[i][k],
+                                         FIRST_POINT) != 0
+
+
+def _random_matrix(rng, size, deg, rational):
+    def entry():
+        if rng.random() < 0.3:
+            return XRat.const(0)
+        f = XRat.from_poly(XPoly.from_list([rng.randint(-4, 4) for _ in range(deg + 1)]))
+        if rational and rng.random() < 0.5:
+            f = f + XRat.from_ratio(XPoly.const(rng.randint(1, 3)),
+                                    XPoly.from_list([rng.randint(1, 5), 1]))
+        return f
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_matrix_jet_tower_matches_the_symbolic_tower(side):
+    # oracle: mat_ad_tower on operators with JetCoeff coefficients gives the
+    # images of the symbolic tower's coefficients, under either action side
+    rng = random.Random(22)
+    for size in (1, 2, 3):
+        for _ in range(4):
+            identity = [[XRat.const(int(i == k)) for k in range(size)] for i in range(size)]
+            top = identity if rng.random() < 0.5 else _random_matrix(rng, size, 0, False)
+            op = MatDiffOp({2: top, 1: _random_matrix(rng, size, 1, False),
+                            0: _random_matrix(rng, size, 2, True)}, size, side)
+            theta = MatDiffOp({0: _random_matrix(rng, size, 2, False)}, size, side)
+            steps = rng.randint(1, 3)
+            n = max(op.order(), 0) * steps + 1
+            x0 = rng.randrange(2, MOD_P)
+            jets = mat_ad_tower(
+                op._like({r: _jet_coeff(_images(c.rows), x0, n, side)
+                          for r, c in op.coeffs.items()}),
+                op._like({0: _jet_coeff(_images(theta.coeff(0).rows), x0, n, side)}), steps)
+            for sym, jet_op in zip(mat_ad_tower(op, theta, steps), jets):
+                for r in set(sym.coeffs) | set(jet_op.coeffs):
+                    jet_rows = jet_op.coeffs[r].rows if r in jet_op.coeffs else None
+                    for i, row in enumerate(sym.coeff(r).rows):
+                        for k, f in enumerate(row):
+                            jet = jet_rows[i][k] if jet_rows else None
+                            value = jet[0] % MOD_P if jet else 0
+                            assert value == _image_at(f, x0), (size, side, r, i, k)
+
+
+def test_jet_coeff_products_follow_the_action_side():
+    x0 = FIRST_POINT
+    a = _images([[XRat.const(1), XRat.const(2)], [XRat.const(0), XRat.const(3)]])
+    b = _images([[XRat.const(0), XRat.const(1)], [XRat.const(5), XRat.const(0)]])
+    for side, want in (("left", [[10, 1], [15, 0]]), ("right", [[0, 3], [5, 10]])):
+        prod = _jet_coeff(a, x0, 1, side) * _jet_coeff(b, x0, 1, side)
+        assert isinstance(prod, JetCoeff)
+        assert [[jet[0] if jet else 0 for jet in row] for row in prod.rows] == want
+
+
+def test_witness_skips_a_pole_at_the_first_point():
+    # V has a pole at the first point; [L, x] = -2D is refuted at the next one
+    v = XRat.from_ratio(XPoly.const(1), XPoly.from_list([-FIRST_POINT, 1]))
+    op = DiffOp.schrodinger(v)
+    witness = modp.condition_witness(op, as_operator(XPoly.x()), WeightVector({1: 1}))
+    assert witness["x0"] == pow(3, 65537, MOD_P)
+    assert (witness["order"], witness["image"]) == (1, MOD_P - 2)
+    assert witness["parameters"] == {}
+
+
+def test_only_the_flagged_failures_are_decided_mod_p():
+    report = cli.run(["verify", "--all"])
+    by_id = {v["claim"]: v for v in report["verdicts"]}
+    modp_ids = {cid for cid, v in by_id.items() if v["decided_by"] == "mod-p"}
+    assert modp_ids == {"laguerre-step:2", "laguerre-step:3", "matrix:laguerre:1a-printed"}
+    for cid, verdict in by_id.items():
+        assert verdict["matches_expectation"], cid
+        if verdict["decided_by"] == "mod-p":
+            assert "residual" not in verdict and not verdict["expected_to_hold"]
+            assert verdict["witness"]["image"] and verdict["witness"]["prime"] == MOD_P
+        else:
+            assert verdict["decided_by"] == "symbolic" and "witness" not in verdict
+            assert verdict["residual"] == "0" and verdict["expected_to_hold"], cid
+
+
+def test_relation_bearing_entries_never_reach_the_jets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a relation-bearing entry reached the jet tower")
+
+    monkeypatch.setattr(modp, "_tower_at", refuse)
+    for index in (6, 7, 9, 10):
+        report = verify_entry(get_entry(f"ansatz:A4-40A2+144A0:{index}"))
+        assert report.holds and report.decided_by == "symbolic" and report.witness is None
