@@ -329,7 +329,7 @@ def matrix_condition_witness(op: MatDiffOp, cond: MatCondition):
     action side: the point of ``modp`` and the lowest derivative order r, then
     matrix entry (i, k), whose image is nonzero there.  None means undecided,
     and so does a condition that :func:`verify_matrix_condition` rejects (no
-    terms, or theta not of order 0).
+    terms, theta not of order 0, or a factor of another size).
 
     The tower is :func:`mat_ad_tower` itself, on the operators whose
     coefficients are the JetCoeffs of op's and theta's at x0, of length
@@ -341,6 +341,8 @@ def matrix_condition_witness(op: MatDiffOp, cond: MatCondition):
     if not cond.terms or theta.order() > 0:
         return None
     factors = [(j, _as_xrat_matrix(m)) for j, m in cond.terms]
+    if any(len(m) != op.size for _, m in factors):
+        return None
     op_images = {r: _images(c.rows) for r, c in op.coeffs.items()}
     theta_images = {r: _images(c.rows) for r, c in theta.coeffs.items()}
     factor_images = [(j, _images(m)) for j, m in factors]

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from bispec import cli, modp
-from bispec.exact import MOD_P, ParamScalar, mod_p_residue
+from bispec.exact import MOD_P, ExactError, ParamScalar, mod_p_residue
 from bispec.diffop import DiffOp, XPoly, XRat
 from bispec.adcond import (
     WeightVector,
@@ -19,6 +19,7 @@ from bispec.adcond import (
 )
 from bispec.matrixop import (
     JetCoeff,
+    MatCondition,
     MatDiffOp,
     _images,
     _jet_coeff,
@@ -273,6 +274,16 @@ def test_matrix_jet_tower_matches_the_symbolic_tower(side):
                             jet = jet_rows[i][k] if jet_rows else None
                             value = jet[0] % MOD_P if jet else 0
                             assert value == _image_at(f, x0), (size, side, r, i, k)
+
+
+def test_conditions_the_symbolic_check_rejects_get_no_witness():
+    entry = get_entry("matrix:laguerre:1a-printed")
+    three = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for cond in (MatCondition([], entry.condition.theta),
+                 MatCondition([(1, three)], entry.condition.theta)):
+        assert matrix_condition_witness(entry.operator, cond) is None
+        with pytest.raises(ExactError):
+            verify_matrix_condition(entry.operator, cond)
 
 
 def test_jet_coeff_products_follow_the_action_side():
