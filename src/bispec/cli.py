@@ -35,9 +35,16 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_weights(text: str) -> WeightVector:
+def _check_limit(what: str, value: int) -> None:
+    """Raise UsageError if value exceeds the limit LIMITS names ``what``."""
+    limit = LIMITS[what][0]
+    if value > limit:
+        raise UsageError(f"{what} {value} exceeds the limit {limit}")
+
+
+def _parse_weights(text: str, limit: str = "commutator order") -> WeightVector:
     """Weights in the form '7:1,5:-14,3:49,1:-36' with rational values; each
-    order at most once."""
+    order at most once, and none above the LIMITS entry ``limit``."""
     weights = {}
     try:
         for chunk in text.split(","):
@@ -48,6 +55,7 @@ def _parse_weights(text: str) -> WeightVector:
             weights[order] = Rat(value.strip())
     except (ValueError, ZeroDivisionError) as err:
         raise UsageError(f"bad weight list {text!r}: {err}") from None
+    _check_limit(limit, max(weights))
     return WeightVector(weights)
 
 
@@ -60,11 +68,13 @@ def _parse_step(text: str) -> Rat:
 
 
 def _parse_orders(text: str) -> list:
-    """Commutator orders in the form '7,5,3,1'."""
+    """Commutator orders in the form '7,5,3,1', none above the limit."""
     try:
-        return [int(s) for s in text.split(",")]
+        orders = [int(s) for s in text.split(",")]
     except ValueError as err:
         raise UsageError(f"bad order list {text!r}: {err}") from None
+    _check_limit("commutator order", max(orders))
+    return orders
 
 
 def _render_weights(w: WeightVector) -> dict:
@@ -243,7 +253,7 @@ def _cmd_darboux(args) -> dict:
 
 
 def _cmd_gen_system(args) -> dict:
-    w = _parse_weights(args.weights)
+    w = _parse_weights(args.weights, "weight order")
     system = generate_system(w, include_constant=args.allow_constant)
     verdicts = [_verdict(
         "constraint system generated", True,
@@ -312,6 +322,25 @@ COMMANDS = {
     "probe-convention": (_cmd_probe, "matrix action-side probe", ("id",), {}),
 }
 
+# The largest value of each size a command line sets: (limit, where it is set).
+# Each was measured on 2 cores (Python 3.11, fractions.Fraction), so that no
+# run starts a tower, a ladder or a system of unknowns it cannot finish in
+# about 10 s: fit-weights --L 'x^2+1/x^2' --theta x^2 --orders 200,1 took
+# 8.3 s (250: 14.7 s); gen-system --weights 6:1,0:1 3.6 s (7: over 15 s);
+# reach-weights --n 800 3.9 s and hermite-new-weights --k 1400 3.1 s, below
+# 900 and 1600, whose weights no longer print within Python's 4 300-digit
+# limit on integer strings.
+LIMITS = {
+    "commutator order": (200, "ad --j, heisenberg --order, fit-weights --orders, "
+                              "solve-theta --weights"),
+    "weight order": (6, "gen-system --weights, whose top order sets the unknowns"),
+    "--n": (800, "reach-weights --n"),
+    "--k": (1400, "hermite-new-weights --k"),
+}
+# the int options LIMITS bounds, checked as they are parsed
+_INT_LIMITS = {"--j": "commutator order", "--order": "commutator order", "--n": "--n",
+               "--k": "--k"}
+
 
 def _help(command=None):
     """Print the commands, or one command's row of COMMANDS; exit 0."""
@@ -324,6 +353,8 @@ def _help(command=None):
                  "options, by kind (value, int, flag, repeat; ! required, =default):"]
         lines += [f"  {name:<18} {spec}" for name, spec in options.items()]
         lines += [f"  {a:<18} alias of {o}" for a, o in _ALIASES.items() if o in options]
+    lines += ["limits (larger values exit 2):"]
+    lines += [f"  {what} at most {limit}: {where}" for what, (limit, where) in LIMITS.items()]
     print("\n".join(lines))
     raise SystemExit(0)
 
@@ -361,6 +392,8 @@ def parse_args(argv) -> SimpleNamespace:
                 value = int(value)
             except ValueError:
                 raise UsageError(f"{command}: {name} takes an integer, not {value!r}") from None
+            if name in _INT_LIMITS:
+                _check_limit(_INT_LIMITS[name], value)
         values[name] = values[name] + [value] if kind == "repeat" else kind == "flag" or value
     for name, spec in options.items():
         if spec.endswith("!") and values[name] is None:

@@ -21,8 +21,9 @@ every parameter owns a fixed 16-bit field, 15 exponent bits under a guard
 bit, so the key of a product is the sum of the keys and an exponent may
 be at most 32767; a larger one raises :class:`ExactError`.  Names and
 exponents are read back only to render, sort for display, substitute and
-map to GF(p), and nothing is cached per key: rendering and the map to GF(p)
-read one exponent column per field a polynomial uses, in bulk.
+map to GF(p), and nothing is cached per key across calls.  Within one call,
+rendering and the map to GF(p) split the fields a polynomial uses into
+groups of three or four and memoise what each group's part of a key gives.
 
 Field 0 belongs to x, the function variable, which is never a parameter:
 ``diffop.XPoly`` stores an x-polynomial as one MPoly whose keys carry the
@@ -192,9 +193,11 @@ declare_param("i", -1)
 
 # -- packed monomial keys ------------------------------------------------------
 # A field never changes its name (see ParamRegistry), so a key means the same
-# monomial for the life of the process.  Nothing is cached per key: in one
-# CLI process most keys are met only once or twice, so a memo would hold
-# every key ever seen and be read seldom.
+# monomial for the life of the process.  Nothing is cached per key across
+# calls: in one CLI process most keys are met only once or twice, so a memo
+# would hold every key ever seen and be read seldom.  Within one call, the
+# part of a key in a few fields repeats across the terms of a polynomial in
+# many fields; _field_groups memoises those parts for that call alone.
 
 
 def _field_shifts(key: int) -> list:
@@ -222,8 +225,15 @@ def _key_degree(key: int) -> int:
 def _key_sort(key: int):
     """Display order: total degree first, then the decoded (name, exp) tuple.
 
-    Not a monomial order (b > a, yet a*a > a*b); mpoly_divexact grades
-    the packed int instead.
+    The tuples compare pair by pair, in name order, and a tuple that is a
+    prefix of another ranks lower.  So at the first name where two keys
+    differ, a larger exponent ranks higher; a zero exponent ranks above every
+    nonzero one when the key has a nonzero exponent at some later name, and
+    below every nonzero one when it has none.  Within one degree the second
+    case cannot occur (the key with only zeros left has the lower degree),
+    so there a zero exponent always ranks above every nonzero one:
+    render_mpoly's sort code rests on that.  Not a monomial order (b > a,
+    yet a*a > a*b); mpoly_divexact grades the packed int instead.
     """
     return (_key_degree(key), _decode(key))
 
@@ -246,6 +256,51 @@ def _key_or(terms) -> int:
     for k in terms:
         m |= k
     return m
+
+
+# Fields per group, as measured fastest on gen-system's constraint systems
+# (7-11 unknowns).  A polynomial in at most _IMAGE_GROUP fields is mapped to
+# GF(p) one field at a time: its parts seldom repeat, and on verify's images
+# (two or three fields) the memo cost more than it saved.
+_RENDER_GROUP = 3
+_IMAGE_GROUP = 4
+
+
+class _PartMemo(dict):
+    """part of a key -> make(part, group), computed the first time a part is
+    looked up; made afresh by each call, so nothing outlives the call."""
+
+    __slots__ = ("make", "group")
+
+    def __missing__(self, part):
+        value = self[part] = self.make(part, self.group)
+        return value
+
+
+def _field_groups(fields: list, size: int, make) -> list:
+    """[(mask, memo)] for the consecutive groups of ``size`` of ``fields``,
+    items whose first element is a field's bit offset: key & mask is the
+    part of a key in the group's fields, and memo[part] is make(part, group).
+    A term then costs a mask and a dict lookup per group, not a step per
+    field."""
+    groups = []
+    for i in range(0, len(fields), size):
+        memo = _PartMemo()
+        memo.make, memo.group = make, fields[i:i + size]
+        mask = 0
+        for item in memo.group:
+            mask |= _FIELD_MASK << item[0]
+        groups.append((mask, memo))
+    return groups
+
+
+def _image_part(part: int, group: list) -> int:
+    """The image in GF(MOD_P) of the monomial of a key's part; group holds
+    (bit offset, the residue's powers) per field."""
+    v = 1
+    for s, powers in group:
+        v = v * powers[(part >> s) & _FIELD_MASK] % MOD_P
+    return v
 
 
 def _key_min(a: int, b: int) -> int:
@@ -468,8 +523,10 @@ class MPoly:
         None when that is undefined: a relation-bearing parameter occurs (the
         point need not satisfy its relation), or the denominator maps to 0.
         Otherwise the map is a ring homomorphism on the polynomials it is
-        defined for.  Each field in use gives one column of exponents and a
-        table of its residue's powers.
+        defined for.  Each field in use has a table of its residue's powers.
+        Up to _IMAGE_GROUP fields are read one column of exponents at a time;
+        with more, the fields go in groups of _IMAGE_GROUP, and the image of
+        each group's part of a key is memoised for the call (_field_groups).
         """
         den = self.den * den % MOD_P
         if not den:
@@ -489,14 +546,22 @@ class MPoly:
             for key, c in terms.items():
                 out[key & _FIELD_MASK] += c * powers[key >> top]
         else:
-            keys = list(terms)
-            values = [v % MOD_P for v in terms.values()]
-            for s in _field_shifts(used):
-                powers = _powers_mod(s // _FIELD, (used >> s) & _FIELD_MASK)
-                values = [v * powers[e] % MOD_P if (e := (k >> s) & _FIELD_MASK) else v
-                          for k, v in zip(keys, values)]
-            for k, v in zip(keys, values):
-                out[k & _FIELD_MASK] += v
+            fields = [(s, _powers_mod(s // _FIELD, (used >> s) & _FIELD_MASK))
+                      for s in _field_shifts(used)]
+            if len(fields) > _IMAGE_GROUP:
+                groups = _field_groups(fields, _IMAGE_GROUP, _image_part)
+                for k, v in terms.items():
+                    for mask, memo in groups:
+                        v = v * memo[k & mask] % MOD_P
+                    out[k & _FIELD_MASK] += v
+            else:
+                keys = list(terms)
+                values = [v % MOD_P for v in terms.values()]
+                for s, powers in fields:
+                    values = [v * powers[e] % MOD_P if (e := (k >> s) & _FIELD_MASK) else v
+                              for k, v in zip(keys, values)]
+                for k, v in zip(keys, values):
+                    out[k & _FIELD_MASK] += v
         if den == 1:
             return [v % MOD_P for v in out]
         inv = pow(den, -1, MOD_P)
@@ -600,11 +665,12 @@ class MPoly:
         if den == other.den:
             out = dict(self.terms)
         else:
-            # over lcm(den, other.den)
+            # over lcm(den, other.den); a side whose factor is 1 is not rescaled
             g = math.gcd(den, other.den)
             sa, sb = other.den // g, den // g
-            out = {k: c * sa for k, c in self.terms.items()}
-            b = {k: c * sb for k, c in b.items()}
+            out = {k: c * sa for k, c in self.terms.items()} if sa != 1 else dict(self.terms)
+            if sb != 1:
+                b = {k: c * sb for k, c in b.items()}
             den *= sa
         for key, c in b.items():
             acc = out.get(key)
@@ -1370,14 +1436,36 @@ def _tidy_vector(polys, free):
 # ---------------------------------------------------------------------------
 
 
-def _render_monomial(pairs) -> str:
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs)
+def _monomial_part(part: int, group: list) -> tuple:
+    """The text and the sort-code piece of a key's part.
+
+    group holds (bit offset, name, code offset) per field, in name order; a
+    field adds "name^e*" (or "name*") to the text when e is nonzero, and e,
+    or 0xFFFF for e = 0, at its code offset to the piece."""
+    text, code = "", 0
+    for s, name, at in group:
+        e = (part >> s) & _FIELD_MASK
+        if e:
+            text += f"{name}*" if e == 1 else f"{name}^{e}*"
+            code += e << at
+        else:
+            code += _FIELD_MASK << at
+    return text, code
 
 
 def render_mpoly(p: MPoly) -> str:
     """The terms in display order (see _key_sort), each coefficient in lowest
-    terms.  The fields in use are put in name order once, and each gives one
-    column of exponents."""
+    terms.
+
+    With one field in use, key order is display order.  With more, the fields
+    are put in name order and split into groups of _RENDER_GROUP, and each
+    group's part of a key gives, memoised for the call, its text and its
+    piece of the term's int sort code.  The code is the total degree, then
+    one 16-bit digit per field in name order: the exponent, or 0xFFFF for a
+    zero one, which within one degree ranks above every exponent (see
+    _key_sort).  The total degree is key % 0xFFFF, since 2**16 = 1 mod
+    2**16 - 1, unless the fields' largest exponents may sum to 0xFFFF.
+    """
     terms = p.terms
     if not terms:
         return "0"
@@ -1390,18 +1478,24 @@ def render_mpoly(p: MPoly) -> str:
         # one field: every key is e << top, so key order is exponent order,
         # which is the display order
         name = names[top // _FIELD]
-        rows = [(_render_monomial(((name, key >> top),)) if key else "", c)
+        rows = [("" if not key else name if key >> top == 1 else f"{name}^{key >> top}", c)
                 for key, c in sorted(terms.items(), reverse=True)]
     else:
-        fields = sorted((names[s // _FIELD], s) for s in _field_shifts(used))
-        keys = list(terms)
-        columns = [[(k >> s) & _FIELD_MASK for k in keys] for _, s in fields]
-        order = []
-        for exps, c in zip(zip(*columns), terms.values()):
-            pairs = tuple((name, e) for (name, _), e in zip(fields, exps) if e)
-            order.append((sum(exps), pairs, c))
-        order.sort(reverse=True)  # (degree, pairs) differ between keys, so c is never compared
-        rows = [(_render_monomial(pairs), c) for _, pairs, c in order]
+        shifts = _field_shifts(used)
+        nf = len(shifts)
+        fields = [(s, name, _FIELD * (nf - 1 - r)) for r, (name, s) in
+                  enumerate(sorted((names[s // _FIELD], s) for s in shifts))]
+        groups = _field_groups(fields, _RENDER_GROUP, _monomial_part)
+        wide = sum((used >> s) & _FIELD_MASK for s in shifts) >= _FIELD_MASK
+        order = {}
+        for key, c in terms.items():
+            text, code = "", (_key_degree(key) if wide else key % _FIELD_MASK) << _FIELD * nf
+            for mask, memo in groups:
+                t, b = memo[key & mask]
+                text += t
+                code += b
+            order[code] = (text[:-1], c)
+        rows = [order[code] for code in sorted(order, reverse=True)]
     den = p.den
     chunks = []
     for n, (mono, c) in enumerate(rows):

@@ -1,8 +1,14 @@
 """Fixtures shared by every test module."""
 
 import pytest
+from hypothesis import settings
 
 from bispec import exact
+
+# Every @given test draws the same examples on every run; each test's own
+# @settings still sets its max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -168,6 +169,25 @@ def test_cli_gen_system_forced():
     assert forced["c5"] == "a3/8"
 
 
+# sha256 of json.dumps(report, sort_keys=True) for the gen-system argvs of
+# the benchmark's gen-system workload, as first recorded; a change in term
+# order or coefficient text changes them
+_GEN_SYSTEM_DIGESTS = {
+    "5:1,3:-5,1:4": "72226211750e7585c7c4bf7945c039fae8dfcd7c3777e3966b926b1bb2c6eae6",
+    "4:1,2:-40,0:144": "a0f46c889d8c2866f7f639fdf8cb3d2f67ec39b53ebbcaa98c12c03ff186a9f3",
+    "3:1,1:-16": "c96d5e02516a99f99c38db5164104971ce96995f27b9341ce4d42ef394de366b",
+    "2:1,0:-4": "d3fa3f32c4cbb81c4a2ebc7ab836051110f781bfe2902e347af59fe563d421a1",
+    "4:1,2:-40,0:144 --allow-constant":
+        "fe5deeac04f3a61348bb044cbe5a3753ac8734e0a5fae60673f9479ffd927937",
+}
+
+
+@pytest.mark.parametrize("weights", list(_GEN_SYSTEM_DIGESTS))
+def test_cli_gen_system_reports_are_byte_identical(weights):
+    text = json.dumps(cli.run(["gen-system", "--weights", *weights.split()]), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GEN_SYSTEM_DIGESTS[weights]
+
+
 def test_cli_heisenberg():
     report, _ = run_cli(["heisenberg", "--L", "x^2", "--theta", "x", "--order", "5"])
     v = report["verdicts"][0]
@@ -221,6 +241,12 @@ _USAGE_ERRORS = [
     # and printing the square
     ["ad", "--L", "x^2", "--theta", "1" * 4400 + "*x", "--j", "1"],
     ["ad", "--L", "x^2", "--theta", "7" * 2200 + "^2*x", "--j", "1"],
+    # sizes over cli.LIMITS: 40 000 unknowns, towers and ladders that would not end
+    ["gen-system", "--weights", "40000:1,0:-4"],
+    ["heisenberg", "--L", "x^2", "--theta", "x", "--order", "40000"],
+    ["fit-weights", "--L", "x^2+1/x^2", "--theta", "x^2", "--orders", "40000,1"],
+    ["reach-weights", "--n", "3000"],
+    ["hermite-new-weights", "--k", "40000"],
 ])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -257,6 +283,8 @@ def test_cli_one_parser_carries_no_state(capsys):
     (["ad", "--help"], "--theta"),
     (["verify", "-h"], "--all"),
     (["ad", "--L", "x^2", "-h", "--j", "one"], "--catalog-id"),
+    (["--help"], "--n at most 800"),
+    (["gen-system", "--help"], "weight order at most 6"),
 ])
 def test_cli_help_exits_0(argv, shows, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -264,6 +292,25 @@ def test_cli_help_exits_0(argv, shows, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: bispec") and shows in out
+
+
+def test_cli_limits_admit_their_own_value():
+    order = cli.LIMITS["commutator order"][0]
+    for option, what in cli._INT_LIMITS.items():
+        command = next(c for c, spec in cli.COMMANDS.items() if option in spec[3])
+        limit = cli.LIMITS[what][0]
+        assert getattr(cli.parse_args([command, option, str(limit)]), option[2:]) == limit
+        with pytest.raises(cli.UsageError, match=f"{what} {limit + 1} exceeds"):
+            cli.parse_args([command, option, str(limit + 1)])
+    assert cli._parse_orders(f"{order},1") == [order, 1]
+    assert cli._parse_weights(f"{order}:1,1:2").top_order == order
+    top = cli.LIMITS["weight order"][0]
+    assert cli._parse_weights(f"{top}:1,0:1", "weight order").top_order == top
+    for bad in (lambda: cli._parse_orders(f"1,{order + 1}"),
+                lambda: cli._parse_weights(f"{order + 1}:1"),
+                lambda: cli._parse_weights(f"{top + 1}:1,0:1", "weight order")):
+        with pytest.raises(cli.UsageError, match="exceeds the limit"):
+            bad()
 
 
 def test_cli_equals_form_gives_the_same_report():

@@ -376,6 +376,44 @@ def test_key_columns_match_field_by_field_decoding():
         assert _field_decode(p.monomial_gcd(start)) == tuple(sorted(want.items()))
         wide += max(p.terms, default=0).bit_length() > 256
     assert wide >= 20 and undefined >= 20 and field_counts == {0, 1, 2}
+    # products in 5-17 of the names, at least 50 terms each: one call uses more
+    # than one group of fields and meets the same group part of a key many times
+    repeats = high = 0
+    for _ in range(N_INSTANCES // 4):
+        p = _many_field_poly(rng, rng.sample(_COLUMN_NAMES, rng.randint(5, 17)) + ["x"])
+        fields = _field_decode(exact._key_or(p.terms))
+        assert len(p.terms) >= 50 and len(fields) > exact._IMAGE_GROUP
+        assert exact.render_mpoly(p) == _oracle_render(p)
+        assert exact._decode(p.lead_key()) == max(
+            map(_field_decode, p.terms), key=lambda t: (sum(e for _, e in t), t))
+        den = rng.choice([1, 3, rng.randrange(1, exact.MOD_P)])
+        assert p.x_images_mod(den) == _oracle_images(p, den)
+        first = [exact.PARAMS.shifts[n] for n, _ in fields[:exact._RENDER_GROUP]]
+        mask = sum(0xFFFF << s for s in first)
+        repeats += len(p.terms) - len({k & mask for k in p.terms})
+        high += max(sum(e for _, e in _field_decode(k)) for k in p.terms) >= 0xFFFF
+    assert repeats >= 10 * N_INSTANCES and high >= 5
+
+
+def _many_field_poly(rng, names):
+    """A product of three random polynomials in names ("x" is x), with at
+    least 50 terms; in half of them, exponents of 10000 take the total degree
+    of some terms past 0xFFFF."""
+    pool, most = rng.choice([([1, 2, 3], 3), ([1, 10000], 5)])
+    while True:
+        poly = MPoly.one()
+        for _ in range(3):
+            factor = MPoly.zero()
+            for _ in range(rng.randint(4, 6)):
+                term = MPoly.const(Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 6])))
+                for name in rng.sample(names, rng.randint(1, most)):
+                    e = rng.choice(pool)
+                    term = term * (MPoly.from_x_ints([0] * e + [1]) if name == "x"
+                                   else MPoly.var(name, e))
+                factor = factor + term
+            poly = poly * factor
+        if len(poly.terms) >= 50:
+            return poly
 
 
 def test_mpoly_divexact_recovers_every_factor():
