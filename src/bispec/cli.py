@@ -36,13 +36,22 @@ class UsageError(ValueError):
 
 
 def _check_limit(what: str, value: int) -> None:
-    """Raise UsageError if value exceeds the limit LIMITS names ``what``."""
-    limit = LIMITS[what][0]
-    if value > limit:
+    """Raise UsageError if value exceeds LIMITS[what]; no check for what ''."""
+    if what and value > (limit := LIMITS[what]):
         raise UsageError(f"{what} {value} exceeds the limit {limit}")
 
 
-def _parse_weights(text: str, limit: str = "commutator order") -> WeightVector:
+def _parse_int(text: str, limit: str = "") -> int:
+    """An integer, at most the LIMITS entry ``limit``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"not an integer: {text!r}") from None
+    _check_limit(limit, value)
+    return value
+
+
+def _parse_weights(text: str, limit: str = "") -> WeightVector:
     """Weights in the form '7:1,5:-14,3:49,1:-36' with rational values; each
     order at most once, and none above the LIMITS entry ``limit``."""
     weights = {}
@@ -67,13 +76,14 @@ def _parse_step(text: str) -> Rat:
         raise UsageError(f"bad spectrum step {text!r}: {err}") from None
 
 
-def _parse_orders(text: str) -> list:
-    """Commutator orders in the form '7,5,3,1', none above the limit."""
+def _parse_orders(text: str, limit: str = "") -> list:
+    """Commutator orders in the form '7,5,3,1', none above the LIMITS entry
+    ``limit``."""
     try:
         orders = [int(s) for s in text.split(",")]
     except ValueError as err:
         raise UsageError(f"bad order list {text!r}: {err}") from None
-    _check_limit("commutator order", max(orders))
+    _check_limit(limit, max(orders))
     return orders
 
 
@@ -253,7 +263,7 @@ def _cmd_darboux(args) -> dict:
 
 
 def _cmd_gen_system(args) -> dict:
-    w = _parse_weights(args.weights, "weight order")
+    w = _parse_weights(args.weights)
     system = generate_system(w, include_constant=args.allow_constant)
     verdicts = [_verdict(
         "constraint system generated", True,
@@ -299,47 +309,54 @@ _HELP = ("-h", "--help")
 
 # command: (function, help, positionals, options).  A positional ending in "?"
 # may be left out; "name=word" accepts only that word.  An option's kind is
-# "value" (a string), "int", "flag" or "repeat" (a list, one item per use); a
-# trailing "!" makes it required, and "value=text" gives it a default.
+# "value" (a string), "int", "flag", "repeat" (a list, one item per use),
+# "orders" or "weights" (a string that _parse_orders or _parse_weights reads);
+# a trailing "!" makes it required, "value=text" gives it a default, and
+# "<=name" bounds the value, or its largest order, by LIMITS[name].
 COMMANDS = {
     "catalog": (_cmd_catalog, "list catalog entries", ("action=list",), {}),
     "verify": (_cmd_verify, "verify a catalog entry (or all)", ("id?",), {"--all": "flag"}),
-    "ad": (_cmd_ad, "compute an iterated commutator power", (), {**_THETA, "--j": "int!"}),
+    "ad": (_cmd_ad, "compute an iterated commutator power", (),
+           {**_THETA, "--j": "int!<=commutator order"}),
     "fit-weights": (_cmd_fit_weights, "find conditions supported on given orders", (),
-                    {**_THETA, "--orders": "value!"}),
+                    {**_THETA, "--orders": "orders!<=commutator order"}),
     "solve-theta": (_cmd_solve_theta, "solve for eigenvalue polynomials", (),
-                    {**_EXPR, "--weights": "value!", "--deg": "int!", "--allow-constant": "flag"}),
+                    {**_EXPR, "--weights": "weights!<=solve-theta order",
+                     "--deg": "int!<=--deg", "--allow-constant": "flag"}),
     "reach-weights": (_cmd_reach_weights, "ladder weights for a linear spectrum", (),
-                      {"--n": "int!", "--step": "value=1"}),
+                      {"--n": "int!<=--n", "--step": "value=1"}),
     "hermite-new-weights": (_cmd_hermite_new_weights, "lowered condition weights", (),
-                            {"--k": "int!"}),
+                            {"--k": "int!<=--k"}),
     "darboux": (_cmd_darboux, "one Darboux step from a seed eigenfunction", (),
                 {**_EXPR, "--seed": "value!"}),
     "gen-system": (_cmd_gen_system, "generate the polynomial constraint system", (),
-                   {"--weights": "value!", "--allow-constant": "flag"}),
+                   {"--weights": "weights!<=weight order", "--allow-constant": "flag"}),
     "heisenberg": (_cmd_heisenberg, "conjugation series and its relations", (),
-                   {**_THETA, "--order": "int!"}),
+                   {**_THETA, "--order": "int!<=commutator order"}),
     "probe-convention": (_cmd_probe, "matrix action-side probe", ("id",), {}),
 }
+# the kinds parse_args reads as it parses, so a bad value or one above its
+# limit is a usage error before any command starts; it keeps an int, and the
+# text of the others, which their command reads again
+_READERS = {"int": _parse_int, "orders": _parse_orders, "weights": _parse_weights}
 
-# The largest value of each size a command line sets: (limit, where it is set).
-# Each was measured on 2 cores (Python 3.11, fractions.Fraction), so that no
-# run starts a tower, a ladder or a system of unknowns it cannot finish in
-# about 10 s: fit-weights --L 'x^2+1/x^2' --theta x^2 --orders 200,1 took
-# 8.3 s (250: 14.7 s); gen-system --weights 6:1,0:1 3.6 s (7: over 15 s);
-# reach-weights --n 800 3.9 s and hermite-new-weights --k 1400 3.1 s, below
-# 900 and 1600, whose weights no longer print within Python's 4 300-digit
-# limit on integer strings.
-LIMITS = {
-    "commutator order": (200, "ad --j, heisenberg --order, fit-weights --orders, "
-                              "solve-theta --weights"),
-    "weight order": (6, "gen-system --weights, whose top order sets the unknowns"),
-    "--n": (800, "reach-weights --n"),
-    "--k": (1400, "hermite-new-weights --k"),
-}
-# the int options LIMITS bounds, checked as they are parsed
-_INT_LIMITS = {"--j": "commutator order", "--order": "commutator order", "--n": "--n",
-               "--k": "--k"}
+# The largest value of each size a command line sets; an option's spec in
+# COMMANDS names the size that bounds it.  Each keeps the runs measured at it
+# (2 cores, Python 3.11, fractions.Fraction) within about 14 s:
+# - commutator order: fit-weights --orders 200,1 took 8.3 s on --L
+#   'x^2+1/x^2' --theta x^2 (250: 14.7 s), 10.2 s on --catalog laguerre-step:1
+#   and 13.1 s on laguerre-step:2; heisenberg --order 200 4.4 s and ad --j 200
+#   3.5 s on laguerre-step:2.
+# - solve-theta order and --deg: solve-theta's rank certificate steps one jet
+#   tower per monomial and point, so its cost grows with both; at 30 and 30
+#   it took 2.9-10 s on x^2+1/x^2, laguerre-step:2 and ansatz:A5-5A3+4A1:7
+#   (30 and 40: 10-14 s; 100 and 2, or 2 and 300: over 30 s).
+# - weight order: gen-system --weights 6:1,0:1 3.6 s (7: over 15 s).
+# - --n and --k: reach-weights --n 800 3.9 s and hermite-new-weights --k 1400
+#   3.1 s; from 900 and 1600 on, the weights no longer print within Python's
+#   4 300-digit limit on integer strings.
+LIMITS = {"commutator order": 200, "solve-theta order": 30, "--deg": 30, "weight order": 6,
+          "--n": 800, "--k": 1400}
 
 
 def _help(command=None):
@@ -350,11 +367,15 @@ def _help(command=None):
         _, text, positionals, options = COMMANDS[command]
         words = [f"[{p[:-1]}]" if p[-1] == "?" else p.partition("=")[2] or p for p in positionals]
         lines = [f"usage: bispec {' '.join([command, *words])} [options]", text,
-                 "options, by kind (value, int, flag, repeat; ! required, =default):"]
+                 "options, by kind (value, int, orders, weights, flag, repeat; "
+                 "! required, =default, <=limit):"]
         lines += [f"  {name:<18} {spec}" for name, spec in options.items()]
         lines += [f"  {a:<18} alias of {o}" for a, o in _ALIASES.items() if o in options]
     lines += ["limits (larger values exit 2):"]
-    lines += [f"  {what} at most {limit}: {where}" for what, (limit, where) in LIMITS.items()]
+    for what, limit in LIMITS.items():
+        where = [f"{c} {o}" for c, spec in COMMANDS.items() for o, k in spec[3].items()
+                 if k.endswith(f"<={what}")]
+        lines.append(f"  {what} at most {limit}: {', '.join(where)}")
     print("\n".join(lines))
     raise SystemExit(0)
 
@@ -370,8 +391,9 @@ def parse_args(argv) -> SimpleNamespace:
     if command not in COMMANDS:
         raise UsageError(f"unknown command {command!r}; commands: {', '.join(COMMANDS)}")
     func, _, positionals, options = COMMANDS[command]
-    kinds, values, words, tokens = {}, {}, [], iter(rest)
+    kinds, limits, values, words, tokens = {}, {}, {}, [], iter(rest)
     for name, spec in options.items():
+        spec, _, limits[name] = spec.partition("<=")
         kinds[name], _, default = spec.rstrip("!").partition("=")
         values[name] = {"repeat": [], "flag": False}.get(kinds[name], default or None)
     for token in tokens:
@@ -387,16 +409,15 @@ def parse_args(argv) -> SimpleNamespace:
             raise UsageError(f"{command}: unknown option {token!r}")
         if kind != "flag" and not has_value and (value := next(tokens, None)) is None:
             raise UsageError(f"{command}: {name} needs a value")
-        if kind == "int":
+        if kind in _READERS:
             try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"{command}: {name} takes an integer, not {value!r}") from None
-            if name in _INT_LIMITS:
-                _check_limit(_INT_LIMITS[name], value)
+                read = _READERS[kind](value, limits[name])
+            except UsageError as err:
+                raise UsageError(f"{command}: {name}: {err}") from None
+            value = read if kind == "int" else value
         values[name] = values[name] + [value] if kind == "repeat" else kind == "flag" or value
     for name, spec in options.items():
-        if spec.endswith("!") and values[name] is None:
+        if spec.partition("<=")[0].endswith("!") and values[name] is None:
             raise UsageError(f"{command}: missing required option {name}")
     for spec in positionals:
         name, _, word = spec.rstrip("?").partition("=")

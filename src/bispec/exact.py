@@ -259,9 +259,7 @@ def _key_or(terms) -> int:
 
 
 # Fields per group, as measured fastest on gen-system's constraint systems
-# (7-11 unknowns).  A polynomial in at most _IMAGE_GROUP fields is mapped to
-# GF(p) one field at a time: its parts seldom repeat, and on verify's images
-# (two or three fields) the memo cost more than it saved.
+# (7-11 unknowns).
 _RENDER_GROUP = 3
 _IMAGE_GROUP = 4
 
@@ -524,9 +522,9 @@ class MPoly:
         point need not satisfy its relation), or the denominator maps to 0.
         Otherwise the map is a ring homomorphism on the polynomials it is
         defined for.  Each field in use has a table of its residue's powers.
-        Up to _IMAGE_GROUP fields are read one column of exponents at a time;
-        with more, the fields go in groups of _IMAGE_GROUP, and the image of
-        each group's part of a key is memoised for the call (_field_groups).
+        With more than one parameter in use, the fields go in groups of
+        _IMAGE_GROUP, and the image of each group's part of a key is memoised
+        for the call (_field_groups).
         """
         den = self.den * den % MOD_P
         if not den:
@@ -548,20 +546,11 @@ class MPoly:
         else:
             fields = [(s, _powers_mod(s // _FIELD, (used >> s) & _FIELD_MASK))
                       for s in _field_shifts(used)]
-            if len(fields) > _IMAGE_GROUP:
-                groups = _field_groups(fields, _IMAGE_GROUP, _image_part)
-                for k, v in terms.items():
-                    for mask, memo in groups:
-                        v = v * memo[k & mask] % MOD_P
-                    out[k & _FIELD_MASK] += v
-            else:
-                keys = list(terms)
-                values = [v % MOD_P for v in terms.values()]
-                for s, powers in fields:
-                    values = [v * powers[e] % MOD_P if (e := (k >> s) & _FIELD_MASK) else v
-                              for k, v in zip(keys, values)]
-                for k, v in zip(keys, values):
-                    out[k & _FIELD_MASK] += v
+            groups = _field_groups(fields, _IMAGE_GROUP, _image_part)
+            for k, v in terms.items():
+                for mask, memo in groups:
+                    v = v * memo[k & mask] % MOD_P
+                out[k & _FIELD_MASK] += v
         if den == 1:
             return [v % MOD_P for v in out]
         inv = pow(den, -1, MOD_P)

@@ -177,6 +177,13 @@ def test_solve_theta_respects_degree_bound_argument():
         solve_theta(HARMONIC, WeightVector({2: 1, 0: -4}), 0)
 
 
+def test_solve_theta_rejects_a_degree_bound_over_exp_max():
+    # the command line stops far lower (cli.LIMITS); the library bound is EXP_MAX
+    from bispec.exact import EXP_MAX
+    with pytest.raises(ExactError, match="exceeds the largest x-degree"):
+        solve_theta(HARMONIC, WeightVector({2: 1, 0: -4}), EXP_MAX + 1)
+
+
 def test_implication_chain_weight_factorization():
     # (ad^2 - 4) applied to the k=1 condition gives the ladder condition
     lowered = hermite_new_weights(1)

@@ -247,6 +247,9 @@ _USAGE_ERRORS = [
     ["fit-weights", "--L", "x^2+1/x^2", "--theta", "x^2", "--orders", "40000,1"],
     ["reach-weights", "--n", "3000"],
     ["hermite-new-weights", "--k", "40000"],
+    # solve-theta's rank certificate, still running after 30 s
+    ["solve-theta", "--L", "x^2+1/x^2", "--weights", "100:1,0:1", "--deg", "2"],
+    ["solve-theta", "--L", "x^2", "--weights", "2:1,0:-4", "--deg", "300"],
 ])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -295,22 +298,19 @@ def test_cli_help_exits_0(argv, shows, capsys):
 
 
 def test_cli_limits_admit_their_own_value():
-    order = cli.LIMITS["commutator order"][0]
-    for option, what in cli._INT_LIMITS.items():
-        command = next(c for c, spec in cli.COMMANDS.items() if option in spec[3])
-        limit = cli.LIMITS[what][0]
-        assert getattr(cli.parse_args([command, option, str(limit)]), option[2:]) == limit
-        with pytest.raises(cli.UsageError, match=f"{what} {limit + 1} exceeds"):
-            cli.parse_args([command, option, str(limit + 1)])
-    assert cli._parse_orders(f"{order},1") == [order, 1]
-    assert cli._parse_weights(f"{order}:1,1:2").top_order == order
-    top = cli.LIMITS["weight order"][0]
-    assert cli._parse_weights(f"{top}:1,0:1", "weight order").top_order == top
-    for bad in (lambda: cli._parse_orders(f"1,{order + 1}"),
-                lambda: cli._parse_weights(f"{order + 1}:1"),
-                lambda: cli._parse_weights(f"{top + 1}:1,0:1", "weight order")):
-        with pytest.raises(cli.UsageError, match="exceeds the limit"):
-            bad()
+    # a value of each bounded option's kind whose size is n
+    texts = {"int": str, "orders": lambda n: f"1,{n}", "weights": lambda n: f"{n}:1,0:1"}
+    bounded = [(command, option, spec.partition("<=")) for command, (_, _, _, options)
+               in cli.COMMANDS.items() for option, spec in options.items() if "<=" in spec]
+    assert {what for _, _, (_, _, what) in bounded} == set(cli.LIMITS)
+    for command, option, (kind, _, what) in bounded:
+        read, text = cli._READERS[kind.rstrip("!")], texts[kind.rstrip("!")]
+        limit = cli.LIMITS[what]
+        read(text(limit), what)
+        with pytest.raises(cli.UsageError, match=f"{what} {limit + 1} exceeds the limit"):
+            cli.parse_args([command, option, text(limit + 1)])
+    assert cli.parse_args(["reach-weights", "--n", "800"]).n == 800
+    assert cli.parse_args(["fit-weights", "--orders", "200,1"]).orders == "200,1"
 
 
 def test_cli_equals_form_gives_the_same_report():
