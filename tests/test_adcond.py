@@ -1,6 +1,6 @@
 import pytest
 
-from bispec.exact import ExactError, ParamScalar, Rat
+from bispec.exact import EXP_MAX, ExactError, ParamScalar, Rat
 from bispec.diffop import DiffOp, XPoly, XRat, commutator, equals, schrodinger_commutator
 from bispec.adcond import (
     WeightVector,
@@ -175,11 +175,7 @@ def test_solve_theta_examples():
 def test_solve_theta_respects_degree_bound_argument():
     with pytest.raises(ExactError):
         solve_theta(HARMONIC, WeightVector({2: 1, 0: -4}), 0)
-
-
-def test_solve_theta_rejects_a_degree_bound_over_exp_max():
     # the command line stops far lower (cli.LIMITS); the library bound is EXP_MAX
-    from bispec.exact import EXP_MAX
     with pytest.raises(ExactError, match="exceeds the largest x-degree"):
         solve_theta(HARMONIC, WeightVector({2: 1, 0: -4}), EXP_MAX + 1)
 
