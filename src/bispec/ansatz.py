@@ -28,8 +28,8 @@ def build_V(theta: XPoly, p: XPoly) -> XRat:
     return XRat.from_ratio(p, dtheta).derivative()
 
 
-class AnsatzSystem(namedtuple("AnsatzSystem", "weights theta_names p_names equations forced "
-                               "cleared theta_template p_template", defaults=(None, None))):
+class AnsatzSystem(namedtuple("AnsatzSystem",
+                               "weights theta_names p_names equations forced cleared")):
     """Polynomial system in the coefficients of Theta and P.
 
     ``equations`` are MPoly values that must all vanish; ``forced`` lists the
@@ -93,8 +93,7 @@ def generate_system(w: WeightVector, include_constant: bool = False) -> AnsatzSy
                 equations.append(poly)
     forced = _forced_relations(equations, set(p_names))
     cleared = "; ".join(cleared_parts) if cleared_parts else "none"
-    return AnsatzSystem(w, theta_names, p_names, equations, forced, cleared,
-                        theta_template=theta, p_template=p)
+    return AnsatzSystem(w, theta_names, p_names, equations, forced, cleared)
 
 
 def _forced_relations(equations: list, p_names: set) -> list:

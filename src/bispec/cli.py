@@ -13,7 +13,7 @@ import sys
 from types import SimpleNamespace
 
 from .exact import ExactError, Rat, check_param_name
-from .diffop import DiffOp, QuasiRat, XPoly, XRat
+from .diffop import DiffOp, QuasiRat, XRat
 from .adcond import (
     WeightVector,
     ad_power,
@@ -24,8 +24,8 @@ from .adcond import (
     solve_theta,
 )
 from .ansatz import generate_system
-from .darboux import DarbouxError, darboux_step, intertwine_check
-from .expr import ParseError, parse_expr
+from .darboux import darboux_step, intertwine_check
+from .expr import TERMS_MAX, ParseError, parse_expr
 from .families import catalog_ids, get_entry, probe_entry, verify_entry
 
 SCHEMA = 1
@@ -91,20 +91,21 @@ def _render_weights(w: WeightVector) -> dict:
     return {str(j): str(c) for j, c in w.items()}
 
 
-def _schrodinger_from(args) -> DiffOp:
+def _schrodinger_from(args) -> tuple:
+    """The operator of --catalog or --L, its catalog entry or None, the "L"
+    input of the report and its provenance list."""
+    name = args.L or args.catalog
     if args.catalog:
         entry = get_entry(args.catalog)
         if entry.kind != "scalar":
             raise UsageError(f"catalog entry {entry.id} is not a scalar operator")
-        return entry.operator, entry
+        return entry.operator, entry, name, [entry.provenance]
     if args.L is None:
         raise UsageError("need --L <potential expression> or --catalog <id>")
     v = parse_expr(args.L, params=args.param)
     if isinstance(v, QuasiRat):
         raise UsageError("the potential must be rational, not quasi-rational")
-    if isinstance(v, XPoly):
-        v = XRat.from_poly(v)
-    return DiffOp.schrodinger(v), None
+    return DiffOp.schrodinger(v), None, name, []
 
 
 def _theta_from(args, entry):
@@ -184,20 +185,19 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_ad(args) -> dict:
-    op, entry = _schrodinger_from(args)
+    op, entry, name, provenance = _schrodinger_from(args)
     theta = _theta_from(args, entry)
     power = ad_power(op, theta, args.j)
     verdicts = [_verdict(f"ad power {args.j}", True, residual=power,
                          order=power.order())]
-    inputs = {"j": args.j, "L": args.L or args.catalog, "theta": str(theta)}
-    return _report("ad", inputs, verdicts, [entry.provenance] if entry else [])
+    inputs = {"j": args.j, "L": name, "theta": str(theta)}
+    return _report("ad", inputs, verdicts, provenance)
 
 
 def _cmd_fit_weights(args) -> dict:
-    op, entry = _schrodinger_from(args)
+    op, entry, name, provenance = _schrodinger_from(args)
     theta = _theta_from(args, entry)
-    orders = _parse_orders(args.orders)
-    result = fit_weights(op, theta, orders)
+    result = fit_weights(op, theta, args.orders)
     verdicts = []
     for w in result.vectors:
         verdicts.append(_verdict(f"fitted condition with top order {w.top_order}", True,
@@ -208,17 +208,15 @@ def _cmd_fit_weights(args) -> dict:
         verdicts.append(_verdict("no condition exists on the given orders", True,
                                  assumptions=result.assumptions,
                                  decided_by=result.decided_by))
-    inputs = {"orders": orders, "L": args.L or args.catalog, "theta": str(theta)}
-    prov = [entry.provenance] if entry else []
+    inputs = {"orders": args.orders, "L": name, "theta": str(theta)}
     if entry and entry.notes:
-        prov.append(entry.notes)
-    return _report("fit-weights", inputs, verdicts, prov)
+        provenance.append(entry.notes)
+    return _report("fit-weights", inputs, verdicts, provenance)
 
 
 def _cmd_solve_theta(args) -> dict:
-    op, entry = _schrodinger_from(args)
-    w = _parse_weights(args.weights)
-    result = solve_theta(op, w, args.deg, fix_zero=not args.allow_constant)
+    op, _, name, provenance = _schrodinger_from(args)
+    result = solve_theta(op, args.weights, args.deg, fix_zero=not args.allow_constant)
     verdicts = []
     for theta in result.thetas:
         verdicts.append(_verdict("eigenvalue polynomial", True,
@@ -228,10 +226,8 @@ def _cmd_solve_theta(args) -> dict:
         verdicts.append(_verdict(
             "no eigenvalue polynomial exists at this degree bound", True,
             assumptions=result.assumptions, decided_by=result.decided_by))
-    inputs = {"weights": _render_weights(w), "deg": args.deg,
-              "L": args.L or args.catalog}
-    return _report("solve-theta", inputs, verdicts,
-                   [entry.provenance] if entry else [])
+    inputs = {"weights": _render_weights(args.weights), "deg": args.deg, "L": name}
+    return _report("solve-theta", inputs, verdicts, provenance)
 
 
 def _cmd_reach_weights(args) -> dict:
@@ -249,33 +245,31 @@ def _cmd_hermite_new_weights(args) -> dict:
 
 
 def _cmd_darboux(args) -> dict:
-    op, entry = _schrodinger_from(args)
+    op, _, name, provenance = _schrodinger_from(args)
     seed = parse_expr(args.seed, params=args.param)
     if not isinstance(seed, QuasiRat):
-        seed = QuasiRat() * (XRat.from_poly(seed) if isinstance(seed, XPoly) else seed)
+        seed = QuasiRat() * seed
     new_op, record = darboux_step(op, seed)
     ok = intertwine_check(op, new_op, seed)
     verdicts = [_verdict("darboux step with intertwining check", ok,
                          eigenvalue=str(record.eigenvalue),
                          potential=str(record.output_v))]
-    inputs = {"L": args.L or args.catalog, "seed": args.seed}
-    return _report("darboux", inputs, verdicts, [entry.provenance] if entry else [])
+    return _report("darboux", {"L": name, "seed": args.seed}, verdicts, provenance)
 
 
 def _cmd_gen_system(args) -> dict:
-    w = _parse_weights(args.weights)
-    system = generate_system(w, include_constant=args.allow_constant)
+    system = generate_system(args.weights, include_constant=args.allow_constant)
     verdicts = [_verdict(
         "constraint system generated", True,
         unknowns=system.unknowns,
         equations=[str(eq) for eq in system.equations],
         forced=[{ "unknown": name, "value": str(value)} for name, value in system.forced],
         cleared=system.cleared)]
-    return _report("gen-system", {"weights": _render_weights(w)}, verdicts, [])
+    return _report("gen-system", {"weights": _render_weights(args.weights)}, verdicts, [])
 
 
 def _cmd_heisenberg(args) -> dict:
-    op, entry = _schrodinger_from(args)
+    op, entry, name, provenance = _schrodinger_from(args)
     theta = _theta_from(args, entry)
     report = heisenberg_series(op, theta, args.order)
     relations = [{"from_order": j, "to_order": j + 2, "constant": str(c)}
@@ -287,8 +281,8 @@ def _cmd_heisenberg(args) -> dict:
         closed_form_matches={str(k): v for k, v in report.closed_form_matches.items()},
         even_chain_matches={str(k): v for k, v in report.even_chain_matches.items()},
         powers=[str(p) for p in report.powers])]
-    inputs = {"order": args.order, "L": args.L or args.catalog, "theta": str(theta)}
-    return _report("heisenberg", inputs, verdicts, [entry.provenance] if entry else [])
+    inputs = {"order": args.order, "L": name, "theta": str(theta)}
+    return _report("heisenberg", inputs, verdicts, provenance)
 
 
 def _cmd_probe(args) -> dict:
@@ -302,17 +296,18 @@ def _cmd_probe(args) -> dict:
     return _report("probe-convention", {"id": args.id}, verdicts, [entry.provenance])
 
 
-_EXPR = {"--L": "value", "--catalog": "value", "--param": "repeat"}
-_THETA = {**_EXPR, "--theta": "value"}
+_EXPR = {"--L": "value<=expression terms", "--catalog": "value", "--param": "repeat"}
+_THETA = {**_EXPR, "--theta": "value<=expression terms"}
 _ALIASES = {"--catalog-id": "--catalog"}
 _HELP = ("-h", "--help")
 
 # command: (function, help, positionals, options).  A positional ending in "?"
 # may be left out; "name=word" accepts only that word.  An option's kind is
 # "value" (a string), "int", "flag", "repeat" (a list, one item per use),
-# "orders" or "weights" (a string that _parse_orders or _parse_weights reads);
-# a trailing "!" makes it required, "value=text" gives it a default, and
-# "<=name" bounds the value, or its largest order, by LIMITS[name].
+# "orders" or "weights" (the list or WeightVector of _parse_orders or
+# _parse_weights); a trailing "!" makes it required, "value=text" gives it a
+# default, and "<=name" bounds the value, its largest order or, for an
+# expression, the terms of each value its parser builds by LIMITS[name].
 COMMANDS = {
     "catalog": (_cmd_catalog, "list catalog entries", ("action=list",), {}),
     "verify": (_cmd_verify, "verify a catalog entry (or all)", ("id?",), {"--all": "flag"}),
@@ -328,7 +323,7 @@ COMMANDS = {
     "hermite-new-weights": (_cmd_hermite_new_weights, "lowered condition weights", (),
                             {"--k": "int!<=--k"}),
     "darboux": (_cmd_darboux, "one Darboux step from a seed eigenfunction", (),
-                {**_EXPR, "--seed": "value!"}),
+                {**_EXPR, "--seed": "value!<=expression terms"}),
     "gen-system": (_cmd_gen_system, "generate the polynomial constraint system", (),
                    {"--weights": "weights!<=weight order", "--allow-constant": "flag"}),
     "heisenberg": (_cmd_heisenberg, "conjugation series and its relations", (),
@@ -336,8 +331,7 @@ COMMANDS = {
     "probe-convention": (_cmd_probe, "matrix action-side probe", ("id",), {}),
 }
 # the kinds parse_args reads as it parses, so a bad value or one above its
-# limit is a usage error before any command starts; it keeps an int, and the
-# text of the others, which their command reads again
+# limit is a usage error before any command starts
 _READERS = {"int": _parse_int, "orders": _parse_orders, "weights": _parse_weights}
 
 # The largest value of each size a command line sets; an option's spec in
@@ -356,7 +350,7 @@ _READERS = {"int": _parse_int, "orders": _parse_orders, "weights": _parse_weight
 #   3.1 s; from 900 and 1600 on, the weights no longer print within Python's
 #   4 300-digit limit on integer strings.
 LIMITS = {"commutator order": 200, "solve-theta order": 30, "--deg": 30, "weight order": 6,
-          "--n": 800, "--k": 1400}
+          "--n": 800, "--k": 1400, "expression terms": TERMS_MAX}
 
 
 def _help(command=None):
@@ -411,10 +405,9 @@ def parse_args(argv) -> SimpleNamespace:
             raise UsageError(f"{command}: {name} needs a value")
         if kind in _READERS:
             try:
-                read = _READERS[kind](value, limits[name])
+                value = _READERS[kind](value, limits[name])
             except UsageError as err:
                 raise UsageError(f"{command}: {name}: {err}") from None
-            value = read if kind == "int" else value
         values[name] = values[name] + [value] if kind == "repeat" else kind == "flag" or value
     for name, spec in options.items():
         if spec.partition("<=")[0].endswith("!") and values[name] is None:
@@ -452,7 +445,7 @@ def _summarize(report: dict, stream) -> None:
 def main(argv=None) -> int:
     try:
         report = run(argv)
-    except (UsageError, ParseError, ExactError, DarbouxError) as err:
+    except (UsageError, ParseError, ExactError) as err:
         print(json.dumps({"schema": SCHEMA, "error": str(err), "exit_code": 2},
                          sort_keys=True))
         print(f"error: {err}", file=sys.stderr)

@@ -13,22 +13,67 @@ identifiers must be declared parameters (``sqrt2``, ``sqrt3`` and ``i`` are
 always available and carry their quadratic relations).  ``exp(...)`` of a
 polynomial and non-integer powers of polynomial bases produce quasi-rational
 values; sums of those are rejected.
+
+Every value the parser builds is bounded, so that a short expression cannot
+start unbounded work: the size of a product, quotient or power is bounded
+before it is formed, and a sum is measured once formed.  Its numerator and
+its denominator, as expanded, may have at most :data:`TERMS_MAX` terms each,
+and their integers must print within Python's 4 300-digit limit; the terms
+times the bits of all the values an expression builds are bounded too.
+Past a bound :class:`ExactError` is raised.
 """
 
 from __future__ import annotations
 
+import math
+
 from .exact import ExactError, ParamScalar, relation_of
 from .diffop import QuasiRat, XPoly, XRat, XR_ONE
 
+# The most terms of a parsed value's numerator or denominator (cli.LIMITS
+# "expression terms").  Measured on 2 cores, Python 3.11, fractions.Fraction:
+# ad --j 1 on --theta '(2^3*k+1)^499*x/(2^3*k+3)^499' took 10.9 s, mostly
+# printing its parametric coefficients, and at 1000 '(k+1)^999*x/(k+2)^999' 21.5 s.
+TERMS_MAX = 500
+# the bit length of the largest integer that prints within Python's 4 300-digit limit
+_BITS_MAX = math.ceil(4300 * math.log2(10))
 
-def _int_literal(text: str) -> int:
-    """The value of a run of digits; ExactError past Python's limit on the
-    digits of a str-to-int conversion."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ExactError(f"integer literal of {len(text)} digits exceeds Python's "
-                         "limit on integer-string conversion") from None
+
+def _power_terms(t: int, n: int) -> int:
+    """C(t + n - 1, n), the most terms a t-term polynomial to the power n can
+    have; just n when that is past TERMS_MAX already."""
+    return n if t > 1 and n > TERMS_MAX else math.comb(t + n - 1, n)
+
+
+def _side(factors) -> tuple:
+    """(terms, degrees, bits) of a product of (MPoly, exponent) factors, as
+    expanded: a bound on its terms; its degree in x and in each parameter;
+    and a bound on the bit length of its integers, from the coefficient sum
+    or common denominator of each factor."""
+    terms, degrees, bits = 1, {}, 0
+    for p, e in factors:
+        terms *= _power_terms(len(p.terms), e)
+        bits += e * (max(p.den, sum(map(abs, p.terms.values()))) - 1).bit_length()
+        for name, d in [("x", p.x_degree()), *((q, p.degree(q)) for q in p.params())]:
+            degrees[name] = degrees.get(name, 0) + e * max(d, 0)
+    return terms, degrees, bits
+
+
+def _sides(v) -> tuple:
+    """The sizes of a parsed value's numerator and denominator; for a
+    quasi-rational value, both are those of the product of its parts."""
+    if isinstance(v, QuasiRat):
+        parts = (v.exp_part, v.scale, *(p for f in v.factors for p in f))
+        side = _side([(q, 1) for p in parts for q in (p.num, p.den)])
+        return side, side
+    return (_side([(v.num.num, 1), *((b.den, e) for b, e in v.factors)]),
+            _side([(v.num.den, 1), *((b.num, e) for b, e in v.factors)]))
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The sizes of a product of two sides."""
+    (ta, da, ba), (tb, db, bb) = a, b
+    return ta * tb, {k: da.get(k, 0) + db.get(k, 0) for k in da.keys() | db.keys()}, ba + bb
 
 
 class ParseError(ValueError):
@@ -53,9 +98,9 @@ def _tokenize(text: str):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             tokens.append(("int", text[start:pos], start))
             continue
@@ -74,32 +119,15 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Value:
-    """Either a rational function (xrat) or a quasi-rational product (quasi)."""
-
-    __slots__ = ("xrat", "quasi")
-
-    def __init__(self, xrat=None, quasi=None):
-        self.xrat = xrat
-        self.quasi = quasi
-
-    @property
-    def is_quasi(self):
-        return self.quasi is not None
-
-
-def _as_quasi(v: _Value) -> QuasiRat:
-    if v.quasi is not None:
-        return v.quasi
-    return QuasiRat() * v.xrat
-
-
 class _Parser:
+    """Each method returns an XRat, or a QuasiRat for a quasi-rational value."""
+
     def __init__(self, text: str, params):
-        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.params = dict(params)
+        self.params = set(params)
+        # what all the values built may hold together: term counts times bits
+        self.budget = TERMS_MAX * _BITS_MAX
 
     def peek(self):
         return self.tokens[self.idx]
@@ -111,123 +139,107 @@ class _Parser:
         self.idx += 1
         return tok
 
-    def parse(self) -> _Value:
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return value
+    def check(self, sides, pos: int) -> None:
+        """ExactError unless values of these sizes are within the bound; the
+        terms of each are at most the dense count its degrees allow."""
+        for terms, degrees, bits in sides:
+            terms = min(terms, math.prod(d + 1 for d in degrees.values()))
+            self.budget -= terms * max(bits, 1)
+            if bits > _BITS_MAX:
+                raise ExactError("an integer exceeds Python's limit on integer-string "
+                                 f"conversion (at position {pos})")
+            if terms > TERMS_MAX:
+                raise ExactError(f"expression terms exceed the limit {TERMS_MAX} "
+                                 f"(at position {pos})")
+            if self.budget < 0:
+                raise ExactError(f"the values of the expression exceed {TERMS_MAX} terms "
+                                 f"of {_BITS_MAX} bits in all (at position {pos})")
 
-    def expr(self) -> _Value:
-        negate = False
-        if self.peek()[0] == "-":
+    def expr(self):
+        negate = self.peek()[0] == "-"
+        if negate:
             self.take()
-            negate = True
         value = self.term()
         if negate:
-            value = self._negate(value)
+            value = (QuasiRat(value.factors, value.exp_part, -value.scale)
+                     if isinstance(value, QuasiRat) else -value)
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.take()
             rhs = self.term()
-            if value.is_quasi or rhs.is_quasi:
+            if isinstance(value, QuasiRat) or isinstance(rhs, QuasiRat):
                 raise ParseError("sums of quasi-rational factors are not supported", pos)
-            value = _Value(xrat=value.xrat + rhs.xrat if op == "+" else value.xrat - rhs.xrat)
+            # a sum costs at most a product of its bounded terms: measure it
+            value = value + rhs if op == "+" else value - rhs
+            self.check(_sides(value), pos)
         return value
 
-    def term(self) -> _Value:
+    def term(self):
         value = self.power()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.take()
             rhs = self.power()
-            if op == "*":
-                if value.is_quasi or rhs.is_quasi:
-                    value = _Value(quasi=_as_quasi(value) * _as_quasi(rhs))
-                else:
-                    value = _Value(xrat=value.xrat * rhs.xrat)
+            (na, da), (nb, db) = _sides(value), _sides(rhs)
+            self.check([_times(na, nb), _times(da, db)] if op == "*" else
+                       [_times(na, db), _times(da, nb)], pos)
+            if isinstance(rhs, QuasiRat):
+                if op == "/":
+                    rhs = QuasiRat(tuple((b, -e) for b, e in rhs.factors),
+                                   -rhs.exp_part, rhs.scale.invert())
+                value = (value if isinstance(value, QuasiRat) else QuasiRat() * value) * rhs
+            elif op == "*":
+                value = value * rhs
+            elif rhs.is_zero():
+                raise ParseError("division by zero", pos)
             else:
-                if rhs.is_quasi:
-                    inv = QuasiRat(tuple((b, -e) for b, e in rhs.quasi.factors),
-                                   -rhs.quasi.exp_part, rhs.quasi.scale.invert())
-                    value = _Value(quasi=_as_quasi(value) * inv)
-                elif value.is_quasi:
-                    if rhs.xrat.is_zero():
-                        raise ParseError("division by zero", pos)
-                    value = _Value(quasi=value.quasi * rhs.xrat.invert())
-                else:
-                    if rhs.xrat.is_zero():
-                        raise ParseError("division by zero", pos)
-                    value = _Value(xrat=value.xrat / rhs.xrat)
+                value = value * rhs.invert()
         return value
 
-    def power(self) -> _Value:
+    def power(self):
         base = self.atom()
         if self.peek()[0] != "^":
             return base
         _, _, pos = self.take()
-        exponent = self.power_exponent(pos)
-        return self._pow(base, exponent, pos)
+        # an exponent is an atom; negative exponents come parenthesized, e.g. x^(-1/2)
+        if self.peek()[0] not in ("(", "int", "name"):
+            raise ParseError("expected exponent", pos)
+        return self._pow(base, self.atom(), pos)
 
-    def power_exponent(self, pos):
-        # an exponent is itself a power expression; negative exponents come
-        # parenthesized, e.g. x^(-1/2)
-        if self.peek()[0] == "(":
-            self.take()
-            value = self.expr()
-            self.take(")")
-            return value
-        if self.peek()[0] == "int":
-            tok = self.take()
-            return _Value(xrat=XRat.const(_int_literal(tok[1])))
-        tok = self.peek()
-        if tok[0] == "name":
-            return self.atom()
-        raise ParseError("expected exponent", pos)
-
-    def _pow(self, base: _Value, exponent: _Value, pos: int) -> _Value:
-        if exponent.is_quasi:
+    def _pow(self, base, exponent, pos):
+        if isinstance(exponent, QuasiRat):
             raise ParseError("exponent must be a scalar", pos)
-        exp_rat = exponent.xrat
-        if not exp_rat.is_constant():
+        if not exponent.is_constant():
             raise ParseError("exponent must not depend on x", pos)
-        c = exp_rat.num.coeff(0) if not exp_rat.is_zero() else None
-        if c is not None and c.is_constant() and c.const_value().denominator == 1 \
-                and not base.is_quasi:
-            n = int(c.const_value())
-            if n >= 0:
-                return _Value(xrat=base.xrat ** n)
-            if base.xrat.is_zero():
+        if exponent.is_zero():
+            return XR_ONE
+        scalar = exponent.num.coeff(0)
+        if scalar.is_constant() and scalar.const_value().denominator == 1 \
+                and not isinstance(base, QuasiRat):
+            n = int(scalar.const_value())
+            if n < 0 and base.is_zero():
                 raise ParseError("zero to a negative power", pos)
-            return _Value(xrat=base.xrat ** n)
-        if exp_rat.is_zero():
-            return _Value(xrat=XR_ONE)
-        scalar = exp_rat.num.coeff(0)
-        if base.is_quasi:
-            q = base.quasi
-            if not q.exp_part.is_zero():
-                raise ParseError("cannot raise an exp factor to a symbolic power", pos)
-            factors = tuple((b, e * scalar) for b, e in q.factors)
-            if not q.scale.is_one():
-                raise ParseError("cannot raise a scaled product to a symbolic power", pos)
-            return _Value(quasi=QuasiRat(factors))
-        xr = base.xrat
-        factors = []
-        if not xr.num.is_constant():
-            factors.append((xr.num, scalar))
-            lead = None
-        else:
-            lead = xr.num.coeff(0)
-        for b, e in xr.factors:
-            factors.append((b, scalar * (-e)))
-        if lead is not None and not lead.is_one():
-            raise ParseError("cannot raise a scaled constant to a symbolic power", pos)
-        return _Value(quasi=QuasiRat(tuple(factors)))
+            self.check([(_power_terms(t, abs(n)), {k: d * abs(n) for k, d in degrees.items()},
+                         bits * abs(n)) for t, degrees, bits in _sides(base)], pos)
+            return base ** n
+        self.check(map(_times, _sides(base), _sides(exponent)), pos)
+        if not isinstance(base, QuasiRat):
+            if base.num.is_constant() and not base.num.coeff(0).is_one():
+                raise ParseError("cannot raise a scaled constant to a symbolic power", pos)
+            base = QuasiRat() * base
+        if not base.exp_part.is_zero():
+            raise ParseError("cannot raise an exp factor to a symbolic power", pos)
+        if not base.scale.is_one():
+            raise ParseError("cannot raise a scaled product to a symbolic power", pos)
+        return QuasiRat(tuple((b, e * scalar) for b, e in base.factors))
 
-    def atom(self) -> _Value:
-        tok = self.peek()
-        kind, textv, pos = tok
+    def atom(self):
+        kind, textv, pos = self.peek()
         if kind == "int":
             self.take()
-            return _Value(xrat=XRat.const(_int_literal(textv)))
+            try:
+                return XRat.const(int(textv))
+            except ValueError:  # past Python's limit on the digits of a str-to-int conversion
+                raise ExactError(f"integer literal of {len(textv)} digits exceeds Python's "
+                                 "limit on integer-string conversion") from None
         if kind == "(":
             self.take()
             value = self.expr()
@@ -236,26 +248,19 @@ class _Parser:
         if kind == "name":
             self.take()
             if textv == "x":
-                return _Value(xrat=XRat.from_poly(XPoly.x()))
+                return XRat.from_poly(XPoly.x())
             if textv == "exp":
                 self.take("(")
                 arg = self.expr()
                 self.take(")")
-                if arg.is_quasi or not arg.xrat.is_polynomial():
+                if isinstance(arg, QuasiRat) or not arg.is_polynomial():
                     raise ParseError("exp argument must be a polynomial in x", pos)
-                return _Value(quasi=QuasiRat(exp_part=arg.xrat.as_xpoly()))
+                return QuasiRat(exp_part=arg.as_xpoly())
             if textv in self.params or relation_of(textv) is not None:
-                return _Value(xrat=XRat.const(ParamScalar.var(textv)))
-            declared = sorted(set(self.params) | set(_DEFAULT_PARAMS))
-            raise ParseError(
-                f"unknown identifier {textv!r}; declared parameters: {', '.join(declared) or '(none)'}",
-                pos)
+                return XRat.const(ParamScalar.var(textv))
+            declared = ", ".join(sorted(self.params | set(_DEFAULT_PARAMS)))
+            raise ParseError(f"unknown identifier {textv!r}; declared parameters: {declared}", pos)
         raise ParseError(f"unexpected {textv!r}", pos)
-
-    def _negate(self, v: _Value) -> _Value:
-        if v.is_quasi:
-            return _Value(quasi=QuasiRat(v.quasi.factors, v.quasi.exp_part, -v.quasi.scale))
-        return _Value(xrat=-v.xrat)
 
 
 def parse_expr(text: str, params=()):
@@ -264,13 +269,14 @@ def parse_expr(text: str, params=()):
     ``params`` lists the declared parameter names allowed as identifiers
     (relation-bearing built-ins are always allowed).
     """
-    parser = _Parser(text, {p: True for p in params})
-    value = parser.parse()
-    if value.is_quasi:
-        return value.quasi
-    if value.xrat.is_polynomial():
-        return value.xrat.as_xpoly()
-    return value.xrat
+    parser = _Parser(text, params)
+    value = parser.expr()
+    kind, textv, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {textv!r}", pos)
+    if isinstance(value, XRat) and value.is_polynomial():
+        return value.as_xpoly()
+    return value
 
 
 def render(value) -> str:

@@ -504,27 +504,27 @@ MATRIX_ACTION_SIDE = "left"
 # vanishes identically and the factors carry no information.
 
 
-def _mat_hermite_op(side=MATRIX_ACTION_SIDE) -> MatDiffOp:
+def _mat_hermite_op() -> MatDiffOp:
     bmat = [[XPoly.monomial(1, -2), XPoly.const(2 * _A)], [0, XPoly.monomial(1, -2)]]
     return MatDiffOp.from_matrices(
-        {2: [[1, 0], [0, 1]], 1: bmat, 0: [[-2, 0], [0, 0]]}, action_side=side)
+        {2: [[1, 0], [0, 1]], 1: bmat, 0: [[-2, 0], [0, 0]]}, MATRIX_ACTION_SIDE)
 
 
-def _mat_laguerre1_op(side=MATRIX_ACTION_SIDE) -> MatDiffOp:
+def _mat_laguerre1_op() -> MatDiffOp:
     bmat = [[XPoly.monomial(1, -2), XPoly.monomial(1, 4 * _A)], [0, XPoly.monomial(1, -2)]]
     return MatDiffOp.from_matrices(
-        {2: [[1, 0], [0, 1]], 1: bmat, 0: [[-4, 2 * _A], [0, 0]]}, action_side=side)
+        {2: [[1, 0], [0, 1]], 1: bmat, 0: [[-4, 2 * _A], [0, 0]]}, MATRIX_ACTION_SIDE)
 
 
-def _mat_laguerre2_op(side=MATRIX_ACTION_SIDE) -> MatDiffOp:
+def _mat_laguerre2_op() -> MatDiffOp:
     bmat = [[XPoly.from_list([2 * _B, -2]), XPoly.from_list([2 * _A, -2 * _A * _B])],
             [0, XPoly.monomial(1, -2)]]
     return MatDiffOp.from_matrices(
-        {2: [[1, 0], [0, 1]], 1: bmat, 0: [[-2, 0], [0, 0]]}, action_side=side)
+        {2: [[1, 0], [0, 1]], 1: bmat, 0: [[-2, 0], [0, 0]]}, MATRIX_ACTION_SIDE)
 
 
-def _theta_xi(side=MATRIX_ACTION_SIDE) -> MatDiffOp:
-    return MatDiffOp.scalar_times_identity(XRat.from_poly(XPoly.x()), 2, action_side=side)
+def _theta_xi() -> MatDiffOp:
+    return MatDiffOp.scalar_times_identity(XRat.from_poly(XPoly.x()), 2, MATRIX_ACTION_SIDE)
 
 
 def _matrix_entries() -> list:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bispec.exact import ParamScalar, Rat
+from bispec.exact import ExactError, ParamScalar, Rat
 from bispec.diffop import QuasiRat, XPoly, XRat
 from bispec.expr import ParseError, parse_expr, render
 from bispec import cli
@@ -62,6 +62,8 @@ def test_parse_errors():
         parse_expr("exp(1/x)")
     with pytest.raises(ParseError):
         parse_expr("exp(x) + 1")
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_expr("x^\u00b2")  # a superscript digit is no integer literal
 
 
 def test_round_trip_catalog():
@@ -250,6 +252,13 @@ _USAGE_ERRORS = [
     # solve-theta's rank certificate, still running after 30 s
     ["solve-theta", "--L", "x^2+1/x^2", "--weights", "100:1,0:1", "--deg", "2"],
     ["solve-theta", "--L", "x^2", "--weights", "2:1,0:-4", "--deg", "300"],
+    # expressions over the parser's bound: powers that ran for seconds to
+    # minutes, a 99-character product still running at 60 s, a parameter
+    # power, and a 100-million-bit integer
+    *(["ad", "--L", "x^2", "--theta", f"(x+1)^{n}", "--j", "1"] for n in (1000, 2000, 4000, 8000)),
+    ["ad", "--L", "x^2", "--theta", "*".join(["(x+1)^900"] * 10), "--j", "1"],
+    ["ad", "--L", "(k+1)^6000*x^2", "--param", "k", "--theta", "x", "--j", "1"],
+    ["ad", "--L", "x^2", "--theta", "2^(10^8)*x", "--j", "1"],
 ])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -304,13 +313,76 @@ def test_cli_limits_admit_their_own_value():
                in cli.COMMANDS.items() for option, spec in options.items() if "<=" in spec]
     assert {what for _, _, (_, _, what) in bounded} == set(cli.LIMITS)
     for command, option, (kind, _, what) in bounded:
+        if kind.rstrip("!") not in cli._READERS:
+            continue  # an expression, bounded as it is parsed: test_expression_terms_limit
         read, text = cli._READERS[kind.rstrip("!")], texts[kind.rstrip("!")]
         limit = cli.LIMITS[what]
         read(text(limit), what)
         with pytest.raises(cli.UsageError, match=f"{what} {limit + 1} exceeds the limit"):
             cli.parse_args([command, option, text(limit + 1)])
     assert cli.parse_args(["reach-weights", "--n", "800"]).n == 800
-    assert cli.parse_args(["fit-weights", "--orders", "200,1"]).orders == "200,1"
+    assert cli.parse_args(["fit-weights", "--orders", "200,1"]).orders == [200, 1]
+
+
+# a valid command line for each option an expression bound applies to
+_EXPRESSION_ARGV = {
+    "ad": ["--L", "x^2", "--theta", "x", "--j", "1"],
+    "fit-weights": ["--L", "x^2", "--theta", "x", "--orders", "3,1"],
+    "solve-theta": ["--L", "x^2", "--weights", "2:1,0:-4", "--deg", "1"],
+    "darboux": ["--L", "x^2", "--seed", "exp(-x^2/2)"],
+    "heisenberg": ["--L", "x^2", "--theta", "x", "--order", "2"],
+}
+
+
+def test_expression_terms_limit(capsys):
+    limit = cli.LIMITS["expression terms"]
+    assert len(parse_expr(f"(x+1)^{limit - 1}").coeffs) == limit
+    # a quotient keeps numerator and denominator apart; two parameters
+    # bound a power by its term count, not by each degree
+    assert isinstance(parse_expr(f"(x+1)^{limit - 1}/(x+2)^{limit - 1}"), XRat)
+    assert parse_expr("(x+k+1)^30", params=["k"])
+    too_large = [f"(x+1)^{limit}", f"(x+1)^{limit // 2}*(x+2)^{limit // 2}", "(x+k+1)^31",
+                 f"1/(x+1)^{limit // 2} + 1/(x+2)^{limit // 2}",
+                 f"exp(x)*(k+1)^{limit // 2}*(k+2)^{limit // 2}"]
+    for text in too_large:
+        with pytest.raises(ExactError, match=f"expression terms exceed the limit {limit}"):
+            parse_expr(text, params=["k"])
+    with pytest.raises(ExactError, match="integer-string conversion"):
+        parse_expr("((2^1000)^10)^2")
+    # each value fits, but together they exceed the budget of the expression
+    assert parse_expr("+".join([f"(x+1)^{limit - 1}"] * 3))
+    with pytest.raises(ExactError, match="in all"):
+        parse_expr("+".join([f"(x+1)^{limit - 1}"] * 40))
+    bounded = [(command, option) for command, (_, _, _, options) in cli.COMMANDS.items()
+               for option, spec in options.items() if spec.endswith("<=expression terms")]
+    assert {command for command, _ in bounded} == set(_EXPRESSION_ARGV)
+    for command, option in bounded:
+        argv = [command, *_EXPRESSION_ARGV[command]]
+        assert cli.main(argv) == 0
+        argv[argv.index(option) + 1] = f"(x+1)^{limit}"
+        assert cli.main(argv) == 2
+        assert f"expression terms exceed the limit {limit}" in capsys.readouterr().out
+
+
+def test_cli_probe_convention(capsys):
+    report, _ = run_cli(["probe-convention", "matrix:hermite:1"])
+    (verdict,) = report["verdicts"]
+    assert report["exit_code"] == 0 and verdict["sides"] == ["left", "right"]
+    assert verdict["residual_left"] == verdict["residual_right"] == "0"
+    report, _ = run_cli(["probe-convention", "matrix:laguerre:1a-printed"])
+    assert report["exit_code"] == 1 and report["verdicts"][0]["sides"] == []
+    assert cli.main(["probe-convention", "laguerre-step:1"]) == 2
+    assert "applies to matrix entries" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("k, weights", [
+    (4, {"0": "-14400", "2": "4144", "4": "-140", "6": "1"}),
+    (3, {"1": "1024", "3": "-80", "5": "1"}),
+])
+def test_cli_hermite_new_weights(k, weights):
+    report, _ = run_cli(["hermite-new-weights", "--k", str(k)])
+    assert report["exit_code"] == 0 and report["inputs"] == {"k": k}
+    assert report["verdicts"][0]["weights"] == weights
 
 
 def test_cli_equals_form_gives_the_same_report():
@@ -339,9 +411,11 @@ def test_readme_cli_examples_parse():
             assert rest[0] in (getattr(args, "id", None), getattr(args, "action", None))
         for token, value in zip(rest, rest[1:] + [None]):
             if token.startswith("--"):
-                dest = cli._ALIASES.get(token, token)[2:].replace("-", "_")
-                got = getattr(args, dest)
-                assert got is True or value in (got if isinstance(got, list) else [str(got)])
+                option = cli._ALIASES.get(token, token)
+                got = getattr(args, option[2:].replace("-", "_"))
+                kind = cli.COMMANDS[command][3][option].partition("<=")[0].rstrip("!")
+                want = cli._READERS[kind](value) if kind in cli._READERS else value
+                assert got is True or (want in got if kind == "repeat" else want == got)
 
 
 def test_cli_help_and_import_in_a_fresh_process():
