@@ -17,7 +17,6 @@ from .exact import EXP_MAX, PS_ONE, PS_ZERO, ParamScalar, Rat, ExactError, nulls
 from .diffop import (
     DiffOp,
     XPoly,
-    XRat,
     XR_ZERO,
     _coerce_ps,
     common_numerators,
@@ -28,13 +27,7 @@ from .diffop import (
 
 def as_operator(theta) -> DiffOp:
     """Coerce a polynomial or rational function to a multiplication operator."""
-    if isinstance(theta, DiffOp):
-        return theta
-    if isinstance(theta, XPoly):
-        return DiffOp.mul_by(XRat.from_poly(theta))
-    if isinstance(theta, XRat):
-        return DiffOp.mul_by(theta)
-    return DiffOp.mul_by(XRat.const(theta))
+    return theta if isinstance(theta, DiffOp) else DiffOp.mul_by(theta)
 
 
 class WeightVector:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import permutations
+from operator import add
 
 from .exact import (
     EXP_MAX,
@@ -58,6 +59,7 @@ from .exact import (
     Rat,
     ExactError,
     _coerce,
+    _is_atomic,
     _normalize_fraction_parts,
     cancel_common_factor,
     denominator_cofactors,
@@ -207,15 +209,7 @@ class XPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ExactError("negative power of a polynomial")
-        result = _XP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return _xp_norm(self.num ** n, self.den ** n)
 
     def derivative(self) -> "XPoly":
         return _xp_norm(self.num.x_derivative(), self.den)
@@ -655,28 +649,17 @@ def _find_base(factors: list, base: XPoly):
     return None
 
 
-def _merge_equal(pairs) -> list:
-    """[base, exp] lists of pairs, with the exponents of equal bases summed
-    into the first one."""
+def _merge_equal(pairs, combine=add) -> list:
+    """[base, exp] lists of pairs, with the exponents of equal bases combined
+    (summed, by default) into the first one."""
     out = []
     for base, exp in pairs:
         idx = _find_base(out, base)
         if idx is None:
             out.append([base, exp])
         else:
-            out[idx][1] += exp
+            out[idx][1] = combine(out[idx][1], exp)
     return out
-
-
-def _merge_factors(f1, f2):
-    out = [list(f) for f in f1]
-    for base, exp in f2:
-        idx = _find_base(out, base)
-        if idx is None:
-            out.append([base, exp])
-        elif exp > out[idx][1]:
-            out[idx][1] = exp
-    return tuple((b, e) for b, e in out)
 
 
 def _complement(merged, own) -> XPoly:
@@ -858,20 +841,10 @@ class DiffOp:
         return self + (-other)
 
     def scale(self, c) -> "DiffOp":
-        if isinstance(c, XRat):
-            if c.is_zero():
-                return self._like({})
-            return self._like({r: v * c for r, v in self.coeffs.items()})
         c = _coerce_ps(c)
         if c.is_zero():
             return self._like({})
         return self._like({r: v * c for r, v in self.coeffs.items()}, _normalize=False)
-
-    def __mul__(self, other):
-        """Operator composition (self after other)."""
-        if isinstance(other, DiffOp):
-            return compose(self, other)
-        return NotImplemented
 
     def reduced(self) -> "DiffOp":
         return self._like({r: c.reduced() for r, c in self.coeffs.items()}, _normalize=False)
@@ -988,9 +961,7 @@ def equals(a: DiffOp, b: DiffOp) -> bool:
 def _over_common_den(rats) -> tuple:
     """(merged factor list, an iterator of the numerators of rats over it);
     the merge keeps each base at its largest exponent."""
-    merged = ()
-    for f in rats:
-        merged = _merge_factors(merged, f.factors)
+    merged = _merge_equal([p for f in rats for p in f.factors], max)
     return merged, (f.num * _complement(merged, f.factors) if f.num else _XP_ZERO for f in rats)
 
 
@@ -1108,13 +1079,6 @@ def _paren(text: str) -> str:
     return text if _balanced_parens(text) else f"({text})"
 
 
-def _coeff_str(c: ParamScalar) -> str:
-    text = render_scalar(c)
-    if "+" in text or " - " in text or text.startswith("-") or "/" in text:
-        return _paren(text)
-    return text
-
-
 def render_xpoly(p: XPoly) -> str:
     if p.is_zero():
         return "0"
@@ -1152,7 +1116,7 @@ def render_xrat(f: XRat) -> str:
     for base, exp in f.factors:
         btxt = _base_str(base, exp != 1)
         parts.append(btxt if exp == 1 else f"{btxt}^{exp}")
-    ntxt = num if _is_simple(num) else _paren(num)
+    ntxt = num if _is_atomic(num) else _paren(num)
     if len(parts) > 1:
         return f"{ntxt}/({'*'.join(parts)})"
     return f"{ntxt}/{parts[0]}"
@@ -1162,14 +1126,9 @@ def _base_str(base: XPoly, powered: bool) -> str:
     """A denominator or quasi-rational base; a powered base whose own text
     has a '^' is parenthesised, since x^2^3 does not parse."""
     text = render_xpoly(base)
-    if _is_simple(text) and not (powered and "^" in text):
+    if _is_atomic(text) and not (powered and "^" in text):
         return text
     return _paren(text)
-
-
-def _is_simple(text: str) -> bool:
-    return ("+" not in text and " - " not in text and "*" not in text
-            and "/" not in text and not text.startswith("-"))
 
 
 def render_diffop(op: DiffOp) -> str:
@@ -1187,7 +1146,7 @@ def render_diffop(op: DiffOp) -> str:
         elif ctxt == "-1":
             body = f"-{dtxt}"
         else:
-            body = f"{ctxt}*{dtxt}" if _is_simple(ctxt) else f"{_paren(ctxt)}*{dtxt}"
+            body = f"{ctxt}*{dtxt}" if _is_atomic(ctxt) else f"{_paren(ctxt)}*{dtxt}"
         chunks.append(body)
     out = chunks[0]
     for chunk in chunks[1:]:
@@ -1198,14 +1157,16 @@ def render_diffop(op: DiffOp) -> str:
 def render_quasirat(q: QuasiRat) -> str:
     parts = []
     if not q.scale.is_one():
-        parts.append(_coeff_str(q.scale))
+        text = render_scalar(q.scale)
+        parts.append(_paren(text) if "+" in text or " - " in text or text.startswith("-")
+                     or "/" in text else text)
     for base, exponent in q.factors:
         btxt = _base_str(base, not exponent.is_one())
         if exponent.is_one():
             parts.append(btxt)
         else:
             etxt = render_scalar(exponent)
-            parts.append(f"{btxt}^{etxt}" if _is_simple(etxt) else f"{btxt}^{_paren(etxt)}")
+            parts.append(f"{btxt}^{etxt}" if _is_atomic(etxt) else f"{btxt}^{_paren(etxt)}")
     if not q.exp_part.is_zero():
         parts.append(f"exp({render_xpoly(q.exp_part)})")
     return "*".join(parts) if parts else "1"

@@ -356,8 +356,8 @@ class MPoly:
     coefficient of a key is ``terms[key] / den``.  No key has a guard bit
     set, and a relation-bearing exponent is 0 or 1.  The zero polynomial has
     no terms and den 1.
-    The form is unique, so ``==`` and ``hash`` are structural and
-    ``is_zero`` is an O(1) check.
+    The form is unique, so ``==`` is structural and ``is_zero`` is an O(1)
+    check.
     """
 
     __slots__ = ("terms", "den")
@@ -635,8 +635,7 @@ class MPoly:
             return self == MPoly.const(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.den))
+    __hash__ = None
 
     def __neg__(self):
         return MPoly({k: -c for k, c in self.terms.items()}, self.den)
@@ -1017,14 +1016,7 @@ class ParamScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den is _MP_ONE and other.den is _MP_ONE:
-            return ParamScalar(self.num - other.num, _MP_ONE, _normalize=False)
-        if self.den == other.den:
-            return ParamScalar(self.num - other.num, self.den)
-        return ParamScalar(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
