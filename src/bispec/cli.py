@@ -108,15 +108,24 @@ def _schrodinger_from(args) -> tuple:
     return DiffOp.schrodinger(v), None, name, []
 
 
-def _theta_from(args, entry):
+def _theta_from(args, entry, order: int):
+    """Theta of --theta or of the catalog entry, if an ad tower of it to
+    ``order`` fits the commutator-order limit: an order j on a theta of x-degree
+    d counts j * (j + d) against the limit's own count on theta = x."""
     if args.theta is not None:
         theta = parse_expr(args.theta, params=args.param)
         if isinstance(theta, (QuasiRat, XRat)):
             raise UsageError("theta must be a polynomial in x")
-        return theta
-    if entry is not None and entry.theta is not None:
-        return entry.theta
-    raise UsageError("need --theta <polynomial> (no catalog theta available)")
+    elif entry is not None and entry.theta is not None:
+        theta = entry.theta
+    else:
+        raise UsageError("need --theta <polynomial> (no catalog theta available)")
+    limit, degree = LIMITS["commutator order"], theta.degree()
+    if order * (order + degree) > limit * (limit + 1):
+        raise UsageError(f"commutator order {order} on a theta of x-degree {degree} exceeds "
+                         f"the limit {limit}: order * (order + x-degree) may be at most "
+                         f"{limit} * {limit + 1}")
+    return theta
 
 
 def _verdict(claim: str, holds: bool, residual="", assumptions=(), **extra) -> dict:
@@ -186,7 +195,7 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_ad(args) -> dict:
     op, entry, name, provenance = _schrodinger_from(args)
-    theta = _theta_from(args, entry)
+    theta = _theta_from(args, entry, args.j)
     power = ad_power(op, theta, args.j)
     verdicts = [_verdict(f"ad power {args.j}", True, residual=power,
                          order=power.order())]
@@ -196,7 +205,7 @@ def _cmd_ad(args) -> dict:
 
 def _cmd_fit_weights(args) -> dict:
     op, entry, name, provenance = _schrodinger_from(args)
-    theta = _theta_from(args, entry)
+    theta = _theta_from(args, entry, max(args.orders))
     result = fit_weights(op, theta, args.orders)
     verdicts = []
     for w in result.vectors:
@@ -270,7 +279,7 @@ def _cmd_gen_system(args) -> dict:
 
 def _cmd_heisenberg(args) -> dict:
     op, entry, name, provenance = _schrodinger_from(args)
-    theta = _theta_from(args, entry)
+    theta = _theta_from(args, entry, args.order)
     report = heisenberg_series(op, theta, args.order)
     relations = [{"from_order": j, "to_order": j + 2, "constant": str(c)}
                  for j, c in report.relations]
@@ -337,10 +346,15 @@ _READERS = {"int": _parse_int, "orders": _parse_orders, "weights": _parse_weight
 # The largest value of each size a command line sets; an option's spec in
 # COMMANDS names the size that bounds it.  Each keeps the runs measured at it
 # (2 cores, Python 3.11, fractions.Fraction) within about 14 s:
-# - commutator order: fit-weights --orders 200,1 took 8.3 s on --L
-#   'x^2+1/x^2' --theta x^2 (250: 14.7 s), 10.2 s on --catalog laguerre-step:1
-#   and 13.1 s on laguerre-step:2; heisenberg --order 200 4.4 s and ad --j 200
-#   3.5 s on laguerre-step:2.
+# - commutator order, measured on towers that grow every step (--L
+#   'x^2+1/x^2'; theta x^2 closes there and hides the growth): an order j on
+#   a theta of x-degree d counts j * (j + d) (_theta_from), since a larger
+#   theta makes each step larger.  At that count's limit, 70 * 71, fit-weights
+#   --orders 70,1 took 6.9 s on --theta x and 6.0 s at 68 on (x+1)^5, ad --j
+#   68 5.3 s and heisenberg --order 68 5.0 s on x^3, ad --j 53 7.0 s and
+#   heisenberg --order 53 7.3 s on (x+1)^40, ad --j 36 5.3 s on (x+1)^100 and
+#   --j 9 0.5 s on (x+1)^499.  Beyond it: fit-weights --orders 80,1 11.6 s on
+#   x^3, ad --j 60 over 60 s on (x+1)^499.
 # - solve-theta order and --deg: solve-theta's rank certificate steps one jet
 #   tower per monomial and point, so its cost grows with both; at 30 and 30
 #   it took 2.9-10 s on x^2+1/x^2, laguerre-step:2 and ansatz:A5-5A3+4A1:7
@@ -349,7 +363,7 @@ _READERS = {"int": _parse_int, "orders": _parse_orders, "weights": _parse_weight
 # - --n and --k: reach-weights --n 800 3.9 s and hermite-new-weights --k 1400
 #   3.1 s; from 900 and 1600 on, the weights no longer print within Python's
 #   4 300-digit limit on integer strings.
-LIMITS = {"commutator order": 200, "solve-theta order": 30, "--deg": 30, "weight order": 6,
+LIMITS = {"commutator order": 70, "solve-theta order": 30, "--deg": 30, "weight order": 6,
           "--n": 800, "--k": 1400, "expression terms": TERMS_MAX}
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -29,6 +30,9 @@ def test_parse_singular_term():
         XPoly.const((k ** 4 + 8 * k * k + 12) * ParamScalar.const(Rat(1, 16))),
         XPoly.monomial(2))
     assert v == want
+    v = parse_expr("(x+1)^(-2)")  # a negative power of a rational value
+    assert v == XRat.from_ratio(XPoly.one(), XPoly.from_list([1, 2, 1]))
+    assert render(v) == "1/(x + 1)^2"
 
 
 def test_parse_quasi_rational_seed():
@@ -46,6 +50,7 @@ def test_parse_polynomial_returns_xpoly():
     v = parse_expr("4*x^2 - 2")
     assert isinstance(v, XPoly)
     assert v == XPoly.from_list([-2, 0, 4])
+    assert parse_expr("x^0 + x") == XPoly.from_list([1, 1])
 
 
 def test_unary_minus_binds_below_power():
@@ -64,6 +69,19 @@ def test_parse_errors():
         parse_expr("exp(x) + 1")
     with pytest.raises(ParseError, match="unexpected character"):
         parse_expr("x^\u00b2")  # a superscript digit is no integer literal
+    for text, message in [
+        ("x^x", "exponent must not depend on x"),
+        ("x^exp(x)", "exponent must be a scalar"),
+        ("0^(-1)", "zero to a negative power"),
+        ("2^(1/2)", "cannot raise a scaled constant to a symbolic power"),
+        ("exp(x)^(1/2)", "cannot raise an exp factor to a symbolic power"),
+        ("(2*x^(1/2))^(1/3)", "cannot raise a scaled product to a symbolic power"),
+        ("x^", "expected exponent"),
+        ("(x", "expected '\\)'"),
+        ("x)", "unexpected '\\)'"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            parse_expr(text)
 
 
 def test_round_trip_catalog():
@@ -153,6 +171,9 @@ def test_cli_fit_weights_none_exists_reports_assumptions():
 def test_cli_ad_and_solve_theta():
     report, _ = run_cli(["ad", "--L", "x^2", "--theta", "x", "--j", "2"])
     assert report["verdicts"][0]["residual"] == "4*x"
+    for theta, residual in [("x/2", "-D"), ("-x/2", "D")]:  # unit coefficients of D
+        report, _ = run_cli(["ad", "--L", "x^2", "--theta", theta, "--j", "1"])
+        assert report["verdicts"][0]["residual"] == residual
     report, _ = run_cli(["solve-theta", "--L", "x^2", "--weights", "2:1,0:-4",
                          "--deg", "1"])
     assert report["verdicts"][0]["theta"] == "x"
@@ -259,6 +280,18 @@ _USAGE_ERRORS = [
     ["ad", "--L", "x^2", "--theta", "*".join(["(x+1)^900"] * 10), "--j", "1"],
     ["ad", "--L", "(k+1)^6000*x^2", "--param", "k", "--theta", "x", "--j", "1"],
     ["ad", "--L", "x^2", "--theta", "2^(10^8)*x", "--j", "1"],
+    # commutator orders on towers that grow every step: 11.6 s at order 80 and
+    # 37 s at 100 in the rank certificate, 18.8 s, 18.9 s (a 27 MB report) and
+    # over 30 s in ad, and over 60 s for a theta of x-degree 499 at order 60
+    *(["fit-weights", "--L", "x^2+1/x^2", "--theta", theta, "--orders", f"{n},1"]
+      for theta, n in [("x^3", 80), ("(x+1)^5", 100), ("(x+1)^20", 200)]),
+    ["ad", "--L", "x^2+1/x^2", "--theta", "x^3", "--j", "100"],
+    ["ad", "--L", "x^2", "--theta", "(x+1)^300", "--j", "200"],
+    ["ad", "--L", "x^2", "--theta", "(x+1)^499", "--j", "200"],
+    ["heisenberg", "--L", "x^2+1/x^2", "--theta", "x^3", "--order", "200"],
+    ["ad", "--L", "x^2+1/x^2", "--theta", "(x+1)^499", "--j", "60"],
+    ["ad", "--L", "x^(1/2)", "--theta", "x", "--j", "1"],  # a quasi-rational potential
+    ["probe-convention"],  # no id
 ])
 def test_cli_bad_numbers_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -321,7 +354,17 @@ def test_cli_limits_admit_their_own_value():
         with pytest.raises(cli.UsageError, match=f"{what} {limit + 1} exceeds the limit"):
             cli.parse_args([command, option, text(limit + 1)])
     assert cli.parse_args(["reach-weights", "--n", "800"]).n == 800
-    assert cli.parse_args(["fit-weights", "--orders", "200,1"]).orders == [200, 1]
+    assert cli.parse_args(["fit-weights", "--orders", "70,1"]).orders == [70, 1]
+    # the commutator order counts theta's x-degree: order * (order + degree)
+    # may reach the limit's count on theta = x and no more
+    for theta, order, admitted in [("x", 70, True), ("x^3", 69, True), ("x^2", 70, False),
+                                   ("(x+1)^499", 9, True), ("(x+1)^499", 10, False)]:
+        args = cli.parse_args(["ad", "--L", "x^2", "--theta", theta, "--j", str(order)])
+        if admitted:
+            cli._theta_from(args, None, order)
+        else:
+            with pytest.raises(cli.UsageError, match="exceeds the limit 70"):
+                cli._theta_from(args, None, order)
 
 
 # a valid command line for each option an expression bound applies to
@@ -393,8 +436,12 @@ def test_cli_equals_form_gives_the_same_report():
     assert (args.n, args.step) == (4, "-1/2")  # the value is the next token; last one wins
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def _readme_cli_examples() -> list:
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = _readme()
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)
             for line in block.replace("\\\n", " ").splitlines() if line.strip()]
@@ -467,6 +514,15 @@ def test_quasi_rational_round_trip():
     reparsed = parse_expr(render(seed), params=["k"])
     assert isinstance(reparsed, QuasiRat)
     assert reparsed.log_derivative() == seed.log_derivative()
+    # a quasi-rational divisor, a rational one with denominator factors, and
+    # scales that print in parentheses
+    for text, printed in [("x/x^(1/2)", "x*x^(-1/2)"),
+                          ("x^(1/2)/(x+1)", "x^(1/2)*(x + 1)^(-1)"),
+                          ("-x^(1/2)/3", "(-1/3)*x^(1/2)"),
+                          ("(k+1)*x^(1/2)", "(k + 1)*x^(1/2)")]:
+        value = parse_expr(text, params=["k"])
+        assert isinstance(value, QuasiRat) and render(value) == printed
+        assert render(parse_expr(printed, params=["k"])) == printed
 
 
 def test_powered_base_with_a_power_round_trips():
@@ -495,3 +551,23 @@ def test_generic_and_closed_form_towers_print_the_same():
             closed = schrodinger_commutator(v_derivs, current).reduced()
             assert str(generic) == str(closed)
             current = generic
+
+
+def test_readme_limits_table_is_cli_limits():
+    # each row: the size, its value, and the options that name it with "<=";
+    # "cmd --opt" names one command's option, a bare "--opt" every command's
+    rows = _readme().split("| size | at most | set by |\n| --- | --- | --- |\n", 1)[1]
+    table = {}
+    for row in rows.split("\n\n", 1)[0].splitlines():
+        size, most, where = (cell.strip() for cell in row.strip("|").split("|"))
+        named = set()
+        for span in re.findall(r"`([^`]+)`", where.partition(":")[0]):
+            *command, option = span.split()
+            found = {(c, option) for c, spec in cli.COMMANDS.items()
+                     if option in spec[3] and command in ([], [c])}
+            assert found, span
+            named |= found
+        table[size.strip("`")] = (int(most), named)
+    assert table == {what: (limit, {(c, o) for c, spec in cli.COMMANDS.items()
+                                    for o, kind in spec[3].items() if kind.endswith(f"<={what}")})
+                     for what, limit in cli.LIMITS.items()}
