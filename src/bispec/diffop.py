@@ -1158,8 +1158,7 @@ def render_quasirat(q: QuasiRat) -> str:
     parts = []
     if not q.scale.is_one():
         text = render_scalar(q.scale)
-        parts.append(_paren(text) if "+" in text or " - " in text or text.startswith("-")
-                     or "/" in text else text)
+        parts.append(text if _plain(text) and "/" not in text else _paren(text))
     for base, exponent in q.factors:
         btxt = _base_str(base, not exponent.is_one())
         if exponent.is_one():

@@ -280,9 +280,10 @@ _USAGE_ERRORS = [
     ["ad", "--L", "x^2", "--theta", "*".join(["(x+1)^900"] * 10), "--j", "1"],
     ["ad", "--L", "(k+1)^6000*x^2", "--param", "k", "--theta", "x", "--j", "1"],
     ["ad", "--L", "x^2", "--theta", "2^(10^8)*x", "--j", "1"],
-    # commutator orders on towers that grow every step: 11.6 s at order 80 and
-    # 37 s at 100 in the rank certificate, 18.8 s, 18.9 s (a 27 MB report) and
-    # over 30 s in ad, and over 60 s for a theta of x-degree 499 at order 60
+    # commutator orders on towers that grow every step (2 cores): fit-weights
+    # 11.6 s, 37 s and over 60 s; ad 18.8 s, 18.9 s (a 27 MB report) and over
+    # 30 s; heisenberg at order 200 not run; and, within the order limit, ad
+    # over 60 s on a theta of x-degree 499
     *(["fit-weights", "--L", "x^2+1/x^2", "--theta", theta, "--orders", f"{n},1"]
       for theta, n in [("x^3", 80), ("(x+1)^5", 100), ("(x+1)^20", 200)]),
     ["ad", "--L", "x^2+1/x^2", "--theta", "x^3", "--j", "100"],
@@ -441,8 +442,7 @@ def _readme() -> str:
 
 
 def _readme_cli_examples() -> list:
-    text = _readme()
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)
             for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
@@ -518,7 +518,7 @@ def test_quasi_rational_round_trip():
     # scales that print in parentheses
     for text, printed in [("x/x^(1/2)", "x*x^(-1/2)"),
                           ("x^(1/2)/(x+1)", "x^(1/2)*(x + 1)^(-1)"),
-                          ("-x^(1/2)/3", "(-1/3)*x^(1/2)"),
+                          ("-x^(1/2)/3", "(-1/3)*x^(1/2)"), ("2*x^(1/2)/3", "(2/3)*x^(1/2)"),
                           ("(k+1)*x^(1/2)", "(k + 1)*x^(1/2)")]:
         value = parse_expr(text, params=["k"])
         assert isinstance(value, QuasiRat) and render(value) == printed
