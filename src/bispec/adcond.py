@@ -113,17 +113,23 @@ def ad_power(op: DiffOp, theta, j: int) -> DiffOp:
     return ad_tower(op, theta, j)[j]
 
 def ad_tower(op: DiffOp, theta, up_to: int) -> list:
-    """[A_0, ..., A_up_to] with A_{j+1} = [op, A_j], for op = -D^2 + V.
+    """[A_0, ..., A_up_to] with A_{j+1} = [op, A_j], for op = -D^2 + V and a
+    function theta.
 
-    Each step uses the closed form of the Schrodinger commutator,
+    L and theta are formally self-adjoint, so A_j* = (-1)^j A_j, where
+    (sum_r b_r D^r)* = sum_r (-D)^r b_r; the orders of A_j have the parity
+    of j, and each of the other orders is fixed by the higher ones.  Each step
+    (:func:`schrodinger_commutator`, given the parity (j + 1) % 2) forms the
+    orders of that parity by the closed form of the Schrodinger commutator,
 
         [L, sum_r b_r D^r] = sum_r ( -b_r'' D^r - 2 b_r' D^(r+1)
                                      - sum_{m>=1} C(r,m) b_r V^(m) D^(r-m) ),
 
-    so the b_r D^(r+2) and V b_r D^r terms of L A and A L, which cancel, are
-    never formed (see :func:`schrodinger_commutator`).  Every derivative V^(m)
-    is computed once per tower.  Raises ExactError when op is not of the form
-    -D^2 + V.
+    whose b_r D^(r+2) and V b_r D^r terms of L A and A L, which cancel, are
+    never formed, and fills the other orders from the adjoint identity.
+    Every derivative V^(m) is computed once per tower.  Raises ExactError
+    when op is not of the form -D^2 + V, or when theta is an operator of
+    order >= 1, whose tower has no parity.
 
     Every step cancels denominator factors that divide the numerator so chains
     of commutators do not accumulate spurious denominator powers.  No
@@ -136,9 +142,11 @@ def ad_tower(op: DiffOp, theta, up_to: int) -> list:
         raise ExactError("commutator order must be >= 0")
     v_derivs = [op.potential()]
     current = as_operator(theta)
+    if current.order() > 0:
+        raise ExactError("ad tower needs theta to be a function (order 0)")
     tower = [current]
-    for _ in range(up_to):
-        current = schrodinger_commutator(v_derivs, current).reduced()
+    for j in range(up_to):
+        current = schrodinger_commutator(v_derivs, current, (j + 1) % 2)
         tower.append(current)
     return tower
 

@@ -345,21 +345,28 @@ _READERS = {"int": _parse_int, "orders": _parse_orders, "weights": _parse_weight
 
 # The largest value of each size a command line sets; an option's spec in
 # COMMANDS names the size that bounds it.  Each keeps the runs measured at it
-# (2 cores, Python 3.11, fractions.Fraction) within about 14 s:
+# (2 cores, Python 3.11, fractions.Fraction) within about 14 s.  The times
+# at the limits below were measured in process (cli.run) since ad towers
+# fill half their orders from the formal adjoint; the others were measured
+# before that step, which only removes tower work, so they are upper bounds
+# where they bound a time and stale where they say "over":
 # - commutator order, measured on towers that grow every step (--L
 #   'x^2+1/x^2'; theta x^2 closes there and hides the growth): an order j on
 #   a theta of x-degree d counts j * (j + d) (_theta_from), since a larger
 #   theta makes each step larger.  At that count's limit, 70 * 71, fit-weights
-#   --orders 70,1 took 6.9 s on --theta x and 6.0 s at 68 on (x+1)^5, ad --j
-#   68 5.3 s and heisenberg --order 68 5.0 s on x^3, ad --j 53 7.0 s and
-#   heisenberg --order 53 7.3 s on (x+1)^40, ad --j 36 5.3 s on (x+1)^100 and
-#   --j 9 0.5 s on (x+1)^499.  Beyond it: fit-weights --orders 80,1 11.6 s on
-#   x^3, ad --j 60 over 60 s on (x+1)^499.
-# - solve-theta order and --deg: solve-theta's rank certificate steps one jet
-#   tower per monomial and point, so its cost grows with both; at 30 and 30
-#   it took 2.9-10 s on x^2+1/x^2, laguerre-step:2 and ansatz:A5-5A3+4A1:7
-#   (30 and 40: 10-14 s; 100 and 2, or 2 and 300: over 30 s).
-# - weight order: gen-system --weights 6:1,0:1 3.6 s (7: over 15 s).
+#   --orders 70,1 took 6.2 s on --theta x and 5.3 s at 68 on (x+1)^5 (mostly
+#   the rank certificate), ad --j 68 3.7 s and heisenberg --order 68 3.9 s on
+#   x^3, ad --j 53 4.5 s and heisenberg --order 53 4.7 s on (x+1)^40, ad --j
+#   36 3.1 s on (x+1)^100 and --j 9 0.3 s on (x+1)^499.  Beyond it, before
+#   the adjoint step: fit-weights --orders 80,1 11.6 s on x^3, ad --j 60 over
+#   60 s on (x+1)^499.
+# - solve-theta order and --deg (before the adjoint step): solve-theta's rank
+#   certificate steps one jet tower per monomial and point, so its cost grows
+#   with both; at 30 and 30 it took 2.9-10 s on x^2+1/x^2, laguerre-step:2
+#   and ansatz:A5-5A3+4A1:7 (30 and 40: 10-14 s; 100 and 2, or 2 and 300:
+#   over 30 s).
+# - weight order: gen-system --weights 6:1,0:1 1.0 s (7, before the adjoint
+#   step: over 15 s).
 # - --n and --k: reach-weights --n 800 3.9 s and hermite-new-weights --k 1400
 #   3.1 s; from 900 and 1600 on, the weights no longer print within Python's
 #   4 300-digit limit on integer strings.

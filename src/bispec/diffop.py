@@ -25,6 +25,16 @@ is already normal is not normalised again: a sum over one list, a derivative
 (each exponent + 1), a power and a reduced value keep theirs, and a product
 or a sum over a merged list only merges equal bases and splits divisible ones.
 
+An ad tower step (:func:`schrodinger_commutator`) uses the formal adjoint
+(sum_r b_r D**r)* = sum_r (-D)**r b_r.  L = -D**2 + V and a function theta
+are formally self-adjoint, so A_j = ad_L^j(theta) has A_j* = (-1)**j A_j:
+the coefficient at an order k of the other parity than j is fixed by the
+higher ones, b_k = (-1)**j / 2 * sum_{r>k} (-1)**r C(r,k) b_r^(r-k).  The
+step forms the orders of the parity of j by the closed form and fills the
+others from this identity; it holds over K(x), so every coefficient is still
+exact.  A theta of order >= 1 has no such parity and is refused by
+``adcond.ad_tower``.
+
 Trial divisions are decided mod p first.  Numerator and base are mapped to
 GF(p), p = 2**61 - 1, with each parameter at a fixed residue derived from its
 name (``exact.mod_p_residue``).  Where every image is defined and the base's
@@ -59,6 +69,8 @@ from .exact import (
     Rat,
     ExactError,
     _coerce,
+    _image_divmod,
+    _images_coprime,
     _is_atomic,
     _normalize_fraction_parts,
     cancel_common_factor,
@@ -564,50 +576,6 @@ def _mod_p_coeffs(p: XPoly):
     return p.num.x_images_mod(den) if den else None
 
 
-def _image_divmod(a: list, b: list) -> tuple:
-    """(quotient, remainder) of the images a by b in GF(MOD_P), both ascending
-    coefficient lists, b with a nonzero top entry; the remainder has len(b) - 1
-    entries, or those of a when a is shorter.
-
-    Where every coefficient has an image and the base's leading coefficient
-    maps to a unit, the map to GF(MOD_P) is a ring homomorphism which carries
-    the quotient and remainder of a division to those of the images; so a
-    nonzero image remainder proves a nonzero remainder (Schwartz 1980, Zippel
-    1979), and the image quotient of an exact division is the quotient's image.
-    """
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, MOD_P)
-    quo = [0] * max(len(a) - db, 0)
-    for top in range(len(a) - 1, db - 1, -1):
-        q = a[top] * inv % MOD_P
-        if q:
-            shift = top - db
-            quo[shift] = q
-            for idx in range(db):
-                a[shift + idx] = (a[shift + idx] - q * b[idx]) % MOD_P
-    return quo, a[:db]
-
-
-def _images_coprime(b: list, r: list) -> bool:
-    """True when the gcd over GF(MOD_P) of the images b and r is a unit, for b
-    with a nonzero top entry and r a remainder modulo b (Euclid's algorithm).
-
-    Then num and base, whose images are a and b with r = a mod b, are coprime
-    over Q (Brown 1971): a monic factor g over Q of the monic base b has
-    p-integral coefficients, since they are integral over the p-integral
-    coefficients of b and Z localised at p is integrally closed; so g has an
-    image, and the monic image of g divides both images.
-    """
-    while True:
-        r = list(r)
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return len(b) == 1
-        b, r = r, _image_divmod(b, r)[1]
-
-
 def _refutes_division(num: XPoly, base: XPoly) -> bool:
     """True when num mod base provably leaves a nonzero remainder: both map to
     GF(MOD_P) at the fixed point of MPoly.evaluate_mod and the image remainder
@@ -892,11 +860,23 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return compose(a, b) - compose(b, a)
 
 
-def schrodinger_commutator(v_derivs: list, a: DiffOp) -> DiffOp:
-    """[-D**2 + V, a] by the closed form, with v_derivs[m] = V^(m).
+def schrodinger_commutator(v_derivs: list, a: DiffOp, parity: int) -> DiffOp:
+    """[-D**2 + V, a] for a = A_j of an ad tower, reduced, with
+    v_derivs[m] = V^(m) and parity = (j + 1) % 2.
 
-    [L, sum_r b_r D^r] = sum_r (-b_r'' D^r - 2 b_r' D^(r+1)
-                                - sum_{m>=1} C(r,m) b_r V^(m) D^(r-m)).
+    The orders k of the result with k % 2 == parity come from the closed form
+
+        [L, sum_r b_r D^r] = sum_r (-b_r'' D^r - 2 b_r' D^(r+1)
+                                    - sum_{m>=1} C(r,m) b_r V^(m) D^(r-m)),
+
+    and the other orders, top down, from the formal adjoint: L and theta are
+    formally self-adjoint, so A_(j+1)* = (-1)^(j+1) A_(j+1), where
+    (sum_r b_r D^r)* = sum_r (-D)^r b_r; for k % 2 != parity this fixes
+
+        b_k = (-1)^(j+1) / 2 * sum_{r>k} (-1)^r C(r,k) b_r^(r-k)
+
+    by the reduced higher coefficients and their cached derivatives.  The
+    identity holds over K(x), so every coefficient is still exact.
     ``v_derivs`` starts as [V] and is extended in place as orders need it.
 
     Each coefficient is summed over the merge of its own terms' factor lists,
@@ -910,20 +890,40 @@ def schrodinger_commutator(v_derivs: list, a: DiffOp) -> DiffOp:
     terms = defaultdict(list)
     for r, b in a.coeffs.items():
         db = b.derivative()
-        terms[r + 1].append(db * -2)
-        terms[r].append(-db.derivative())
+        if (r + 1) % 2 == parity:
+            terms[r + 1].append(db * -2)
+        else:
+            terms[r].append(-db.derivative())
     # what a L leaves after the cancellation: -C(r,m) b V^(m) D^(r-m)
     for r, b in a.coeffs.items():
-        for m in range(1, r + 1):
+        for m in range(2 - (r + parity) % 2, r + 1, 2):
             terms[r - m].append(b * v_derivs[m] * -math.comb(r, m))
     out = {}
     for r, rats in terms.items():
-        # one sum of numerators over the merged list, not a chain of XRat sums
-        factors, nums = _over_common_den(rats)
-        num = sum(nums, _XP_ZERO)
-        if not num.is_zero():
-            out[r] = _xrat_merged(num, factors)
+        coeff = _summed(rats)
+        if coeff is not None:
+            out[r] = coeff
+    half = Rat(1 if parity == 0 else -1, 2)
+    for k in range(max(out, default=0) - 1, -1, -2):
+        rats = []
+        for r in sorted(out):
+            if r > k:
+                d = out[r]
+                for _ in range(r - k):
+                    d = d.derivative()
+                rats.append(d * ((-1) ** r * math.comb(r, k)))
+        coeff = _summed(rats)
+        if coeff is not None:
+            out[k] = coeff * half
     return DiffOp(out, _normalize=False)
+
+
+def _summed(rats):
+    """The reduced sum of rats, one sum of numerators over their merged list
+    rather than a chain of XRat sums; None when it is zero."""
+    factors, nums = _over_common_den(rats)
+    num = sum(nums, _XP_ZERO)
+    return None if num.is_zero() else _xrat_merged(num, factors).reduced()
 
 
 def apply_op(a: DiffOp, f) -> XRat:

@@ -1160,9 +1160,65 @@ def _pseudo_rem(a: list, b: list) -> list:
     return a
 
 
+def _image_divmod(a: list, b: list) -> tuple:
+    """(quotient, remainder) of the images a by b in GF(MOD_P), both ascending
+    coefficient lists, b with a nonzero top entry; the remainder has len(b) - 1
+    entries, or those of a when a is shorter.
+
+    Where every coefficient has an image and the base's leading coefficient
+    maps to a unit, the map to GF(MOD_P) is a ring homomorphism which carries
+    the quotient and remainder of a division to those of the images; so a
+    nonzero image remainder proves a nonzero remainder (Schwartz 1980, Zippel
+    1979), and the image quotient of an exact division is the quotient's image.
+    """
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, MOD_P)
+    quo = [0] * max(len(a) - db, 0)
+    for top in range(len(a) - 1, db - 1, -1):
+        q = a[top] * inv % MOD_P
+        if q:
+            shift = top - db
+            quo[shift] = q
+            for idx in range(db):
+                a[shift + idx] = (a[shift + idx] - q * b[idx]) % MOD_P
+    return quo, a[:db]
+
+
+def _images_coprime(b: list, r: list) -> bool:
+    """True when the gcd over GF(MOD_P) of the images b and r is a unit, for b
+    with a nonzero top entry (Euclid's algorithm).
+
+    In ``diffop.XRat.reduced``, r is the remainder of num's image by the image
+    b of a monic base; then num and base are coprime over Q (Brown 1971): a
+    monic factor g over Q of the monic base has p-integral coefficients,
+    since they are integral over the p-integral coefficients of the base and
+    Z localised at p is integrally closed; so g has an image, and the monic
+    image of g divides both images.  :func:`int_poly_gcd` gives its own
+    argument.
+    """
+    while True:
+        r = list(r)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return len(b) == 1
+        b, r = r, _image_divmod(b, r)[1]
+
+
 def int_poly_gcd(a: list, b: list) -> list:
     """The primitive gcd of two nonzero univariate int coefficient lists
-    (ascending, no trailing zeros), by the primitive PRS over Z."""
+    (ascending, no trailing zeros), by the primitive PRS over Z.
+
+    When both leading coefficients map to units of GF(MOD_P) and the images'
+    gcd is a unit (:func:`_images_coprime`), the answer is [1] without the
+    PRS (Brown 1971): a primitive common factor g over Z has a leading
+    coefficient that divides a's, so its image keeps g's degree and divides
+    both images.
+    """
+    if a[-1] % MOD_P and b[-1] % MOD_P and _images_coprime(
+            [v % MOD_P for v in a], [v % MOD_P for v in b]):
+        return [1]
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a

@@ -614,11 +614,18 @@ def verify_entry(entry: CatalogEntry):
     """Run the entry's own condition; returns an ``adcond.ConditionReport``
     for scalar and matrix entries alike.
 
-    The residual is first evaluated at one point of GF(p) (``modp``): a
-    nonzero image proves that the condition fails, and the report then has
-    ``decided_by == "mod-p"``, the witness and no residual.  Otherwise the
-    symbolic check decides, and it alone may say that the condition holds.
+    For an entry expected to fail, the residual is first evaluated at one
+    point of GF(p) (``modp``): a nonzero image proves that the condition
+    fails, and the report then has ``decided_by == "mod-p"``, the witness and
+    no residual.  Otherwise the symbolic check decides, and it alone may say
+    that the condition holds.  An entry expected to hold runs the symbolic
+    check first and returns its report when the condition holds, since no
+    image of a zero residual is nonzero; when it fails, the witness is sought
+    and the report is the one above.  So the order never changes a report.
     """
+    report = _symbolic_check(entry) if entry.expect_holds else None
+    if report is not None and report.holds:
+        return report
     if entry.kind == "scalar":
         witness = modp.condition_witness(entry.operator, as_operator(entry.theta),
                                          entry.condition)
@@ -626,6 +633,10 @@ def verify_entry(entry: CatalogEntry):
         witness = matrix_condition_witness(entry.operator, entry.condition)
     if witness is not None:
         return ConditionReport(False, None, decided_by="mod-p", witness=witness)
+    return _symbolic_check(entry) if report is None else report
+
+
+def _symbolic_check(entry: CatalogEntry):
     if entry.kind == "scalar":
         return verify_condition(entry.operator, entry.theta, entry.condition)
     return verify_matrix_condition(entry.operator, entry.condition)

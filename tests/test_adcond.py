@@ -42,8 +42,8 @@ def test_schrodinger_commutator_lists_have_no_dividing_bases(entry_id):
     entry = get_entry(entry_id)
     v_derivs = [entry.operator.potential()]
     current = DiffOp.mul_by(entry.theta)
-    for _ in range(4):
-        closed = schrodinger_commutator(v_derivs, current)
+    for j in range(4):
+        closed = schrodinger_commutator(v_derivs, current, (j + 1) % 2)
         generic = commutator(entry.operator, current)
         for op in (closed, generic):
             for c in op.coeffs.values():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bispec import exact
 from bispec.exact import (
     EXP_MAX,
     MOD_P,
@@ -308,3 +309,60 @@ def test_declare_param_refuses_a_name_in_use():
     # the zero-divisor check comes first
     with pytest.raises(ExactError, match="zero divisors"):
         declare_param("hq", 4)
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _prs_gcd(a, b):
+    """The primitive PRS over Z alone, up to sign (the oracle)."""
+    a, b = exact._primitive(a), exact._primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, exact._primitive(exact._pseudo_rem(a, b))
+    return a if a[-1] > 0 else [-v for v in a]
+
+
+def _random_int_poly(rng, deg):
+    return [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+
+def test_int_poly_gcd_matches_the_prs():
+    rng = random.Random(2727)
+    coprime = 0
+    for _ in range(200):
+        g = _random_int_poly(rng, rng.randint(0, 2))
+        a = _int_mul(g, _random_int_poly(rng, rng.randint(0, 3)))
+        b = _int_mul(g, _random_int_poly(rng, rng.randint(0, 3)))
+        got = exact.int_poly_gcd(a, b)
+        assert (got if got[-1] > 0 else [-v for v in got]) == _prs_gcd(a, b), (a, b)
+        coprime += got == [1]
+    assert 20 < coprime < 180
+
+
+def test_int_poly_gcd_skips_the_prs_only_where_a_unit_image_gcd_proves_coprime(monkeypatch):
+    calls = []
+    pseudo_rem = exact._pseudo_rem
+
+    def counting(a, b):
+        calls.append(len(a))
+        return pseudo_rem(a, b)
+
+    monkeypatch.setattr(exact, "_pseudo_rem", counting)
+    # (k+1)^60 and (k+2)^60 as int lists in k: coprime, proven mod p
+    a = b = [1]
+    for _ in range(60):
+        a, b = _int_mul(a, [1, 1]), _int_mul(b, [2, 1])
+    assert exact.int_poly_gcd(a, b) == [1] and calls == []
+    # the common factor 1 + p*x has no image of its degree: its leading
+    # coefficient maps to 0, the images x and x + 3 are coprime, and the PRS
+    # finds the factor
+    g = [1, MOD_P]
+    got = exact.int_poly_gcd(_int_mul(g, [0, 1]), _int_mul(g, [3, 1]))
+    assert calls and (got if got[-1] > 0 else [-v for v in got]) == g

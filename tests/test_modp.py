@@ -10,6 +10,7 @@ from bispec import cli, modp
 from bispec.exact import MOD_P, ExactError, ParamScalar, mod_p_residue
 from bispec.diffop import DiffOp, XPoly, XRat
 from bispec.adcond import (
+    ConditionReport,
     WeightVector,
     ad_tower,
     as_operator,
@@ -329,3 +330,35 @@ def test_relation_bearing_entries_never_reach_the_jets(monkeypatch):
     for index in (6, 7, 9, 10):
         report = verify_entry(get_entry(f"ansatz:A4-40A2+144A0:{index}"))
         assert report.holds and report.decided_by == "symbolic" and report.witness is None
+
+
+def _witness_first(entry):
+    """The report of the order that seeks the witness before the symbolic check."""
+    if entry.kind == "scalar":
+        witness = modp.condition_witness(entry.operator, as_operator(entry.theta),
+                                         entry.condition)
+    else:
+        witness = matrix_condition_witness(entry.operator, entry.condition)
+    if witness is not None:
+        return ConditionReport(False, None, decided_by="mod-p", witness=witness)
+    if entry.kind == "scalar":
+        return verify_condition(entry.operator, entry.theta, entry.condition)
+    return verify_matrix_condition(entry.operator, entry.condition)
+
+
+def _fields(report):
+    residual = None if report.residual is None else str(report.residual)
+    return report.holds, residual, report.assumptions, report.decided_by, report.witness
+
+
+def test_holding_claims_check_symbolically_first_with_the_same_reports():
+    # an entry expected to hold reaches its symbolic check first; every report
+    # is the one the witness-first order gives
+    for cid in catalog_ids():
+        entry = get_entry(cid)
+        assert _fields(verify_entry(entry)) == _fields(_witness_first(entry)), cid
+    # a claim expected to hold that fails still reports its witness
+    entry = get_entry("matrix:laguerre:1a-printed")
+    claimed = verify_entry(entry._replace(expect_holds=True))
+    assert claimed.decided_by == "mod-p" and not claimed.holds and claimed.residual is None
+    assert claimed.witness == verify_entry(entry).witness

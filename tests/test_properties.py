@@ -625,9 +625,19 @@ def _random_potential(rng, kind):
     return XRat.from_ratio(num, den)
 
 
+def formal_adjoint(op: DiffOp) -> DiffOp:
+    """(sum_r b_r D^r)* = sum_r (-D)^r b_r, by Leibniz compositions."""
+    out = DiffOp.zero()
+    for r, b in op.coeffs.items():
+        out = out + compose(DiffOp.d(r).scale((-1) ** r), DiffOp.mul_by(b))
+    return out
+
+
 def test_ad_tower_matches_generic_commutator_oracle():
-    # the closed-form Schrodinger step against [L, A] = L A - A L expanded by
-    # two Leibniz compositions, reduced after each step as ad_tower does
+    # the Schrodinger step against [L, A] = L A - A L expanded by two Leibniz
+    # compositions, reduced after each step as ad_tower does; and every entry
+    # has the parity of its order, A_j* = (-1)^j A_j, which the step uses to
+    # fill half of each A_j's orders
     rng = random.Random(1212)
     for n in range(N_INSTANCES):
         lop = DiffOp.schrodinger(_random_potential(rng, n % 3))
@@ -640,6 +650,8 @@ def test_ad_tower_matches_generic_commutator_oracle():
         for j in range(1, up_to + 1):
             current = commutator(lop, current).reduced()
             assert equals(tower[j], current), (str(lop), str(theta), j)
+        for j, a in enumerate(tower):
+            assert equals(formal_adjoint(a), a.scale((-1) ** j)), (str(lop), str(theta), j)
 
 
 def test_ad_tower_rejects_non_schrodinger_operators():
@@ -648,6 +660,9 @@ def test_ad_tower_rejects_non_schrodinger_operators():
                DiffOp({2: XRat.const(-1), 1: XRat.from_poly(XPoly.x())})):
         with pytest.raises(ExactError):
             ad_tower(op, theta, 2)
+    # a theta of order >= 1 has no parity, so the adjoint step does not apply
+    with pytest.raises(ExactError, match="function"):
+        ad_tower(DiffOp.schrodinger(XPoly.monomial(2)), DiffOp.d(), 1)
 
 
 # ---------------------------------------------------------------------------
