@@ -87,7 +87,7 @@ def main(args: list) -> int:
         print(f"# {len(differ)} of {len(old.keys() | new.keys())} argvs differ")
         return 1 if differ else 0
     if args:
-        print(__doc__.strip().split("\n\n")[2], file=sys.stderr)
+        print("usage: python tools/report_digest.py [--compare OLD.json NEW.json]", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
     digests = {shlex.join(argv): digest(argv) for argv in argvs()}
