@@ -19,6 +19,7 @@ from .diffop import (
     XPoly,
     XR_ZERO,
     _coerce_ps,
+    as_function,
     common_numerators,
     equals,
     schrodinger_commutator,
@@ -141,9 +142,7 @@ def ad_tower(op: DiffOp, theta, up_to: int) -> list:
     if up_to < 0:
         raise ExactError("commutator order must be >= 0")
     v_derivs = [op.potential()]
-    current = as_operator(theta)
-    if current.order() > 0:
-        raise ExactError("ad tower needs theta to be a function (order 0)")
+    current = DiffOp.mul_by(as_function(theta))
     tower = [current]
     for j in range(up_to):
         current = schrodinger_commutator(v_derivs, current, (j + 1) % 2)
@@ -250,18 +249,19 @@ def fit_weights(op: DiffOp, theta, orders) -> FitResult:
     order of the residual, denominators cleared, and returns a nullspace
     basis, primitive when it lies in one parameter.  Every returned vector
     is re-verified exactly.  Raises ExactError for orders that are empty,
-    repeated or negative, for a theta without x (every A_j with j >= 1 is
-    then 0, so any weights would "fit"), and for an op that is not -D^2 + V.
+    repeated or negative, for a theta of order >= 1 or without x (every A_j
+    with j >= 1 is then 0, so any weights would "fit"), and for an op that is
+    not -D^2 + V.
     """
     orders = list(orders)
     if not orders or len(set(orders)) != len(orders):
         raise ExactError("orders must be nonempty and distinct")
     if min(orders) < 0:
         raise ExactError("commutator orders must be >= 0")
-    theta_op = as_operator(theta)
-    if theta_op.order() <= 0 and theta_op.coeff(0).is_constant():
+    theta_fn = as_function(theta)
+    if theta_fn.is_constant():
         raise ExactError("theta' vanishes: theta must be non-constant")
-    if modp.no_weights(op, theta_op, orders):
+    if modp.no_weights(op, theta_fn, orders):
         return FitResult([], [], decided_by="mod-p")
     tower = ad_tower(op, theta, max(orders))
     columns = [tower[j] for j in orders]

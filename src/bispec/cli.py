@@ -347,24 +347,26 @@ _READERS = {"int": _parse_int, "orders": _parse_orders, "weights": _parse_weight
 # COMMANDS names the size that bounds it.  Each keeps the runs measured at it
 # (2 cores, Python 3.11, fractions.Fraction) within about 14 s.  The times
 # at the limits below were measured in process (cli.run) since ad towers
-# fill half their orders from the formal adjoint; the others were measured
-# before that step, which only removes tower work, so they are upper bounds
-# where they bound a time and stale where they say "over":
+# fill half their orders from the formal adjoint, and the certificate times
+# since rank certificates read one point functional in place of a jet tower;
+# the others were measured before those changes, which only remove work, so
+# they are upper bounds where they bound a time and stale where they say
+# "over".  The limits themselves did not change with either:
 # - commutator order, measured on towers that grow every step (--L
 #   'x^2+1/x^2'; theta x^2 closes there and hides the growth): an order j on
 #   a theta of x-degree d counts j * (j + d) (_theta_from), since a larger
 #   theta makes each step larger.  At that count's limit, 70 * 71, fit-weights
-#   --orders 70,1 took 6.2 s on --theta x and 5.3 s at 68 on (x+1)^5 (mostly
+#   --orders 70,1 took 0.06 s on --theta x and at 68 on (x+1)^5 (decided by
 #   the rank certificate), ad --j 68 3.7 s and heisenberg --order 68 3.9 s on
 #   x^3, ad --j 53 4.5 s and heisenberg --order 53 4.7 s on (x+1)^40, ad --j
-#   36 3.1 s on (x+1)^100 and --j 9 0.3 s on (x+1)^499.  Beyond it, before
-#   the adjoint step: fit-weights --orders 80,1 11.6 s on x^3, ad --j 60 over
-#   60 s on (x+1)^499.
-# - solve-theta order and --deg (before the adjoint step): solve-theta's rank
-#   certificate steps one jet tower per monomial and point, so its cost grows
-#   with both; at 30 and 30 it took 2.9-10 s on x^2+1/x^2, laguerre-step:2
-#   and ansatz:A5-5A3+4A1:7 (30 and 40: 10-14 s; 100 and 2, or 2 and 300:
-#   over 30 s).
+#   36 3.1 s on (x+1)^100 and --j 9 0.3 s on (x+1)^499.  Beyond it:
+#   fit_weights on orders 80,1 0.09 s on x^3 (called directly), and ad --j
+#   60 over 60 s on (x+1)^499, before the adjoint step.
+# - solve-theta order and --deg: solve-theta's rank certificate costs about
+#   order^3 per monomial and point; at 30 and 30 it took 0.11-0.16 s on
+#   x^2+1/x^2, laguerre-step:2 and ansatz:A5-5A3+4A1:7 (2.5-3.5 s with a jet
+#   tower).  Past the limits, on x^2+1/x^2: 30 and 40 0.29 s, 100 and 2
+#   0.24 s, 2 and 300 3.5 s (solve_theta called directly).
 # - weight order: gen-system --weights 6:1,0:1 1.0 s (7, before the adjoint
 #   step: over 15 s).
 # - --n and --k: reach-weights --n 800 3.9 s and hermite-new-weights --k 1400

@@ -599,6 +599,16 @@ def _coerce_xrat(value):
     return None
 
 
+def as_function(theta) -> XRat:
+    """Theta as a function: itself, or the coefficient of a multiplication
+    operator.  Raises ExactError for an operator of order >= 1."""
+    if not isinstance(theta, DiffOp):
+        return _coerce_xrat(theta)
+    if theta.order() > 0:
+        raise ExactError("ad tower needs theta to be a function (order 0)")
+    return theta.coeff(0)
+
+
 def _same_factors(f1, f2) -> bool:
     if len(f1) != len(f2):
         return False

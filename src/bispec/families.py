@@ -37,7 +37,6 @@ from .diffop import DiffOp, QuasiRat, XPoly, XRat, _coerce_ps
 from .adcond import (
     ConditionReport,
     WeightVector,
-    as_operator,
     hermite_new_weights,
     reach_weights,
     verify_condition,
@@ -627,8 +626,7 @@ def verify_entry(entry: CatalogEntry):
     if report is not None and report.holds:
         return report
     if entry.kind == "scalar":
-        witness = modp.condition_witness(entry.operator, as_operator(entry.theta),
-                                         entry.condition)
+        witness = modp.condition_witness(entry.operator, entry.theta, entry.condition)
     else:
         witness = matrix_condition_witness(entry.operator, entry.condition)
     if witness is not None:

@@ -3,44 +3,60 @@
 without building the symbolic ad tower.
 
 Every parameter maps to ``exact.mod_p_residue(name)`` in GF(p), p =
-``exact.MOD_P``, and x to a fixed residue x0.  Each coefficient is carried as
-a Taylor jet in e = x - x0.  A scalar tower is stepped with the closed form
+``exact.MOD_P``, and x to a fixed residue x0.  A function is carried as its
+jet, its first Taylor coefficients in e = x - x0.
 
-    [L, sum_r b_r D^r] = sum_r ( -b_r'' D^r - 2 b_r' D^(r+1)
-                                 - sum_{m>=1} C(r,m) b_r V^(m) D^(r-m) )
+A scalar operator R = sum_r c_r D^r is read through the point functional
+delta·R: g -> (R g)(x0), a list over the Taylor coefficients g_k of g at x0
+whose entry r is r! c_r(x0).  Operators act on a functional phi from the
+right, phi·R: g -> phi(R g):
 
-on jets.  Each step uses up two jet orders (b_r''), so jets start at length
-2*top + 1 and A_top arrives as its value at x0.  A matrix tower is
-``matrixop.mat_ad_tower`` itself, run on operators whose coefficients are
-k x k matrices of jets (``matrixop.JetCoeff``): ``diffop.compose`` expands
-[L, A] = L A - A L by the Leibniz rule, and each step uses up ord L orders.
+    (phi·f)[l] = sum_i phi[l+i] f_i     for a function f with jet f_i,
+    (phi·D^2)[l] = l(l-1) phi[l-2],     so phi·L = phi·V - phi·D^2.
+
+With phi_a = delta·L^a and psi_a = phi_a·Theta, each formed once per point,
+ad^j(Theta) = sum_i (-1)^i C(j,i) L^(j-i) Theta L^i gives
+
+    delta·sum_j w_j ad^j(Theta) = sum_i ( (-1)^i sum_j C(j,i) w_j psi_(j-i) )·L^i,
+
+taken by Horner's rule in L.  Entries past the order of the operator are 0.
+``no_theta`` takes Theta = x^d for d = 1, 2, ..., each psi_a from the last
+by one product with x.  A matrix tower is ``matrixop.mat_ad_tower`` itself,
+run on operators whose coefficients are k x k matrices of jets
+(``matrixop.JetCoeff``): ``diffop.compose`` expands [L, A] = L A - A L by the
+Leibniz rule, and each step uses up ord L jet orders.
 
 Rank certificates.  ``no_weights`` and ``no_theta`` solve a linear system
 ``sum_i v_i C_i = 0`` whose columns are operators ``C_i = sum_r c_ir(x) D^r``
 over K = Q(params): the tower entries A_j(Theta) for ``fit_weights``, the
 residuals sum_j w_j A_j(x^i) for ``solve_theta``.  Each point adds one row per
-derivative order r: the values c_ir(x0).  Lift x0 to an integer X0, and let M
-be the matrix over K with a row "coefficient of D^r at x = X0" for each point
-and each r.  Every solution v of the system is in M's kernel.  M's entries
-lie in the local ring where the map phi to GF(p) is defined: every
-denominator they have, a coefficient denominator or a base of V or Theta at
-X0, has a nonzero image.  phi(M) is the matrix of jet values, because the
-jets are computed by ring operations from the images of the coefficients.  A
-nonzero n x n minor of phi(M) is phi of an n x n minor of M, which is then
+derivative order r: the entries r! c_ir(x0) of the functionals.  Lift x0 to
+an integer X0, and let M be the matrix over K with a row "r! times the
+coefficient of D^r at x = X0" for each point and each r.  Every solution v of
+the system is in M's kernel.  M's entries lie in the local ring where the map
+rho to GF(p) is defined: every denominator they have, a coefficient
+denominator or a base of V or Theta at X0, has a nonzero image.  rho(M) is the
+matrix of functional entries, because the functionals are computed by ring
+operations from the images of the Taylor coefficients of V and Theta.  A
+nonzero n x n minor of rho(M) is rho of an n x n minor of M, which is then
 nonzero, so M has full column rank and the system's only solution is 0
-(Schwartz 1980; Zippel 1979).
+(Schwartz 1980; Zippel 1979).  The factor r! scales a whole row by a unit,
+since r < p, so it changes no rank and no verdict: the rows reach full rank
+at the same points as the rows of the values c_ir(x0) themselves.
 
 Witnesses.  ``condition_witness`` takes the image of the residual
-sum_j w_j A_j of a scalar condition, and ``matrixop.matrix_condition_witness``
+sum_j w_j A_j of a scalar condition, entry r of its functional divided by
+r!, and ``matrixop.matrix_condition_witness``
 that of sum_j A_j o M_j of a matrix condition, at the first point x0 where
 every base of the operator, Theta and the factors M_j has a nonzero image.
 Each coefficient of the residual, and for a matrix each entry of it, lies in
-the same local ring, and its image is the value at x0 of its jet, so a
-nonzero image is phi of a nonzero element: the residual is not the zero
-operator, and the condition fails over K.  For matrices the jets must be
+the same local ring, and its image is its value at x0, so a nonzero image is
+rho of a nonzero element: the residual is not the zero operator, and the
+condition fails over K.  The lowest order with a nonzero entry is the lowest
+with a nonzero value, since r! is a unit.  For matrices the jets must be
 multiplied in the residual's own order.  Under the left action a Leibniz
 term of L A is L_r A_s^(m), and under the right action it is A_s^(m) L_r
-(the opposite ring, as in ``MatCoeff.__mul__``).  phi of a matrix product is
+(the opposite ring, as in ``MatCoeff.__mul__``).  rho of a matrix product is
 the product of the images in the same order, and ``JetCoeff`` multiplies in
 that order, so both sides map faithfully.  The factor M_j multiplies each
 coefficient from the right on both sides (``MatDiffOp.right_factor``).  Only
@@ -59,9 +75,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add, mul
+from operator import mul
 
-from .diffop import DiffOp, XRat, _mod_p_coeffs
+from .diffop import DiffOp, XRat, _mod_p_coeffs, as_function
 from .exact import MOD_P, mod_p_residue
 
 
@@ -92,11 +108,6 @@ def _mul_into(acc: list, a: list, b: list, c: int) -> None:
             ai *= c
             for k, bk in enumerate(b[:n - i], i):
                 acc[k] += ai * bk
-
-
-def _derivative(a: list) -> list:
-    """The jet of f' from that of f, one order shorter."""
-    return [i * a[i] % MOD_P for i in range(1, len(a))]
 
 
 def _image(f: XRat):
@@ -141,83 +152,76 @@ def _jet(image, x0: int, n: int):
     return out
 
 
-def _potential_jets(v_image, x0: int, n: int, m_top: int):
-    """[V, V', ..., V^(m_top)], V^(m) as a jet of length n - m, or None when a
-    base of V vanishes at x0.
+def _times(phi: list, f: list) -> list:
+    """phi·f, the functional g -> phi(f g), from f's jet: entry l is
+    sum_i phi[l+i] f[i]."""
+    return [sum(map(mul, phi[l:], f)) % MOD_P for l in range(len(phi))]
 
-    A step from A_j, whose derivative orders are at most s + j for an A_0 of
-    order s, needs V^(m) for m <= s + j to the length n - 2j - 2 of A_(j+1)'s
-    jets, so jets of V of length n + s serve a tower that starts at length n.
-    """
-    jet = _jet(v_image, x0, n)
-    if jet is None:
+
+def _times_l(phi: list, v: list, m: int) -> list:
+    """Entries l < m of phi·L = phi·V - phi·D^2 for L = -D^2 + V, from V's jet
+    v (at least as long as phi): phi·D^2 moves entry l - 2 to l with weight
+    l(l-1)."""
+    return [(sum(map(mul, phi[l:], v)) - l * (l - 1) * s) % MOD_P
+            for l, s in enumerate([0, 0, *phi][:m])]
+
+
+def _horner(weights: list) -> list:
+    """sum_j w_j ad^j(Theta) = sum_i u_i·L^i with u_i = (-1)^i sum_j C(j,i)
+    w_j psi_(j-i), for the pairs (j, w_j) of ``weights``: for each i, top down,
+    the pairs (j - i, (-1)^i C(j,i) w_j) of u_i."""
+    top = max(j for j, _ in weights)
+    return [[(j - i, (-1) ** i * math.comb(j, i) * w % MOD_P) for j, w in weights if j >= i]
+            for i in range(top, -1, -1)]
+
+
+def _columns(v_image, theta_image, powers: list, horners: list, x0: int):
+    """The functionals delta·sum_j w_j ad^j(Theta^d) at x0 for each d in
+    ``powers`` and, within it, each list of ``_horner`` pairs, cut after the
+    pairs' top order j, past which every entry is 0; None when a base of V or
+    of Theta vanishes at x0."""
+    n = 2 * max(map(len, horners)) - 1  # the length of delta·L^top
+    v = _jet(v_image, x0, max(n - 2, 1))  # as long as any functional times L
+    theta = _jet(theta_image, x0, n)
+    if v is None or theta is None:
         return None
-    out = [jet]
-    for _ in range(m_top):
-        out.append(_derivative(out[-1]))
-    return out
+    for jet in (v, theta):  # a polynomial's jet ends in zeros
+        while len(jet) > 1 and not jet[-1]:
+            jet.pop()
+    psi = [[1]]  # delta·L^a, then delta·L^a·Theta^d for d = 1, 2, ...
+    while len(psi[-1]) < n:
+        psi.append(_times_l(psi[-1], v, n))
+    columns = []
+    for d in range(max(powers) + 1):
+        if d:
+            psi = [_times(phi, theta) for phi in psi]
+        if d not in powers:
+            continue
+        for pairs in horners:
+            top = len(pairs) - 1
+            col = [0]
+            for i, terms in enumerate(pairs):
+                if i:  # only the entries that reach orders <= top in the end
+                    col = _times_l(col, v, top + 1 + (top - i) * (len(v) - 1))
+                for a, c in terms:
+                    for l, y in enumerate(psi[a][:len(col)]):
+                        col[l] += c * y
+            columns.append([c % MOD_P for c in col])
+    return columns
 
 
-def _tower(v: list, a: dict, n: int, steps: int) -> list:
-    """Jets of A_0, ..., A_steps with A_{j+1} = [-D^2 + V, A_j].
-
-    ``a`` maps each derivative order of A_0 to its jet of length n, and v[m]
-    is the jet of V^(m).  A_j's jets have length n - 2*j.  Each step
-    accumulates its terms into the output jets and reduces them once.
-    """
-    # the Taylor coefficient i of -b'' is w2[i] b[i+2], that of -2 b' is w1[i] b[i+1]
-    w2 = [-(i + 1) * (i + 2) for i in range(n)]
-    w1 = [-2 * (i + 1) for i in range(n)]
-    tower = [a]
-    for _ in range(steps):
-        n -= 2
-        out: dict = {}
-        for r, b in a.items():
-            jet = list(map(mul, w2, b[2:]))
-            acc = out.get(r)
-            out[r] = jet if acc is None else list(map(add, acc, jet))
-            jet = list(map(mul, w1, b[1:n + 1]))
-            acc = out.get(r + 1)
-            out[r + 1] = jet if acc is None else list(map(add, acc, jet))
-            for m in range(1, r + 1):
-                acc = out.get(r - m)
-                if acc is None:
-                    acc = out[r - m] = [0] * n
-                _mul_into(acc, b, v[m], -math.comb(r, m))
-        a = {r: [c % MOD_P for c in jet] for r, jet in out.items()}
-        tower.append(a)
-    return tower
-
-
-def _tower_at(v_image, a_images: dict, x0: int, top: int):
-    """Jets at x0 of A_0, ..., A_top, where A_0's coefficient of D^r has image
-    a_images[r]; None when a base of V or A_0 vanishes at x0."""
-    n = 2 * top + 1
-    s = max(a_images, default=0)
-    v = _potential_jets(v_image, x0, n + s, s + top - 1)
-    a = {r: _jet(img, x0, n) for r, img in a_images.items()}
-    if v is None or any(jet is None for jet in a.values()):
-        return None
-    return _tower(v, a, n, top)
-
-
-def _rows(columns: list) -> list:
-    """One row per derivative order: each column's coefficient value there."""
-    orders = sorted(set().union(*columns))
-    return [[col.get(r, 0) for col in columns] for r in orders]
-
-
-def _full_rank(ncols: int, rows_at) -> bool:
-    """True when the rows that ``rows_at(x0)`` gives at successive points reach
-    rank ncols; False as soon as a point adds no rank.  ``rows_at`` returns
-    None at a point where a base vanishes, and that point is skipped."""
+def _full_rank(v_image, theta_image, powers: list, horners: list) -> bool:
+    """True when the ``_columns`` at successive points reach full column rank,
+    one row per derivative order; False as soon as a point adds no rank.  A
+    point where a base vanishes is skipped."""
+    ncols = len(powers) * len(horners)
     pivots: dict = {}  # column -> row with 1 there and 0 at every earlier pivot
     for x0 in _points():
-        rows = rows_at(x0)
-        if rows is None:
+        columns = _columns(v_image, theta_image, powers, horners, x0)
+        if columns is None:
             continue
         before = len(pivots)
-        for row in rows:
+        for row in itertools.zip_longest(*columns, fillvalue=0):
             for col, prow in pivots.items():
                 if row[col]:
                     c = row[col]
@@ -232,22 +236,16 @@ def _full_rank(ncols: int, rows_at) -> bool:
             return False
 
 
-def no_weights(op: DiffOp, a0: DiffOp, orders: list) -> bool:
+def no_weights(op: DiffOp, theta, orders: list) -> bool:
     """True when a rank certificate mod p proves that no nonzero weights on
-    ``orders`` (distinct, >= 0) give sum_j w_j ad op^j(a0) = 0; False means
-    undecided.  Raises ExactError when op is not -D^2 + V."""
+    ``orders`` (distinct, >= 0) give sum_j w_j ad op^j(theta) = 0 for the
+    function theta; False means undecided.  Raises ExactError when op is not
+    -D^2 + V."""
     v_image = _image(op.potential())
-    a_images = {r: _image(c) for r, c in a0.coeffs.items()}
-    if v_image is None or any(img is None for img in a_images.values()):
+    theta_image = _image(as_function(theta))
+    if v_image is None or theta_image is None:
         return False
-
-    def rows_at(x0):
-        tower = _tower_at(v_image, a_images, x0, max(orders))
-        if tower is None:
-            return None
-        return _rows([{r: jet[0] for r, jet in tower[j].items()} for j in orders])
-
-    return _full_rank(len(orders), rows_at)
+    return _full_rank(v_image, theta_image, [1], [_horner([(j, 1)]) for j in orders])
 
 
 def no_theta(op: DiffOp, w, degrees: list) -> bool:
@@ -259,26 +257,7 @@ def no_theta(op: DiffOp, w, degrees: list) -> bool:
     weights = [(j, c.evaluate_mod()) for j, c in w.items()]
     if v_image is None or any(c is None for _, c in weights):
         return False
-    top = w.top_order
-    n = 2 * top + 1
-
-    def rows_at(x0):
-        # V's jets once per point, shared by every monomial's tower
-        v = _potential_jets(v_image, x0, n, top - 1)
-        if v is None:
-            return None
-        columns = []
-        for i in degrees:
-            tower = _tower(v, {0: _taylor([0] * i + [1], x0, n)}, n, top)
-            col: dict = {}
-            for j, c in weights:
-                for r, jet in tower[j].items():
-                    col[r] = (col.get(r, 0) + c * jet[0]) % MOD_P
-            columns.append(col)
-        return _rows(columns)
-
-    return _full_rank(len(degrees), rows_at)
-
+    return _full_rank(v_image, ([0, 1], [1]), degrees, [_horner(weights)])
 
 def _witness(x0: int, rats, scalars, **found) -> dict:
     """The point of a refutation: the prime, x0 and the residue of every
@@ -296,28 +275,25 @@ def _witness(x0: int, rats, scalars, **found) -> dict:
             "parameters": {name: mod_p_residue(name) for name in sorted(names)}, **found}
 
 
-def condition_witness(op: DiffOp, a0: DiffOp, w):
-    """A witness that sum_j w_j ad op^j(a0) is not zero, for the WeightVector
-    w: its point and the lowest derivative order r whose coefficient has a
-    nonzero image there.  None means undecided.  Raises ExactError when op is
-    not -D^2 + V."""
+def condition_witness(op: DiffOp, theta, w):
+    """A witness that sum_j w_j ad op^j(theta) is not zero, for the function
+    theta and the WeightVector w: its point and the lowest derivative order r
+    whose coefficient has a nonzero image there.  None means undecided.
+    Raises ExactError when op is not -D^2 + V."""
     v = op.potential()
     v_image = _image(v)
-    a_images = {r: _image(c) for r, c in a0.coeffs.items()}
+    theta = as_function(theta)
+    theta_image = _image(theta)
     weights = [(j, c.evaluate_mod()) for j, c in w.items()]
-    if v_image is None or any(img is None for img in a_images.values()) \
-            or any(c is None for _, c in weights):
+    if v_image is None or theta_image is None or any(c is None for _, c in weights):
         return None
+    horner = [_horner(weights)]
     for x0 in _points():
-        tower = _tower_at(v_image, a_images, x0, w.top_order)
-        if tower is not None:
+        columns = _columns(v_image, theta_image, [1], horner, x0)
+        if columns is not None:
             break
-    residual: dict = {}
-    for j, c in weights:
-        for r, jet in tower[j].items():
-            residual[r] = (residual.get(r, 0) + c * jet[0]) % MOD_P
-    for r in sorted(residual):
-        if residual[r]:
-            return _witness(x0, [v, *a0.coeffs.values()], [c for _, c in w.items()],
-                            order=r, image=residual[r])
+    for r, c in enumerate(columns[0]):
+        if c:
+            return _witness(x0, [v, theta], [c for _, c in w.items()], order=r,
+                            image=c * pow(math.factorial(r), -1, MOD_P) % MOD_P)
     return None

@@ -2,6 +2,7 @@
 fit_weights and solve_theta, and the witnesses that refute a failing
 condition in ``verify``."""
 
+import math
 import random
 
 import pytest
@@ -66,9 +67,9 @@ def _random_potential(rng, kind):
     return v + XRat.from_ratio(num, base ** rng.randint(1, 2))
 
 
-def test_tower_jets_match_the_symbolic_tower():
-    # oracle: the image of every symbolic ad_tower coefficient at x0, and its
-    # jet there, equal the jets stepped by the closed form mod p
+def test_functional_columns_match_the_symbolic_tower():
+    # oracle: entry r of the functional column delta·A_i at x0, r <= i, is r!
+    # times the image there of the symbolic ad_tower coefficient of D^r
     rng = random.Random(2024)
     kinds = ["polynomial", "rational", "parametric"]
     checked = 0
@@ -80,18 +81,15 @@ def test_tower_jets_match_the_symbolic_tower():
         op = DiffOp.schrodinger(v)
         j = rng.randint(0, 5)
         tower = ad_tower(op, theta, j)
-        a_images = {r: modp._image(c) for r, c in as_operator(theta).coeffs.items()}
         x0 = rng.randrange(2, MOD_P)
-        jets = modp._tower_at(modp._image(v), a_images, x0, j)
-        assert jets is not None
-        for level, (sym, jet_level) in enumerate(zip(tower, jets)):
-            n = 2 * (j - level) + 1
-            assert set(jet_level) >= set(sym.coeffs)
-            for r, jet in jet_level.items():
-                c = sym.coeff(r)
-                assert len(jet) == n
-                assert jet[0] == _value_mod_p(c, x0)
-                assert jet == modp._jet(modp._image(c), x0, n)
+        columns = modp._columns(modp._image(v), modp._image(XRat.from_poly(theta)), [1],
+                                [modp._horner([(i, 1)]) for i in range(j + 1)], x0)
+        assert columns is not None
+        for i, (sym, col) in enumerate(zip(tower, columns, strict=True)):
+            assert len(col) == i + 1 > sym.order()
+            for r, entry in enumerate(col):
+                want = math.factorial(r) * _value_mod_p(sym.coeff(r), x0) % MOD_P
+                assert entry == want, (idx, r)
                 checked += 1
     assert checked > 5 * N_INSTANCES
 
@@ -132,6 +130,7 @@ def test_relation_bearing_entries_stay_symbolic():
 
 def test_verify_refute_nullspaces_are_decided_mod_p():
     for argv in (["fit-weights", "--catalog", "laguerre-step:2", "--orders", "5,3,1"],
+                 ["fit-weights", "--L", "x^2+1/x^2", "--theta", "x", "--orders", "70,1"],
                  ["solve-theta", "--catalog", "laguerre-step:1",
                   "--weights", "5:1,3:-34,1:4", "--deg", "4"]):
         (verdict,) = cli.run(argv)["verdicts"]
@@ -160,8 +159,8 @@ def test_pole_at_a_point_is_skipped():
     # x, -2D and -2/(x - x0)^2 are independent
     x0 = pow(2, 65537, MOD_P)
     v = XRat.from_ratio(XPoly.const(1), XPoly.from_list([-x0, 1]))
-    a_images = {0: modp._image(XRat.from_poly(XPoly.x()))}
-    assert modp._tower_at(modp._image(v), a_images, x0, 2) is None
+    theta_image = modp._image(XRat.from_poly(XPoly.x()))
+    assert modp._columns(modp._image(v), theta_image, [1], [modp._horner([(2, 1)])], x0) is None
     op = DiffOp.schrodinger(v)
     assert modp.no_weights(op, as_operator(XPoly.x()), [2, 1, 0])
 
@@ -307,6 +306,13 @@ def test_witness_skips_a_pole_at_the_first_point():
     assert witness["parameters"] == {}
 
 
+def test_witness_image_is_the_coefficient_not_its_functional_entry():
+    # ad^2 of x^2 under -D^2 is 8 D^2: the functional's entry 2 is 2! * 8
+    witness = modp.condition_witness(DiffOp.schrodinger(0), XPoly.monomial(2),
+                                     WeightVector({2: 1}))
+    assert (witness["order"], witness["image"]) == (2, 8)
+
+
 def test_only_the_flagged_failures_are_decided_mod_p():
     report = cli.run(["verify", "--all"])
     by_id = {v["claim"]: v for v in report["verdicts"]}
@@ -324,9 +330,9 @@ def test_only_the_flagged_failures_are_decided_mod_p():
 
 def test_relation_bearing_entries_never_reach_the_jets(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a relation-bearing entry reached the jet tower")
+        raise AssertionError("a relation-bearing entry reached the jets")
 
-    monkeypatch.setattr(modp, "_tower_at", refuse)
+    monkeypatch.setattr(modp, "_columns", refuse)
     for index in (6, 7, 9, 10):
         report = verify_entry(get_entry(f"ansatz:A4-40A2+144A0:{index}"))
         assert report.holds and report.decided_by == "symbolic" and report.witness is None

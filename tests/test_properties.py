@@ -34,7 +34,7 @@ from bispec.diffop import (
     is_eigenfunction,
     xpoly_gcd_rational,
 )
-from bispec.adcond import ad_power, ad_tower
+from bispec.adcond import ad_power, ad_tower, fit_weights
 from bispec.darboux import darboux_step, intertwine_check
 
 N_INSTANCES = 100
@@ -663,6 +663,9 @@ def test_ad_tower_rejects_non_schrodinger_operators():
     # a theta of order >= 1 has no parity, so the adjoint step does not apply
     with pytest.raises(ExactError, match="function"):
         ad_tower(DiffOp.schrodinger(XPoly.monomial(2)), DiffOp.d(), 1)
+    # fit_weights rejects it too, before its rank certificate could decide
+    with pytest.raises(ExactError, match="function"):
+        fit_weights(DiffOp.schrodinger(XPoly.monomial(2)), DiffOp.d(), [1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The list: every task of the benchmark workloads, every example of the
 README's CLI section and ``verify --all`` (as ``tools/untraced.py`` runs
 them); ``ad``, ``heisenberg`` and ``fit-weights`` of every scalar catalog
 entry except ``laguerre-step:3``, at its condition's orders; ``gen-system``
-at weight order 6; and ``solve-theta`` on ``laguerre-step:2`` with
-``--deg 6``.  Each runs in this process through ``bispec.cli.run``, and
+at weight order 6; ``solve-theta`` on ``laguerre-step:2`` with ``--deg 6``;
+and the rank certificates of ``CERTIFICATES``, at weight orders 7 to 40.  Each runs in this process through ``bispec.cli.run``, and
 its digest is taken over ``json.dumps(report, sort_keys=True)``; a command
 that exits 2 is digested as the error report that ``cli.main`` prints.
 
@@ -28,6 +28,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SKIPPED = {"laguerre-step:3"}  # its ad tower alone takes seconds
+# command lines that run a rank certificate mod p above the workloads' order 5
+CERTIFICATES = [
+    ["solve-theta", "--L", "x^2+1/x^2", "--weights", "20:1,0:1", "--deg", "10"],
+    ["solve-theta", "--L", "x^2+1/x^2", "--weights", "15:1,0:1", "--deg", "15"],
+    ["fit-weights", "--L", "x^2+1/x^2", "--theta", "x^3", "--orders", "30,1"],
+    ["fit-weights", "--L", "x^2+1/x^2", "--theta", "x", "--orders", "40,1"],
+    ["solve-theta", "--L", "x^2+1/(x+1)^3+2/x", "--weights", "12:1,2:3,0:1", "--deg", "8"],
+    ["fit-weights", "--catalog", "laguerre-step:2", "--orders", "7,5,3,1"],
+]
 
 
 def _weights_text(w) -> str:
@@ -58,7 +67,8 @@ def argvs() -> list:
     """The fixed list of command lines, in order."""
     from untraced import _argvs
 
-    return _argvs() + _catalog_argvs() + [["gen-system", "--weights", "6:1,4:-140,2:4144,0:-14400"]]
+    return (_argvs() + _catalog_argvs()
+            + [["gen-system", "--weights", "6:1,4:-140,2:4144,0:-14400"]] + CERTIFICATES)
 
 
 def digest(argv: list) -> str:
