@@ -160,8 +160,8 @@ def _times(phi: list, f: list) -> list:
 
 def _times_l(phi: list, v: list, m: int) -> list:
     """Entries l < m of phi·L = phi·V - phi·D^2 for L = -D^2 + V, from V's jet
-    v (at least as long as phi): phi·D^2 moves entry l - 2 to l with weight
-    l(l-1)."""
+    v (as long as phi, or to its last nonzero entry): phi·D^2 moves entry
+    l - 2 to l with weight l(l-1)."""
     return [(sum(map(mul, phi[l:], v)) - l * (l - 1) * s) % MOD_P
             for l, s in enumerate([0, 0, *phi][:m])]
 
