@@ -26,11 +26,6 @@ from .diffop import (
 )
 
 
-def as_operator(theta) -> DiffOp:
-    """Coerce a polynomial or rational function to a multiplication operator."""
-    return theta if isinstance(theta, DiffOp) else DiffOp.mul_by(theta)
-
-
 class WeightVector:
     """Constant weights a_j of an ad-condition, indexed by commutator order j.
 

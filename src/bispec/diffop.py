@@ -99,9 +99,16 @@ class XPoly:
     field; a constant den is ``MPoly.one()``).  A parameter-free polynomial is
     int numerators over one int.  ``XPoly({degree: coefficient})`` builds one,
     and :attr:`coeffs` maps each degree back to a normalised ParamScalar.
+
+    A value never changes, so facts about it are memoised on it at first use
+    and never invalidated: the x-degree, the GF(p) image (``_mod_p_coeffs``),
+    the powers, the log-derivative parts of a factor list it heads
+    (``_log_parts``) and the bases shown not to divide it
+    (``_refutes_division``).  Their slots stay unset until then, so building
+    a value costs no more.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_degree", "_image", "_powers", "_log_parts", "_refuted")
 
     def __init__(self, coeffs: dict | None = None):
         p = _XP_ZERO
@@ -148,7 +155,11 @@ class XPoly:
         return not self.num.terms
 
     def degree(self) -> int:
-        return self.num.x_degree()
+        try:
+            return self._degree
+        except AttributeError:
+            d = self._degree = self.num.x_degree()
+            return d
 
     def coeff(self, deg: int) -> ParamScalar:
         return _coefficient(self.num.x_slice(deg), self.den)
@@ -219,9 +230,23 @@ class XPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self**n, memoised; a power next above a memoised one is one product."""
         if n < 0:
             raise ExactError("negative power of a polynomial")
-        return _xp_norm(self.num ** n, self.den ** n)
+        if n == 1:
+            return self
+        powers = getattr(self, "_powers", None)
+        if powers is None:
+            powers = self._powers = {}
+        p = powers.get(n)
+        if p is None:
+            prev = self if n == 2 else powers.get(n - 1)
+            if prev is None:
+                p = _xp_norm(self.num ** n, self.den ** n)
+            else:
+                p = _xp_norm(prev.num * self.num, prev.den * self.den)
+            powers[n] = p
+        return p
 
     def derivative(self) -> "XPoly":
         return _xp_norm(self.num.x_derivative(), self.den)
@@ -314,6 +339,19 @@ class XRat:
     so the catalog passes its squared poles as the factor ``(base, 2)``.
     Values are cancelled on request via :meth:`reduced`: fully when
     parameter-free, by trial division against their own bases otherwise.
+
+    In a tower every coefficient is a fraction over the same few bases, so
+    what depends on a base alone is memoised on the base (see XPoly): its
+    degree, GF(p) image, powers, the log-derivative parts of the factor list
+    it heads, and the bases refuted as its divisors.  A memoised image cannot
+    go stale.  Each field's residue is fixed by its name
+    (``exact.mod_p_residue``), and ``declare_param`` refuses a relation for a
+    field already in use, so a defined image stays defined and correct.  A
+    relation dropped by ``ParamRegistry.restore_relations`` can leave a
+    memoised None, but None means only "undecided", and the symbolic division
+    decides as it would without the image.  A change that gives
+    relation-bearing parameters an image must make the memo follow the
+    relation registry.
     """
 
     __slots__ = ("num", "factors", "_den", "_deriv")
@@ -351,10 +389,7 @@ class XRat:
     def den(self) -> XPoly:
         """The expanded denominator polynomial."""
         if self._den is None:
-            den = _XP_ONE
-            for base, exp in self.factors:
-                den = den * base ** exp
-            self._den = den
+            self._den = _product(base ** exp for base, exp in self.factors)
         return self._den
 
     def is_zero(self) -> bool:
@@ -467,17 +502,10 @@ class XRat:
         if not self.factors:
             result = XRat(self.num.derivative(), (), _normalize=False)
         else:
-            bases = [b for b, _ in self.factors]
-            prod_all = _XP_ONE
-            for b in bases:
-                prod_all = prod_all * b
+            prod_all, parts = _log_parts([b for b, _ in self.factors])
             log_term = _XP_ZERO
-            for idx, (b, e) in enumerate(self.factors):
-                partial = _XP_ONE
-                for jdx, bb in enumerate(bases):
-                    if jdx != idx:
-                        partial = partial * bb
-                log_term = log_term + (b.derivative() * partial).scale(e)
+            for part, (_, e) in zip(parts, self.factors):
+                log_term = log_term + part.scale(e)
             new_num = self.num.derivative() * prod_all - self.num * log_term
             result = _xrat_normal(new_num, tuple((b, e + 1) for b, e in self.factors))
         self._deriv = result
@@ -569,11 +597,20 @@ class XRat:
 
 
 def _mod_p_coeffs(p: XPoly):
-    """Ascending coefficient images in GF(MOD_P), or None if one is undefined."""
+    """Ascending coefficient images in GF(MOD_P), or None if one is undefined;
+    memoised on p (see XRat for why a memoised image cannot go stale).
+    Callers must not change the list."""
+    try:
+        return p._image
+    except AttributeError:
+        pass
     if p.den is _MP_ONE:
-        return p.num.x_images_mod()
-    den = p.den.evaluate_mod()
-    return p.num.x_images_mod(den) if den else None
+        image = p.num.x_images_mod()
+    else:
+        den = p.den.evaluate_mod()
+        image = p.num.x_images_mod(den) if den else None
+    p._image = image
+    return image
 
 
 def _refutes_division(num: XPoly, base: XPoly) -> bool:
@@ -581,12 +618,49 @@ def _refutes_division(num: XPoly, base: XPoly) -> bool:
     GF(MOD_P) at the fixed point of MPoly.evaluate_mod and the image remainder
     is nonzero (:func:`_image_divmod`).  False means undecided too: an image
     is undefined, or base's leading coefficient maps to 0.
+
+    A True verdict is memoised on num, keyed by the id of base, which the
+    memo keeps alive so that the id cannot be reused.
     """
+    refuted = getattr(num, "_refuted", None)
+    if refuted is not None and id(base) in refuted:
+        return True
     b = _mod_p_coeffs(base)
     if b is None or not b[-1]:
         return False
     a = _mod_p_coeffs(num)
-    return a is not None and any(_image_divmod(a, b)[1])
+    if a is None or not any(_image_divmod(a, b)[1]):
+        return False
+    if refuted is None:
+        refuted = num._refuted = {}
+    refuted[id(base)] = base
+    return True
+
+
+def _product(polys) -> XPoly:
+    """The product of polys, left to right; 1 when there are none."""
+    out = None
+    for p in polys:
+        out = p if out is None else out * p
+    return _XP_ONE if out is None else out
+
+
+def _log_parts(bases: list) -> tuple:
+    """(prod b_j, [b_i' * prod_(j != i) b_j for each i]) for the bases of a
+    factor list, whatever their exponents: the parts of its log-derivative
+    sum_i e_i b_i'/b_i over prod b_j.  Memoised on the first base, keyed by
+    the ids of the others, which the memo keeps alive."""
+    first, rest = bases[0], bases[1:]
+    memo = getattr(first, "_log_parts", None)
+    if memo is None:
+        memo = first._log_parts = {}
+    key = tuple(map(id, rest))
+    hit = memo.get(key)
+    if hit is None:
+        parts = [_product([b.derivative(), *bases[:idx], *bases[idx + 1:]])
+                 for idx, b in enumerate(bases)]
+        hit = memo[key] = (rest, _product(bases), parts)
+    return hit[1], hit[2]
 
 
 def _coerce_xrat(value):
@@ -642,13 +716,13 @@ def _merge_equal(pairs, combine=add) -> list:
 
 def _complement(merged, own) -> XPoly:
     """prod merged / prod own as a polynomial (own divides merged by construction)."""
-    out = _XP_ONE
+    powers = []
     for base, exp in merged:
         idx = _find_base(own, base)
         have = own[idx][1] if idx is not None else 0
         if exp > have:
-            out = out * base ** (exp - have)
-    return out
+            powers.append(base ** (exp - have))
+    return _product(powers)
 
 
 def _xrat_normal(num: XPoly, factors: tuple) -> "XRat":

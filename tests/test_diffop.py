@@ -5,7 +5,7 @@ import pytest
 
 from bispec import cli, diffop
 from bispec.exact import EXP_MAX, ExactError, MPoly, PS_ONE, ParamScalar, Rat, mod_p_residue
-from bispec.adcond import WeightVector
+from bispec.adcond import WeightVector, ad_tower
 from bispec.ansatz import generate_system
 from bispec.families import get_entry, verify_entry
 from bispec.diffop import (
@@ -443,3 +443,98 @@ def test_coefficient_view_cancels_factors_of_the_shared_denominator():
                       "--theta", "x^2/(k+2) + x", "--j", "2"])
     assert report["inputs"]["theta"] == "(1/(k + 2))*x^2 + x"
     assert report["verdicts"][0]["residual"] == "(8/(k + 2))*D^2 + (8/(k + 2))*x^2 + 4*x"
+
+
+def _fresh(p):
+    """p as a new value, with no fact memoised on it."""
+    return diffop._xp(p.num, p.den)
+
+
+def _random_base(rng, kind):
+    """A monic base of degree 1-3: int, rational, parametric or sqrt2 coefficients."""
+    deg = rng.randint(1, 3)
+    if kind == "polynomial":
+        coeffs = {d: rng.randint(-5, 5) for d in range(deg)}
+    elif kind == "rational":
+        coeffs = {d: Rat(rng.randint(-6, 6), rng.randint(1, 4)) for d in range(deg)}
+    elif kind == "parametric":
+        coeffs = {d: _random_param_scalar(rng) for d in range(deg)}
+    else:
+        sqrt2 = ParamScalar.var("sqrt2")
+        coeffs = {d: sqrt2 * rng.randint(1, 3) + rng.randint(-3, 3) for d in range(deg)}
+    coeffs[deg] = 1
+    return XPoly(coeffs)
+
+
+_BASE_KINDS = ["polynomial", "rational", "parametric", "relation"]
+
+
+def test_memoised_base_facts_equal_a_fresh_computation():
+    """Each fact memoised on a base (degree, image, powers, log-derivative
+    parts, refuted divisors) equals the same fact computed on a fresh value,
+    whether it is read first or from the memo."""
+    rng = random.Random(20261021)
+    bases = [_random_base(rng, _BASE_KINDS[idx % 4]) for idx in range(24)]
+    bases += [b * _random_base(rng, _BASE_KINDS[idx % 3]) for idx, b in enumerate(bases[:8])]
+    for idx, b in enumerate(bases):
+        for _ in range(2):  # the second read comes from the memo
+            assert b.degree() == b.num.x_degree()
+            assert _mod_p_coeffs(b) == _mod_p_coeffs(_fresh(b))
+        assert (_mod_p_coeffs(b) is None) == (idx % 4 == 3)  # a product keeps sqrt2
+        for n in rng.sample(range(6), 6):  # some powers come from the one below
+            fresh = _fresh(b)
+            want = diffop._xp_norm(fresh.num ** n, fresh.den ** n)
+            got = b ** n
+            assert got.num == want.num and got.den == want.den
+            assert b ** n is got
+    for _ in range(60):
+        group = rng.sample(bases, rng.randint(1, 3))
+        prod_all, parts = diffop._log_parts(group)
+        fresh = [_fresh(b) for b in group]
+        want_prod = XPoly.one()
+        for b in fresh:
+            want_prod = want_prod * b
+        assert prod_all == want_prod
+        for idx, b in enumerate(fresh):
+            want = b.derivative()
+            for jdx, other in enumerate(fresh):
+                if jdx != idx:
+                    want = want * other
+            assert parts[idx] == want
+        again = diffop._log_parts(group)
+        assert again[0] is prod_all and again[1] is parts
+    refuted = undecided = 0
+    for big in bases:
+        for small in bases:
+            if small.degree() >= big.degree():
+                continue
+            verdict = _refutes_division(big, small)
+            assert verdict == _refutes_division(_fresh(big), _fresh(small))
+            assert _refutes_division(big, small) == verdict
+            inexact = not big.divmod(small)[1].is_zero()
+            refuted += verdict
+            undecided += inexact and not verdict
+            assert inexact or not verdict
+    assert refuted >= 150 and undecided >= 20
+    assert not _refutes_division(bases[24], bases[0])  # bases[0] divides it
+
+
+def test_ad_tower_maps_each_base_to_gf_p_once(monkeypatch):
+    """An ad tower on a potential over two bases maps each base once, from
+    building V to the last step: every later trial division and split reads
+    the memoised image."""
+    seen = []
+    images = MPoly.x_images_mod
+
+    def recording(self, den=1):
+        seen.append(self)
+        return images(self, den)
+
+    monkeypatch.setattr(MPoly, "x_images_mod", recording)
+    x = XPoly.x()
+    b1, b2 = x + 1, x * x + 3
+    v = XRat(x * x, ()) + XRat(XPoly.const(1), ((b1, 2),)) + XRat(XPoly.const(2), ((b2, 1),))
+    tower = ad_tower(DiffOp.schrodinger(v), x ** 3, 5)
+    assert {id(b) for a in tower for c in a.coeffs.values() for b, _ in c.factors} == \
+        {id(b1), id(b2)}
+    assert [sum(m == b.num for m in seen) for b in (b1, b2)] == [1, 1]

@@ -14,7 +14,6 @@ from bispec.adcond import (
     ConditionReport,
     WeightVector,
     ad_tower,
-    as_operator,
     fit_weights,
     solve_theta,
     verify_condition,
@@ -102,13 +101,13 @@ def test_own_condition_is_never_refuted():
         if entry.kind != "scalar" or not entry.expect_holds:
             continue
         orders = [j for j, _ in entry.condition.items()]
-        assert not modp.no_weights(entry.operator, as_operator(entry.theta), orders), cid
+        assert not modp.no_weights(entry.operator, DiffOp.mul_by(entry.theta), orders), cid
 
 
 def test_printed_three_step_display_has_no_condition():
     # with the printed tau constant no condition exists on orders 9,7,...,1
     entry = get_entry("laguerre-step:3")
-    assert modp.no_weights(entry.operator, as_operator(entry.theta), [9, 7, 5, 3, 1])
+    assert modp.no_weights(entry.operator, DiffOp.mul_by(entry.theta), [9, 7, 5, 3, 1])
 
 
 def test_existing_theta_stays_symbolic():
@@ -162,7 +161,7 @@ def test_pole_at_a_point_is_skipped():
     theta_image = modp._image(XRat.from_poly(XPoly.x()))
     assert modp._columns(modp._image(v), theta_image, [1], [modp._horner([(2, 1)])], x0) is None
     op = DiffOp.schrodinger(v)
-    assert modp.no_weights(op, as_operator(XPoly.x()), [2, 1, 0])
+    assert modp.no_weights(op, DiffOp.mul_by(XPoly.x()), [2, 1, 0])
 
 
 FIRST_POINT = pow(2, 65537, MOD_P)
@@ -186,7 +185,7 @@ def _image_at(f: XRat, x0: int) -> int:
 
 def test_scalar_witness_is_the_symbolic_residual_mod_p():
     entry = get_entry("laguerre-step:2")
-    witness = modp.condition_witness(entry.operator, as_operator(entry.theta),
+    witness = modp.condition_witness(entry.operator, DiffOp.mul_by(entry.theta),
                                      entry.condition)
     residual = verify_condition(entry.operator, entry.theta, entry.condition).residual
     assert witness["prime"] == MOD_P and witness["x0"] == FIRST_POINT
@@ -209,7 +208,7 @@ def test_random_scalar_witnesses_match_the_symbolic_residual():
         theta = _random_poly(rng, rng.randint(1, 3), rng.random() < 0.5)
         op = DiffOp.schrodinger(v)
         w = WeightVector({j: rng.randint(-3, 3) or 1 for j in rng.sample(range(5), 2)})
-        witness = modp.condition_witness(op, as_operator(theta), w)
+        witness = modp.condition_witness(op, DiffOp.mul_by(theta), w)
         residual = verify_condition(op, theta, w).residual
         x0 = FIRST_POINT if witness is None else witness["x0"]
         images = {r: _image_at(residual.coeff(r), x0) for r in residual.coeffs}
@@ -300,7 +299,7 @@ def test_witness_skips_a_pole_at_the_first_point():
     # V has a pole at the first point; [L, x] = -2D is refuted at the next one
     v = XRat.from_ratio(XPoly.const(1), XPoly.from_list([-FIRST_POINT, 1]))
     op = DiffOp.schrodinger(v)
-    witness = modp.condition_witness(op, as_operator(XPoly.x()), WeightVector({1: 1}))
+    witness = modp.condition_witness(op, DiffOp.mul_by(XPoly.x()), WeightVector({1: 1}))
     assert witness["x0"] == pow(3, 65537, MOD_P)
     assert (witness["order"], witness["image"]) == (1, MOD_P - 2)
     assert witness["parameters"] == {}
@@ -341,7 +340,7 @@ def test_relation_bearing_entries_never_reach_the_jets(monkeypatch):
 def _witness_first(entry):
     """The report of the order that seeks the witness before the symbolic check."""
     if entry.kind == "scalar":
-        witness = modp.condition_witness(entry.operator, as_operator(entry.theta),
+        witness = modp.condition_witness(entry.operator, DiffOp.mul_by(entry.theta),
                                          entry.condition)
     else:
         witness = matrix_condition_witness(entry.operator, entry.condition)

@@ -6,7 +6,10 @@ hypothesis or a seeded RNG.
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1039,3 +1042,31 @@ def test_reduced_matches_the_all_gcd_loop(f):
     assert len(got.factors) == len(want.factors)
     for (b1, e1), (b2, e2) in zip(got.factors, want.factors):
         assert b1 == b2 and e1 == e2
+
+
+_FAILING_GIVEN = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_given_test_is_reported_and_the_session_goes_on(tmp_path):
+    """Under the project's warning filters a failing @given test is counted as
+    a failure and later tests still run: Hypothesis' report hook warns while
+    it reports, and that warning must not end the session."""
+    (tmp_path / "test_sample.py").write_text(_FAILING_GIVEN)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_sample.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
