@@ -296,12 +296,18 @@ def solve_theta(op: DiffOp, w: WeightVector, deg_bound: int,
     A bound above EXP_MAX, the largest x-degree a polynomial can hold, raises
     ExactError.
 
-    First tries to prove that no Theta exists by a rank certificate mod p
-    (:func:`modp.no_theta`), which needs no symbolic tower; the result then
-    has no thetas, no assumptions and ``decided_by == "mod-p"``.  Otherwise
-    the monomial columns go to the symbolic nullspace, and every Theta found
-    is re-verified exactly; a Theta in one parameter is primitive (no
-    spurious factor).
+    First takes the kernel of the monomial columns mod p
+    (:func:`modp.theta_kernel`), which needs no symbolic tower.  An empty one
+    is a rank certificate that no Theta exists; the result then has no
+    thetas, no assumptions and ``decided_by == "mod-p"``.  Otherwise, when V
+    and the weights hold at most one parameter and it has no relation, the
+    kernel is lifted to Q(params) (:func:`modp.lift_kernel`) and each Theta is
+    proved by one expansion; such a basis is complete and forms no pivot, so
+    it holds for generic parameter values and lists no assumptions.  Anything
+    else (two parameters or more, a relation, a failed lift or proof) goes to
+    the symbolic nullspace of one tower per monomial, and every Theta found
+    is re-verified exactly.  A Theta in one parameter is primitive (no
+    spurious factor) on both paths, and both give the same basis.
     """
     if deg_bound < 1:
         raise ExactError("degree bound must be >= 1")
@@ -309,20 +315,31 @@ def solve_theta(op: DiffOp, w: WeightVector, deg_bound: int,
         raise ExactError(f"degree bound {deg_bound} exceeds the largest x-degree {EXP_MAX}")
     low = 1 if fix_zero else 0
     degrees = list(range(low, deg_bound + 1))
-    if modp.no_theta(op, w, degrees):
+    kernel = modp.theta_kernel(op, w, degrees)
+    if kernel == {}:
         return SolveResult([], [], decided_by="mod-p")
+    if kernel:
+        vectors = modp.lift_kernel(op, w, degrees, kernel)
+        if vectors is not None:
+            thetas = [_theta(degrees, vec) for vec in vectors]
+            if all(verify_condition(op, theta, w).holds for theta in thetas):
+                return SolveResult(thetas, [])
     columns = [residual_from_tower(ad_tower(op, XPoly.monomial(i), w.top_order), w)
                for i in degrees]
     rows = _linear_rows(columns)
     result = nullspace(rows)
     thetas = []
     for vec in result.basis:
-        theta = XPoly({deg: c for deg, c in zip(degrees, vec) if not c.is_zero()})
+        theta = _theta(degrees, vec)
         report = verify_condition(op, theta, w)
         if not report.holds:
             raise ExactError("internal error: solved Theta fails exact verification")
         thetas.append(theta)
     return SolveResult(thetas, result.assumptions)
+
+
+def _theta(degrees: list, vec: list) -> XPoly:
+    return XPoly({deg: c for deg, c in zip(degrees, vec) if not c.is_zero()})
 
 
 def proportionality(a: DiffOp, b: DiffOp):

@@ -556,6 +556,22 @@ class MPoly:
         inv = pow(den, -1, MOD_P)
         return [v * inv % MOD_P for v in out]
 
+    def x_images_at(self, name: str, r: int, den: int = 1):
+        """The images in GF(MOD_P) of the coefficients of x**0, x**1, ... of
+        self / den, for an int den, with the parameter ``name``, the only one
+        self may hold, at r instead of its residue; None when the denominator
+        maps to 0.  Reads no power table of the registry, so a value at any r
+        leaves the tables of the fixed point as they are."""
+        den = self.den * den % MOD_P
+        if not den:
+            return None
+        shift = PARAMS.shifts[name]
+        out = [0] * (self.x_degree() + 1)
+        for key, c in self.terms.items():
+            out[key & _FIELD_MASK] += c * pow(r, key >> shift, MOD_P)
+        inv = pow(den, -1, MOD_P)
+        return [v * inv % MOD_P for v in out]
+
     def x_divmod(self, b: "MPoly"):
         """(q, r) with self = q*b + r and r of lower x-degree than b, for b
         whose coefficient of its top power of x is 1.
@@ -1447,6 +1463,19 @@ def _kernel(rows, pivots, ncols) -> list:
             vec[col] = -rows[idx][free]
         basis.append(_tidy_vector(vec, free))
     return basis
+
+
+def primitive_vector(entries: list, free: int, name: str | None) -> list:
+    """The vector of polynomials sum_e entries[i][e] * name**e (lists of Rat,
+    ascending in e; with no name each list holds one constant), scaled as
+    :func:`nullspace` scales its basis vectors (see _tidy_vector), with free
+    the free column.  Returns ParamScalar entries."""
+    shift = PARAMS.shifts[name] if name else 0
+    polys = []
+    for coeffs in entries:
+        den = math.lcm(*(q.denominator for q in coeffs))
+        polys.append(_normed({e << shift: int(q * den) for e, q in enumerate(coeffs) if q}, den))
+    return _tidy_vector(polys, free)
 
 
 def _tidy_vector(polys, free):

@@ -1,6 +1,7 @@
 """Images of ad towers mod p: rank certificates that ``fit_weights`` or
-``solve_theta`` has no solution, and witnesses that a condition fails, all
-without building the symbolic ad tower.
+``solve_theta`` has no solution, the kernel that ``solve_theta`` lifts to
+its basis otherwise, and witnesses that a condition fails, all without
+building the symbolic ad tower.
 
 Every parameter maps to ``exact.mod_p_residue(name)`` in GF(p), p =
 ``exact.MOD_P``, and x to a fixed residue x0.  A function is carried as its
@@ -20,13 +21,13 @@ ad^j(Theta) = sum_i (-1)^i C(j,i) L^(j-i) Theta L^i gives
     delta·sum_j w_j ad^j(Theta) = sum_i ( (-1)^i sum_j C(j,i) w_j psi_(j-i) )·L^i,
 
 taken by Horner's rule in L.  Entries past the order of the operator are 0.
-``no_theta`` takes Theta = x^d for d = 1, 2, ..., each psi_a from the last
+``theta_kernel`` takes Theta = x^d for d = 1, 2, ..., each psi_a from the last
 by one product with x.  A matrix tower is ``matrixop.mat_ad_tower`` itself,
 run on operators whose coefficients are k x k matrices of jets
 (``matrixop.JetCoeff``): ``diffop.compose`` expands [L, A] = L A - A L by the
 Leibniz rule, and each step uses up ord L jet orders.
 
-Rank certificates.  ``no_weights`` and ``no_theta`` solve a linear system
+Rank certificates.  ``no_weights`` and ``theta_kernel`` solve a linear system
 ``sum_i v_i C_i = 0`` whose columns are operators ``C_i = sum_r c_ir(x) D^r``
 over K = Q(params): the tower entries A_j(Theta) for ``fit_weights``, the
 residuals sum_j w_j A_j(x^i) for ``solve_theta``.  Each point adds one row per
@@ -42,7 +43,28 @@ nonzero n x n minor of rho(M) is rho of an n x n minor of M, which is then
 nonzero, so M has full column rank and the system's only solution is 0
 (Schwartz 1980; Zippel 1979).  The factor r! scales a whole row by a unit,
 since r < p, so it changes no rank and no verdict: the rows reach full rank
-at the same points as the rows of the values c_ir(x0) themselves.
+at the same points as the rows of the values c_ir(x0) themselves.  One
+elimination gives rho(M)'s kernel in reduced echelon form (``_kernel``); it
+is empty exactly when the rows reach full rank.
+
+Lifting ``solve_theta``'s kernel.  A kernel that is not empty is the first
+point of a lift (``lift_kernel``), when V and the weights hold at most one
+parameter k and it has no relation.  The same kernel is taken at further
+values of k, skipping a value whose free columns differ; their images are
+computed afresh, since the image memoised on each base and the registry's
+tables of powers belong to the residue of k alone.  Each entry is fitted as
+a rational function of k over GF(p) until one more value agrees, each vector
+is cleared of its denominators, and each coefficient is read back in Q by
+rational reconstruction (Wang 1981).  With no parameter, the reconstruction
+is all.  The caller proves each lifted Theta by expansion.  The lift needs
+no proof of its own.  The system's nullity over K is at most M's, and M's is
+at most rho(M)'s, since a nonzero minor of rho(M) lifts to one of M.  So when
+as many lifted vectors as rho(M)'s kernel has all pass the expansion, they
+span the system's solutions.  Each holds 1 at its own free column, 0 at the
+other free columns and 0 past its free column, so they are the reduced
+echelon basis of those solutions, which ``exact.nullspace`` scales the same
+way, and the same Theta are printed.  Otherwise the lift is dropped and the
+symbolic nullspace runs: a wrong lift costs time, never a verdict.
 
 Witnesses.  ``condition_witness`` takes the image of the residual
 sum_j w_j A_j of a scalar condition, entry r of its functional divided by
@@ -78,7 +100,7 @@ import math
 from operator import mul
 
 from .diffop import DiffOp, XRat, _mod_p_coeffs, as_function
-from .exact import MOD_P, mod_p_residue
+from .exact import MOD_P, Rat, _image_divmod, mod_p_residue, primitive_vector
 
 
 def _points():
@@ -110,18 +132,19 @@ def _mul_into(acc: list, a: list, b: list, c: int) -> None:
                 acc[k] += ai * bk
 
 
-def _image(f: XRat):
+def _image(f: XRat, coeffs=_mod_p_coeffs):
     """The images of f's numerator and of its denominator, the product of its
     bases to their exponents, as GF(MOD_P) coefficient lists; None when an
-    image is undefined."""
+    image is undefined.  ``coeffs`` maps an XPoly to its coefficient images,
+    by default the memoised ones at the fixed point."""
     if f.is_zero():
         return [], [1]
-    num = _mod_p_coeffs(f.num)
+    num = coeffs(f.num)
     if num is None:
         return None
     den = [1]
     for base, e in f.factors:
-        b = _mod_p_coeffs(base)
+        b = coeffs(base)
         if b is None:
             return None
         for _ in range(e):
@@ -210,12 +233,12 @@ def _columns(v_image, theta_image, powers: list, horners: list, x0: int):
     return columns
 
 
-def _full_rank(v_image, theta_image, powers: list, horners: list) -> bool:
-    """True when the ``_columns`` at successive points reach full column rank,
-    one row per derivative order; False as soon as a point adds no rank.  A
-    point where a base vanishes is skipped."""
-    ncols = len(powers) * len(horners)
-    pivots: dict = {}  # column -> row with 1 there and 0 at every earlier pivot
+def _reduced_rows(v_image, theta_image, powers: list, horners: list, rank: int) -> dict:
+    """The rows of the ``_columns`` at successive points, one per derivative
+    order, reduced: column -> the row with 1 there and 0 at every earlier
+    pivot column.  Stops at ``rank`` pivots, or as soon as a point adds no
+    rank.  A point where a base vanishes is skipped."""
+    pivots: dict = {}
     for x0 in _points():
         columns = _columns(v_image, theta_image, powers, horners, x0)
         if columns is None:
@@ -230,10 +253,117 @@ def _full_rank(v_image, theta_image, powers: list, horners: list) -> bool:
             if lead is not None:
                 inv = pow(row[lead], -1, MOD_P)
                 pivots[lead] = [x * inv % MOD_P for x in row]
-        if len(pivots) == ncols:
-            return True
-        if len(pivots) == before:
-            return False
+        if len(pivots) in (rank, before):
+            return pivots
+
+
+def _kernel(pivots: dict, ncols: int) -> dict:
+    """The kernel of the reduced rows ``pivots`` in reduced echelon form: free
+    column f -> the vector with 1 at f, 0 at every other free column, and
+    minus the entry at f of the fully reduced row of each pivot column (0
+    at the pivot columns past f).  Empty at full column rank."""
+    free = [f for f in range(ncols) if f not in pivots]
+    if not free:
+        return {}
+    done = {}  # pivot column -> its row, 0 at every other pivot column
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for c, prow in done.items():
+            if row[c]:
+                k = row[c]
+                row = [(x - k * y) % MOD_P for x, y in zip(row, prow)]
+        done[col] = row
+    kernel = {}
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for col, row in done.items():
+            vec[col] = -row[f] % MOD_P
+        kernel[f] = vec
+    return kernel
+
+
+# -- polynomials in the parameter over GF(MOD_P), ascending coefficient lists --
+
+def _at(a: list, r: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v * r + c) % MOD_P
+    return v
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for k, bk in enumerate(b, i):
+            out[k] += ai * bk
+    return [c % MOD_P for c in out]
+
+
+def _sub(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x - y) % MOD_P for x, y in zip(a, b)])
+
+
+def _divmod(a: list, b: list) -> tuple:
+    q, r = _image_divmod(a, b)
+    return _trim(q), _trim(r)
+
+
+def _lcm(a: list, b: list) -> list:
+    """The monic lcm of two nonzero polynomials."""
+    g, r = a, b
+    while r:
+        g, r = r, _divmod(g, r)[1]
+    lcm = _mul(a, _divmod(b, g)[0])
+    inv = pow(lcm[-1], -1, MOD_P)
+    return [c * inv % MOD_P for c in lcm]
+
+
+def _rational_fit(ks: list, ys: list):
+    """(r, t) with r(k) = y t(k) at every pair of ``ks`` and ``ys``
+    but the last, and agreeing at the last with t nonzero there; None when no
+    candidate does.  The candidates are the pairs of the extended Euclidean
+    algorithm on prod (k - k_i) and the Newton interpolant of those points,
+    each with deg r + deg t below their number (Cauchy interpolation), tried
+    from the interpolant itself (t = 1) down."""
+    poly, basis = [], [1]  # the interpolant and prod (k - k_i) so far
+    for k, y in zip(ks[:-1], ys):
+        c = (y - _at(poly, k)) * pow(_at(basis, k), -1, MOD_P) % MOD_P
+        poly = _sub(poly, _mul([MOD_P - c], basis))
+        basis = _mul(basis, [MOD_P - k, 1])
+    k, y = ks[-1], ys[-1]
+    r0, r1, t0, t1 = basis, poly, [], [1]
+    while True:
+        t = _at(t1, k)
+        if t and _at(r1, k) == y * t % MOD_P:
+            return r1, t1
+        if not r1:
+            return None
+        q, rem = _divmod(r0, r1)
+        r0, r1, t0, t1 = r1, rem, t1, _sub(t0, _mul(q, t1))
+
+
+_WANG_BOUND = math.isqrt(MOD_P // 2)
+
+
+def _rational(a: int):
+    """The Rat n/d with n = a d mod p and |n|, d <= sqrt(p/2), the only one
+    (Wang 1981); None when there is none."""
+    r0, r1, s0, s1 = MOD_P, a, 0, 1
+    while r1 > _WANG_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > _WANG_BOUND or math.gcd(r1, s1) != 1:
+        return None
+    return Rat(r1, s1)
 
 
 def no_weights(op: DiffOp, theta, orders: list) -> bool:
@@ -245,24 +375,139 @@ def no_weights(op: DiffOp, theta, orders: list) -> bool:
     theta_image = _image(as_function(theta))
     if v_image is None or theta_image is None:
         return False
-    return _full_rank(v_image, theta_image, [1], [_horner([(j, 1)]) for j in orders])
+    horners = [_horner([(j, 1)]) for j in orders]
+    return not _kernel(_reduced_rows(v_image, theta_image, [1], horners, len(orders)), len(orders))
 
 
-def no_theta(op: DiffOp, w, degrees: list) -> bool:
-    """True when a rank certificate mod p proves that no nonzero Theta spanned
-    by the monomials x^i, i in ``degrees``, gives sum_j w_j ad op^j(Theta) = 0
-    for the WeightVector w; False means undecided.  Raises ExactError when op
-    is not -D^2 + V."""
+def _theta_kernel(v_image, weights: list, degrees: list, rank: int) -> dict:
+    """``_kernel`` of solve_theta's rows, which stop at ``rank`` pivots."""
+    rows = _reduced_rows(v_image, ([0, 1], [1]), degrees, [_horner(weights)], rank)
+    return _kernel(rows, len(degrees))
+
+
+def theta_kernel(op: DiffOp, w, degrees: list):
+    """The kernel mod p of ``solve_theta``'s system: for Theta spanned by the
+    monomials x^i, i in ``degrees``, and the WeightVector w, the vectors of
+    ``_kernel`` over the columns sum_j w_j ad op^j(x^i), at the fixed point.
+    Empty when that is a rank certificate: no nonzero Theta gives
+    sum_j w_j ad op^j(Theta) = 0.  None when an image is undefined.  Raises
+    ExactError when op is not -D^2 + V."""
     v_image = _image(op.potential())
     weights = [(j, c.evaluate_mod()) for j, c in w.items()]
     if v_image is None or any(c is None for _, c in weights):
-        return False
-    return _full_rank(v_image, ([0, 1], [1]), degrees, [_horner(weights)])
+        return None
+    return _theta_kernel(v_image, weights, degrees, len(degrees))
 
-def _witness(x0: int, rats, scalars, **found) -> dict:
-    """The point of a refutation: the prime, x0 and the residue of every
-    parameter in ``rats`` (XRats) and ``scalars`` (ParamScalars), then
-    ``found``, the place and value of the nonzero image."""
+
+def _coeffs_at(name: str, r: int):
+    """The coefficient images of an XPoly with the parameter ``name`` at r;
+    unlike _mod_p_coeffs, nothing is memoised."""
+    def coeffs(p):
+        den = p.den.x_images_at(name, r)
+        if den is None or not den[0]:
+            return None
+        return p.num.x_images_at(name, r, den[0])
+    return coeffs
+
+
+def _scalar_at(c, name: str, r: int):
+    """The image of the ParamScalar c with the parameter ``name`` at r, or None."""
+    num, den = c.num.x_images_at(name, r), c.den.x_images_at(name, r)
+    if num is None or den is None or not den[0]:
+        return None
+    return num[0] * pow(den[0], -1, MOD_P) % MOD_P
+
+
+def _fit_bound(v: XRat, w, name: str, rank: int) -> int:
+    """How many values of k the fit in ``lift_kernel`` can need, for rank
+    pivots: 2 rank E + 2, with E a bound on the k-degree of the entries of
+    solve_theta's system cleared of denominators.
+
+    Give V^(m) the weight m + 2 and D the weight 1.  Then ad L raises the
+    weight by 2, so the coefficient of D^r in ad^j(x^i) is a sum of products
+    of derivatives V^(m_s) with sum_s (m_s + 1) <= 2j.  For V = N/Q over
+    Q[k][x], V^(m) is N_m / Q^(m+1) with deg_k N_m <= (m + 1) d, d the larger
+    of deg_k N and deg_k Q; so over Q^(2 top), and over the weights' common
+    denominator, every entry has k-degree at most E = 2 top d plus the
+    weights' degrees.  An entry of the reduced echelon form is a ratio of
+    two minors of order rank (Cramer), each of k-degree at most rank E, and
+    a rational function of degrees a and b is fitted from a + b + 1 values
+    and checked at one more.
+    """
+    num = v.num.num.degree(name) + sum(e * b.den.degree(name) for b, e in v.factors)
+    den = v.num.den.degree(name) + sum(e * b.num.degree(name) for b, e in v.factors)
+    e = 2 * w.top_order * max(num, den, 0) + sum(
+        max(c.num.degree(name), c.den.degree(name)) for _, c in w.items())
+    return 2 * rank * e + 2
+
+
+def lift_kernel(op: DiffOp, w, degrees: list, kernel: dict):
+    """Vectors over Q(k) whose images at the fixed point are those of
+    ``kernel``, ``theta_kernel(op, w, degrees)`` and not empty, one for each,
+    when V and w hold at most one parameter k: entry i is the coefficient of
+    x^(degrees[i]), and each vector is scaled as ``exact.nullspace`` scales
+    its own (``exact.primitive_vector``).  None when V and w hold two
+    parameters or more, or when the lift fails.
+
+    Each entry is fitted as a rational function of k over GF(p) from its
+    values at successive values of k (``_rational_fit``), until one more
+    value agrees; a value of k whose kernel has other free columns is
+    skipped.  Then each vector is cleared of its denominators over GF(p), and
+    each coefficient is read back in Q (``_rational``).  The values tried
+    are capped at twice ``_fit_bound``: a value is skipped only at a root of
+    one of finitely many nonzero polynomials (a denominator, or a minor that
+    decides a pivot).  Nothing proves the result; the caller does.
+    """
+    v = op.potential()
+    names = _names([v], [c for _, c in w.items()])
+    if len(names) > 1:
+        return None
+    name = names.pop() if names else None
+    ncols = len(degrees)
+    entries = [(f, c) for f in kernel for c in range(ncols) if c not in kernel]
+    if name is None:
+        fits = {(f, c): ([kernel[f][c]], [1]) for f, c in entries}
+    else:
+        ks, samples, fits = [mod_p_residue(name)], [kernel], {}
+        cap = 2 * _fit_bound(v, w, name, ncols - len(kernel))
+        for r in itertools.islice(_points(), cap):
+            if len(fits) == len(entries):
+                break
+            if r == ks[0]:
+                continue
+            image = _image(v, _coeffs_at(name, r))
+            weights = [(j, _scalar_at(c, name, r)) for j, c in w.items()]
+            if image is None or any(c is None for _, c in weights):
+                continue
+            at = _theta_kernel(image, weights, degrees, ncols - len(kernel))
+            if at.keys() != kernel.keys():
+                continue
+            ks.append(r)
+            samples.append(at)
+            for f, c in entries:
+                if (f, c) not in fits:
+                    fit = _rational_fit(ks, [s[f][c] for s in samples])
+                    if fit is not None:
+                        fits[f, c] = fit
+        if len(fits) < len(entries):
+            return None
+    vectors = []
+    for f in kernel:
+        den = [1]
+        for c in range(ncols):
+            if c not in kernel:
+                den = _lcm(den, fits[f, c][1])
+        polys = [den if c == f else [] if c in kernel
+                 else _mul(fits[f, c][0], _divmod(den, fits[f, c][1])[0]) for c in range(ncols)]
+        coeffs = [[_rational(a) for a in p] for p in polys]
+        if any(q is None for p in coeffs for q in p):
+            return None
+        vectors.append(primitive_vector(coeffs, f, name))
+    return vectors
+
+
+def _names(rats, scalars) -> set:
+    """The parameters of the XRats ``rats`` and ParamScalars ``scalars``."""
     names = set()
     for f in rats:
         for p in (f.num, *(base for base, _ in f.factors)):
@@ -271,8 +516,16 @@ def _witness(x0: int, rats, scalars, **found) -> dict:
     for c in scalars:
         names |= c.params()
     names.discard("x")
+    return names
+
+
+def _witness(x0: int, rats, scalars, **found) -> dict:
+    """The point of a refutation: the prime, x0 and the residue of every
+    parameter in ``rats`` (XRats) and ``scalars`` (ParamScalars), then
+    ``found``, the place and value of the nonzero image."""
     return {"prime": MOD_P, "x0": x0,
-            "parameters": {name: mod_p_residue(name) for name in sorted(names)}, **found}
+            "parameters": {name: mod_p_residue(name) for name in sorted(_names(rats, scalars))},
+            **found}
 
 
 def condition_witness(op: DiffOp, theta, w):

@@ -1,8 +1,9 @@
 import pytest
 
-from bispec.exact import ParamScalar, Rat, ExactError
+from bispec.exact import ParamScalar, Rat, ExactError, nullspace
 from bispec.diffop import XPoly, XRat
-from bispec.adcond import WeightVector, reach_weights, solve_theta
+from bispec.adcond import (WeightVector, _linear_rows, ad_tower, reach_weights, residual_from_tower,
+                           solve_theta)
 from bispec.families import (
     STEP2_WEIGHTS_PRINTED,
     ansatz_solution_catalog,
@@ -87,13 +88,19 @@ def test_step2_weight_discrepancy_is_resolved_by_solve_theta():
     empty = solve_theta(entry.operator, STEP2_WEIGHTS_PRINTED, 6)
     assert empty.thetas == [] and empty.assumptions == []
     good = solve_theta(entry.operator, reach_weights(3, 1), 6)
-    assert len(good.thetas) == 1
-    # the pivots' zero sets, once each: k = 0 and k^2 = 4
-    assert [str(a) for a in good.assumptions] == ["k", "k^2 - 4"]
     # primitive over Q[k]: no spurious (k^2 - 4) factor
     k = ParamScalar.var("k")
-    assert good.thetas[0] == XPoly({6: ParamScalar.const(1), 4: k * k * -3,
-                                    2: k ** 4 * 3 - k * k * 12})
+    theta = XPoly({6: ParamScalar.const(1), 4: k * k * -3, 2: k ** 4 * 3 - k * k * 12})
+    assert good.thetas == [theta]
+    # lifted from GF(p), so no pivot was formed: the basis is exact for generic k
+    assert good.assumptions == []
+    # the symbolic nullspace of the same system, the lift's oracle, finds the
+    # same ray, with its pivots' zero sets once each: k = 0 and k^2 = 4
+    columns = [residual_from_tower(ad_tower(entry.operator, XPoly.monomial(i), 7),
+                                   reach_weights(3, 1)) for i in range(1, 7)]
+    symbolic = nullspace(_linear_rows(columns))
+    assert [str(a) for a in symbolic.assumptions] == ["k", "k^2 - 4"]
+    assert [XPoly({i: c for i, c in enumerate(vec, 1) if c}) for vec in symbolic.basis] == [theta]
 
 
 def test_theta_derivative_is_a_constant_multiple_of_tau():

@@ -6,15 +6,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bispec import cli, modp
-from bispec.exact import MOD_P, ExactError, ParamScalar, mod_p_residue
-from bispec.diffop import DiffOp, XPoly, XRat
+from bispec import adcond, cli, modp
+from bispec.exact import MOD_P, PARAMS, ExactError, ParamScalar, Rat, mod_p_residue, nullspace
+from bispec.diffop import DiffOp, XPoly, XRat, _mod_p_coeffs, _xp
 from bispec.adcond import (
     ConditionReport,
     WeightVector,
+    _linear_rows,
     ad_tower,
     fit_weights,
+    reach_weights,
+    residual_from_tower,
     solve_theta,
     verify_condition,
 )
@@ -150,7 +154,7 @@ def test_certificate_is_undecided_for_undefined_images():
     # a relation-bearing weight has no image
     op = DiffOp.schrodinger(XPoly.monomial(2))
     w = WeightVector({2: 1, 0: ParamScalar.var("sqrt2")})
-    assert not modp.no_theta(op, w, [1, 2])
+    assert modp.theta_kernel(op, w, [1, 2]) is None
 
 
 def test_pole_at_a_point_is_skipped():
@@ -371,3 +375,138 @@ def test_holding_claims_check_symbolically_first_with_the_same_reports():
     claimed = verify_entry(entry._replace(expect_holds=True))
     assert claimed.decided_by == "mod-p" and not claimed.holds and claimed.residual is None
     assert claimed.witness == verify_entry(entry).witness
+
+
+# -- solve_theta's lift: the kernel mod p, lifted to Q(k) and proved once --
+
+def _symbolic_nullspace(op, w, degrees):
+    """The oracle: one tower per monomial and the Bareiss nullspace over Q(k)."""
+    columns = [residual_from_tower(ad_tower(op, XPoly.monomial(i), w.top_order), w)
+               for i in degrees]
+    return nullspace(_linear_rows(columns))
+
+
+def _k_poly(draw, deg):
+    return sum((K ** e * draw(st.integers(-3, 3)) for e in range(deg + 1)), ParamScalar.const(0))
+
+
+@st.composite
+def calogero_systems(draw):
+    """-D^2 + A (x - s)^2 + B/(x - s)^2 + C with A, B, C, s in Q(k), and weights
+    ad (ad^2 - 16A) R: (x - s)^2 solves it (the sl(2) of the Calogero
+    operator), and with B = 0, R may add (x - s) or (x - s)^4."""
+    a = _k_poly(draw, 1)
+    if a.is_zero():
+        a = ParamScalar.const(1)
+    den = _k_poly(draw, 1)
+    s = _k_poly(draw, 1) / (den if not den.is_zero() else ParamScalar.const(1))
+    shift = XPoly.from_list([-s, 1])
+    v = XRat.from_poly(shift * shift * a + XPoly.const(_k_poly(draw, 1)))
+    b = _k_poly(draw, 1) if draw(st.booleans()) else ParamScalar.const(0)
+    w = WeightVector({1: 1}).quadratic_step(a * 16)
+    if b.is_zero():
+        extra = draw(st.sampled_from([None, 4, 64, "random"]))
+        if extra is not None:
+            w = w.quadratic_step(_k_poly(draw, 1) if extra == "random" else a * extra)
+    else:
+        v = v + XRat.from_ratio(XPoly.const(b), shift * shift)
+    low = draw(st.integers(0, 1))
+    degrees = list(range(low, draw(st.integers(1, 4)) + 1))
+    return DiffOp.schrodinger(v), w, degrees
+
+
+@settings(max_examples=N_INSTANCES, deadline=None)
+@given(calogero_systems())
+def test_lifted_basis_is_the_symbolic_basis(system):
+    op, w, degrees = system
+    oracle = _symbolic_nullspace(op, w, degrees)
+    kernel = modp.theta_kernel(op, w, degrees)
+    assert len(kernel) == len(oracle.basis)
+    if kernel:
+        assert modp.lift_kernel(op, w, degrees, kernel) == oracle.basis
+
+
+def test_kernel_back_substitutes_the_reduced_rows():
+    # _reduced_rows leaves each row reduced against the earlier pivots only;
+    # the kernel vector of free column 2 needs row 0 reduced by row 1 too
+    assert modp._kernel({0: [1, 2, 3], 1: [0, 1, 5]}, 3) == {2: [7, MOD_P - 5, 1]}
+    assert modp._kernel({0: [1, 4], 1: [0, 1]}, 2) == {}
+
+
+def test_rational_reconstruction():
+    for q in (Rat(3, 7), Rat(-5, 12), Rat(0), Rat(2 ** 29, 3)):
+        assert modp._rational(q.numerator * pow(q.denominator, -1, MOD_P) % MOD_P) == q
+    # past sqrt(p/2) another fraction or none comes back; the proof decides
+    assert modp._rational(2 ** 40 * pow(3, -1, MOD_P) % MOD_P) == Rat(1, 6291456)
+    assert modp._rational(pow(5, 65537, MOD_P)) is None
+
+
+def test_allow_constant_lifts_a_two_vector_kernel():
+    report = cli.run(["solve-theta", "--catalog", "laguerre-step:1", "--weights", "5:1,3:-5,1:4",
+                      "--deg", "4", "--allow-constant"])
+    assert [(v["theta"], v["assumptions"], v["decided_by"]) for v in report["verdicts"]] == [
+        ("1", [], "symbolic"), ("x^4 - 2*k^2*x^2", [], "symbolic")]
+
+
+def _count_nullspace(monkeypatch) -> list:
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return nullspace(rows)
+
+    monkeypatch.setattr(adcond, "nullspace", counted)
+    return calls
+
+
+def test_two_parameters_fall_back_to_the_symbolic_nullspace(monkeypatch):
+    entry = get_entry("ansatz:A5-5A3+4A1:7")
+    degrees = [1, 2, 3, 4]
+    kernel = modp.theta_kernel(entry.operator, entry.condition, degrees)
+    assert len(kernel) == 1
+    assert modp.lift_kernel(entry.operator, entry.condition, degrees, kernel) is None
+    calls = _count_nullspace(monkeypatch)
+    result = solve_theta(entry.operator, entry.condition, 4)
+    assert len(calls) == 1
+    assert [str(a) for a in result.assumptions] == ["t", "u"]
+    assert result.thetas == [entry.theta.scale(entry.theta.coeff(4).invert())]
+
+
+def test_relation_bearing_parameter_falls_back_to_the_symbolic_nullspace(monkeypatch):
+    entry = get_entry("ansatz:A4-40A2+144A0:9")
+    assert modp.theta_kernel(entry.operator, entry.condition, [1, 2, 3]) is None
+    calls = _count_nullspace(monkeypatch)
+    result = solve_theta(entry.operator, entry.condition, 3)
+    assert len(calls) == 1 and result.decided_by == "symbolic"
+    assert [str(t) for t in result.thetas] == ["2*x^3 + 3*sqrt2*sqrt3*x^2 + 6*x"]
+
+
+@pytest.mark.parametrize("fault", ["reconstruction", "proof"])
+def test_failed_lift_falls_back_to_the_symbolic_nullspace(monkeypatch, fault):
+    entry = get_entry("laguerre-step:1")
+    w = WeightVector({5: 1, 3: -5, 1: 4})
+    if fault == "reconstruction":
+        monkeypatch.setattr(modp, "_rational", lambda a: None)
+    else:  # a wrong vector: x^4 alone, which the symbolic check refutes
+        lift = modp.lift_kernel
+        monkeypatch.setattr(modp, "lift_kernel", lambda *args: [
+            [c if i == 3 else c * 0 for i, c in enumerate(vec)] for vec in lift(*args)])
+    calls = _count_nullspace(monkeypatch)
+    result = solve_theta(entry.operator, w, 4)
+    assert len(calls) == 1
+    assert [str(t) for t in result.thetas] == ["x^4 - 2*k^2*x^2"]
+    assert [str(a) for a in result.assumptions] == ["k"]
+
+
+def test_lift_leaves_the_fixed_point_memos_alone():
+    # values of k other than its residue go through neither the images
+    # memoised on each base nor the registry's tables of the residue's powers
+    entry = get_entry("laguerre-step:2")
+    result = solve_theta(entry.operator, reach_weights(3, 1), 6)
+    assert result.assumptions == [] and len(result.thetas) == 1
+    v = entry.operator.potential()
+    for p in (v.num, *(base for base, _ in v.factors)):
+        assert _mod_p_coeffs(p) == _mod_p_coeffs(_xp(p.num, p.den))
+    r = mod_p_residue("k")
+    powers = PARAMS.powers[PARAMS.shifts["k"] // 16]
+    assert len(powers) > 2 and powers == [pow(r, e, MOD_P) for e in range(len(powers))]

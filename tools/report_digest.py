@@ -4,8 +4,9 @@ The list: every task of the benchmark workloads, every example of the
 README's CLI section and ``verify --all`` (as ``tools/untraced.py`` runs
 them); ``ad``, ``heisenberg`` and ``fit-weights`` of every scalar catalog
 entry except ``laguerre-step:3``, at its condition's orders; ``gen-system``
-at weight order 6; ``solve-theta`` on ``laguerre-step:2`` with ``--deg 6``;
-and the rank certificates of ``CERTIFICATES``, at weight orders 7 to 40.  Each runs in this process through ``bispec.cli.run``, and
+at weight order 6; the rank certificates of ``CERTIFICATES``, at weight
+orders 7 to 40; and the ``solve-theta`` calls of ``FINDS``, which find a
+Theta.  Each runs in this process through ``bispec.cli.run``, and
 its digest is taken over ``json.dumps(report, sort_keys=True)``; a command
 that exits 2 is digested as the error report that ``cli.main`` prints.
 
@@ -37,10 +38,18 @@ CERTIFICATES = [
     ["solve-theta", "--L", "x^2+1/(x+1)^3+2/x", "--weights", "12:1,2:3,0:1", "--deg", "8"],
     ["fit-weights", "--catalog", "laguerre-step:2", "--orders", "7,5,3,1"],
 ]
-
-
-def _weights_text(w) -> str:
-    return ",".join(f"{j}:{c}" for j, c in reversed(w.items()))
+# command lines that find a Theta: lifted from GF(p) in one parameter, and
+# found by the symbolic nullspace with two parameters or a relation-bearing one
+FINDS = [
+    ["solve-theta", "--catalog", "laguerre-step:2", "--weights", "7:1,5:-14,3:49,1:-36",
+     "--deg", "6"],
+    ["solve-theta", "--catalog", "laguerre-step:1", "--weights", "5:1,3:-5,1:4", "--deg", "4",
+     "--allow-constant"],
+    ["solve-theta", "--catalog", "ansatz:A5-5A3+4A1:7", "--weights", "5:1,3:-5,1:4",
+     "--deg", "4"],
+    ["solve-theta", "--catalog", "ansatz:A4-40A2+144A0:9", "--weights", "4:1,2:-40,0:144",
+     "--deg", "3"],
+]
 
 
 def _catalog_argvs() -> list:
@@ -57,9 +66,6 @@ def _catalog_argvs() -> list:
                   ["heisenberg", "--catalog", entry_id, "--order", top],
                   ["fit-weights", "--catalog", entry_id,
                    "--orders", ",".join(str(j) for j, _ in reversed(w.items()))]]
-        if entry_id == "laguerre-step:2":
-            argvs.append(["solve-theta", "--catalog", entry_id,
-                          "--weights", _weights_text(w), "--deg", "6"])
     return argvs
 
 
@@ -68,7 +74,7 @@ def argvs() -> list:
     from untraced import _argvs
 
     return (_argvs() + _catalog_argvs()
-            + [["gen-system", "--weights", "6:1,4:-140,2:4144,0:-14400"]] + CERTIFICATES)
+            + [["gen-system", "--weights", "6:1,4:-140,2:4144,0:-14400"]] + CERTIFICATES + FINDS)
 
 
 def digest(argv: list) -> str:

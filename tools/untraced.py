@@ -48,7 +48,8 @@ def _argvs() -> list:
 
 def _run_all() -> int:
     """Run the tests, then every command line; the pytest exit code."""
-    code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    # no addopts: the project's --durations=10 block would land in the listing
+    code = pytest.main(["-q", "-o", "addopts=", "-p", "no:cacheprovider", str(ROOT / "tests")])
     from bispec import cli
 
     for argv in _argvs():
