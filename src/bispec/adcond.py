@@ -223,8 +223,8 @@ def _linear_rows(columns: list) -> list:
     return rows
 
 
-class FitResult(namedtuple("FitResult", "vectors assumptions reports decided_by",
-                            defaults=((), "symbolic"))):
+class FitResult(namedtuple("FitResult", "vectors assumptions decided_by",
+                            defaults=("symbolic",))):
     """Weight vectors spanning all conditions supported on the given orders.
 
     ``decided_by`` is "mod-p" when a rank certificate proved that none exists,
@@ -263,15 +263,12 @@ def fit_weights(op: DiffOp, theta, orders) -> FitResult:
     rows = _linear_rows(columns)
     result = nullspace(rows)
     vectors = []
-    reports = []
     for vec in result.basis:
         w = WeightVector({j: c for j, c in zip(orders, vec)})
-        report = verify_condition(op, theta, w, tower=tower)
-        if not report.holds:
+        if not verify_condition(op, theta, w, tower=tower).holds:
             raise ExactError("internal error: fitted weights fail exact verification")
         vectors.append(w)
-        reports.append(report)
-    return FitResult(vectors, result.assumptions, reports)
+    return FitResult(vectors, result.assumptions)
 
 
 class SolveResult(namedtuple("SolveResult", "thetas assumptions decided_by",
@@ -331,8 +328,7 @@ def solve_theta(op: DiffOp, w: WeightVector, deg_bound: int,
     thetas = []
     for vec in result.basis:
         theta = _theta(degrees, vec)
-        report = verify_condition(op, theta, w)
-        if not report.holds:
+        if not verify_condition(op, theta, w).holds:
             raise ExactError("internal error: solved Theta fails exact verification")
         thetas.append(theta)
     return SolveResult(thetas, result.assumptions)

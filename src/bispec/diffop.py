@@ -42,10 +42,11 @@ leading coefficient maps to a unit, the map is a ring homomorphism, so a
 nonzero image remainder proves a nonzero remainder (Schwartz 1980, Zippel
 1979), and after an exact division the image quotient is the image of the
 new numerator, which ``reduced`` carries instead of mapping it again.  For a
-parameter-free value a unit gcd of the two images proves that numerator and
-base are coprime over Q (Brown 1971): a monic factor over Q of a monic base
-whose coefficients have images also has images, and would divide both images.
-The rational gcd runs only where the images share a factor.  When an image is
+parameter-free value a gcd of degree 0 of the two images
+(``exact._image_gcd``) proves that numerator and base are coprime over Q
+(Brown 1971): a monic factor over Q of a monic base whose coefficients have
+images also has images, and would divide both images.  The rational gcd
+runs only where the images share a factor.  When an image is
 undefined (a relation-bearing parameter, or a denominator or the base's
 leading coefficient mapping to 0), the check is undecided and the symbolic
 division decides as before.  The images only prove negative facts: every
@@ -70,7 +71,7 @@ from .exact import (
     ExactError,
     _coerce,
     _image_divmod,
-    _images_coprime,
+    _image_gcd,
     _is_atomic,
     _normalize_fraction_parts,
     cancel_common_factor,
@@ -523,8 +524,8 @@ class XRat:
         zero or undecided, since a nonzero one proves the division fails
         (Schwartz 1980, Zippel 1979).  A parametric value is then done with
         that base: no multivariate gcd.  A parameter-free value is done with
-        it only once the two are coprime, which a unit gcd of the images
-        proves (:func:`_images_coprime`, Brown 1971); when the images share a
+        it only once the two are coprime, which an images' gcd of degree 0
+        proves (:func:`_image_gcd`, Brown 1971); when the images share a
         factor the rational gcd runs, and a base that only partly cancels is
         split as base**(e-1) * rest.  So parameter-free values end fully
         reduced.  The module docstring gives the soundness argument; every
@@ -546,13 +547,13 @@ class XRat:
                 if b is not None and not imaged:
                     image, imaged = _mod_p_coeffs(num), True
                 division = _image_divmod(image, b) if b is not None and image is not None else None
-                if division is None or not any(division[1]):
+                if division is None or not division[1]:
                     quo, rem = num.divmod(base)
                     if rem.is_zero():
                         num, exp, changed = quo, exp - 1, True
                         image, imaged = (division[0], True) if division else (None, False)
                         continue
-                if not free or (division is not None and _images_coprime(b, division[1])):
+                if not free or (division is not None and len(_image_gcd(b, division[1])) == 1):
                     break
                 g = xpoly_gcd_rational(num, base)
                 if g.degree() < 1:
@@ -596,20 +597,20 @@ class XRat:
         return f"XRat({self})"
 
 
-def _mod_p_coeffs(p: XPoly):
-    """Ascending coefficient images in GF(MOD_P), or None if one is undefined;
-    memoised on p (see XRat for why a memoised image cannot go stale).
-    Callers must not change the list."""
-    try:
-        return p._image
-    except AttributeError:
-        pass
-    if p.den is _MP_ONE:
-        image = p.num.x_images_mod()
-    else:
-        den = p.den.evaluate_mod()
-        image = p.num.x_images_mod(den) if den else None
-    p._image = image
+def _mod_p_coeffs(p: XPoly, at=None):
+    """Ascending coefficient images in GF(MOD_P), or None if one is undefined,
+    at the point of MPoly.x_images_mod(at).  The image at the fixed point
+    (``at`` None) is memoised on p (see XRat for why a memoised image cannot
+    go stale); callers must not change the list."""
+    if at is None:
+        try:
+            return p._image
+        except AttributeError:
+            pass
+    den = 1 if p.den is _MP_ONE else p.den.evaluate_mod(at)
+    image = p.num.x_images_mod(den, at) if den else None
+    if at is None:
+        p._image = image
     return image
 
 
@@ -629,7 +630,7 @@ def _refutes_division(num: XPoly, base: XPoly) -> bool:
     if b is None or not b[-1]:
         return False
     a = _mod_p_coeffs(num)
-    if a is None or not any(_image_divmod(a, b)[1]):
+    if a is None or not _image_divmod(a, b)[1]:
         return False
     if refuted is None:
         refuted = num._refuted = {}

@@ -238,11 +238,18 @@ def _key_sort(key: int):
     return (_key_degree(key), _decode(key))
 
 
-def _powers_mod(field: int, n: int) -> list:
+def _powers_mod(shift: int, n: int, at=None) -> list:
     """A list whose entry e is r**e in GF(MOD_P) for e = 0 .. n at least, r
-    the residue of the field's name.  The list is the registry's, extended
-    on demand, so it is bounded by the largest exponent ever mapped."""
-    powers = PARAMS.powers[field]
+    the value ``at`` gives the field at bit offset ``shift``, else the
+    residue of the field's name.  A value of ``at`` gets a list made for the
+    call; a residue's list is the registry's, extended on demand, so it is
+    bounded by the largest exponent ever mapped."""
+    if at is not None and shift in at:
+        powers, r = [1], at[shift]
+        for _ in range(n):
+            powers.append(powers[-1] * r % MOD_P)
+        return powers
+    powers = PARAMS.powers[shift // _FIELD]
     if len(powers) <= n:
         r = powers[1]
         for _ in range(n + 1 - len(powers)):
@@ -513,15 +520,17 @@ class MPoly:
             ints, den = [-v for v in ints], -den
         return _normed({d: v for d, v in enumerate(ints) if v}, den)
 
-    def x_images_mod(self, den: int = 1):
+    def x_images_mod(self, den: int = 1, at=None):
         """The images in GF(MOD_P) of the coefficients of x**0, x**1, ... of
         self / den, for an int den (already an image), with every parameter at
-        mod_p_residue(name).
+        mod_p_residue(name), or at the value that ``at`` maps its field's bit
+        offset to.
 
         None when that is undefined: a relation-bearing parameter occurs (the
         point need not satisfy its relation), or the denominator maps to 0.
         Otherwise the map is a ring homomorphism on the polynomials it is
-        defined for.  Each field in use has a table of its residue's powers.
+        defined for.  Each field in use has a table of its residue's powers,
+        or one of its value's powers made for the call (_powers_mod).
         With more than one parameter in use, the fields go in groups of
         _IMAGE_GROUP, and the image of each group's part of a key is memoised
         for the call (_field_groups).
@@ -540,11 +549,11 @@ class MPoly:
                 out[key] += c
         elif used >> top << top == used:
             # one parameter: key >> top is its exponent
-            powers = _powers_mod(top // _FIELD, used >> top)
+            powers = _powers_mod(top, used >> top, at)
             for key, c in terms.items():
                 out[key & _FIELD_MASK] += c * powers[key >> top]
         else:
-            fields = [(s, _powers_mod(s // _FIELD, (used >> s) & _FIELD_MASK))
+            fields = [(s, _powers_mod(s, (used >> s) & _FIELD_MASK, at))
                       for s in _field_shifts(used)]
             groups = _field_groups(fields, _IMAGE_GROUP, _image_part)
             for k, v in terms.items():
@@ -553,22 +562,6 @@ class MPoly:
                 out[k & _FIELD_MASK] += v
         if den == 1:
             return [v % MOD_P for v in out]
-        inv = pow(den, -1, MOD_P)
-        return [v * inv % MOD_P for v in out]
-
-    def x_images_at(self, name: str, r: int, den: int = 1):
-        """The images in GF(MOD_P) of the coefficients of x**0, x**1, ... of
-        self / den, for an int den, with the parameter ``name``, the only one
-        self may hold, at r instead of its residue; None when the denominator
-        maps to 0.  Reads no power table of the registry, so a value at any r
-        leaves the tables of the fixed point as they are."""
-        den = self.den * den % MOD_P
-        if not den:
-            return None
-        shift = PARAMS.shifts[name]
-        out = [0] * (self.x_degree() + 1)
-        for key, c in self.terms.items():
-            out[key & _FIELD_MASK] += c * pow(r, key >> shift, MOD_P)
         inv = pow(den, -1, MOD_P)
         return [v * inv % MOD_P for v in out]
 
@@ -887,10 +880,10 @@ class MPoly:
             out = out + term
         return out
 
-    def evaluate_mod(self):
-        """The image in GF(MOD_P) with every parameter at mod_p_residue(name),
-        or None when undefined; see x_images_mod."""
-        images = self.x_images_mod()
+    def evaluate_mod(self, at=None):
+        """The image in GF(MOD_P) with every parameter at mod_p_residue(name)
+        or at its value in ``at``, or None when undefined; see x_images_mod."""
+        images = self.x_images_mod(at=at)
         if images is None:
             return None
         return images[0] if images else 0
@@ -1073,15 +1066,15 @@ class ParamScalar:
     def substitute(self, mapping: dict) -> "ParamScalar":
         return self.num.substitute_scalar(mapping) / self.den.substitute_scalar(mapping)
 
-    def evaluate_mod(self):
-        """The image in GF(MOD_P) at the fixed point of MPoly.evaluate_mod, or
+    def evaluate_mod(self, at=None):
+        """The image in GF(MOD_P) at the point of MPoly.evaluate_mod(at), or
         None when num or den has none or den maps to 0."""
         if self.den is _MP_ONE:
-            return self.num.evaluate_mod()
-        den = self.den.evaluate_mod()
+            return self.num.evaluate_mod(at)
+        den = self.den.evaluate_mod(at)
         if not den:
             return None
-        num = self.num.evaluate_mod()
+        num = self.num.evaluate_mod(at)
         return None if num is None else num * pow(den, -1, MOD_P) % MOD_P
 
     def __str__(self):
@@ -1158,6 +1151,13 @@ def _primitive(c: list) -> list:
     return [v // g for v in c] if g > 1 else c
 
 
+def _trim(a: list) -> list:
+    """a without its trailing zeros, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def _pseudo_rem(a: list, b: list) -> list:
     """Pseudo-remainder of integer coefficient lists (ascending, no trailing
     zeros)."""
@@ -1169,17 +1169,15 @@ def _pseudo_rem(a: list, b: list) -> list:
         a = [v * lb for v in a]
         for idx in range(db + 1):
             a[shift + idx] -= la * b[idx]
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
+        if not _trim(a):
             return []
     return a
 
 
 def _image_divmod(a: list, b: list) -> tuple:
     """(quotient, remainder) of the images a by b in GF(MOD_P), both ascending
-    coefficient lists, b with a nonzero top entry; the remainder has len(b) - 1
-    entries, or those of a when a is shorter.
+    coefficient lists, b with a nonzero top entry; both are returned without
+    trailing zeros, so a zero remainder is [].
 
     Where every coefficient has an image and the base's leading coefficient
     maps to a unit, the map to GF(MOD_P) is a ring homomorphism which carries
@@ -1198,28 +1196,25 @@ def _image_divmod(a: list, b: list) -> tuple:
             quo[shift] = q
             for idx in range(db):
                 a[shift + idx] = (a[shift + idx] - q * b[idx]) % MOD_P
-    return quo, a[:db]
+    return _trim(quo), _trim(a[:db])
 
 
-def _images_coprime(b: list, r: list) -> bool:
-    """True when the gcd over GF(MOD_P) of the images b and r is a unit, for b
-    with a nonzero top entry (Euclid's algorithm).
+def _image_gcd(a: list, b: list) -> list:
+    """A gcd over GF(MOD_P) of the images a and b, ascending coefficient lists
+    without trailing zeros, a nonzero (Euclid's algorithm); it has degree 0
+    exactly when they are coprime.
 
-    In ``diffop.XRat.reduced``, r is the remainder of num's image by the image
-    b of a monic base; then num and base are coprime over Q (Brown 1971): a
-    monic factor g over Q of the monic base has p-integral coefficients,
-    since they are integral over the p-integral coefficients of the base and
-    Z localised at p is integrally closed; so g has an image, and the monic
-    image of g divides both images.  :func:`int_poly_gcd` gives its own
-    argument.
+    In ``diffop.XRat.reduced``, b is the remainder of num's image by the
+    image a of a monic base; a gcd of degree 0 proves num and base coprime
+    over Q (Brown 1971): a monic factor g over Q of the monic base has
+    p-integral coefficients, since they are integral over the p-integral
+    coefficients of the base and Z localised at p is integrally closed; so g
+    has an image, and the monic image of g divides both images.
+    :func:`int_poly_gcd` gives its own argument.
     """
-    while True:
-        r = list(r)
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return len(b) == 1
-        b, r = r, _image_divmod(b, r)[1]
+    while b:
+        a, b = b, _image_divmod(a, b)[1]
+    return a
 
 
 def int_poly_gcd(a: list, b: list) -> list:
@@ -1227,13 +1222,13 @@ def int_poly_gcd(a: list, b: list) -> list:
     (ascending, no trailing zeros), by the primitive PRS over Z.
 
     When both leading coefficients map to units of GF(MOD_P) and the images'
-    gcd is a unit (:func:`_images_coprime`), the answer is [1] without the
+    gcd has degree 0 (:func:`_image_gcd`), the answer is [1] without the
     PRS (Brown 1971): a primitive common factor g over Z has a leading
     coefficient that divides a's, so its image keeps g's degree and divides
     both images.
     """
-    if a[-1] % MOD_P and b[-1] % MOD_P and _images_coprime(
-            [v % MOD_P for v in a], [v % MOD_P for v in b]):
+    if a[-1] % MOD_P and b[-1] % MOD_P and len(_image_gcd(
+            [v % MOD_P for v in a], [v % MOD_P for v in b])) == 1:
         return [1]
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):

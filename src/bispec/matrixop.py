@@ -116,6 +116,15 @@ class MatCoeff:
         return self._map(lambda x: x.reduced())
 
 
+def _mul_into(acc: list, a: list, b: list) -> None:
+    """acc += a * b for jets, truncated to len(acc), not reduced mod p."""
+    n = len(acc)
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for k, bk in enumerate(b[:n - i], i):
+                acc[k] += ai * bk
+
+
 class JetCoeff(MatCoeff):
     """Square matrix of Taylor jets in e = x - x0 over GF(MOD_P), the
     coefficient of a matrix operator's image at one point (see
@@ -167,7 +176,7 @@ class JetCoeff(MatCoeff):
                             acc = oi[q]
                             if acc is None:
                                 acc = oi[q] = [0] * n
-                            modp._mul_into(acc, xit, ytq, 1)
+                            _mul_into(acc, xit, ytq)
             out.append(oi)
         return JetCoeff(out, self.side, n)
 

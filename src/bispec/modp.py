@@ -49,22 +49,25 @@ is empty exactly when the rows reach full rank.
 
 Lifting ``solve_theta``'s kernel.  A kernel that is not empty is the first
 point of a lift (``lift_kernel``), when V and the weights hold at most one
-parameter k and it has no relation.  The same kernel is taken at further
-values of k, skipping a value whose free columns differ; their images are
-computed afresh, since the image memoised on each base and the registry's
-tables of powers belong to the residue of k alone.  Each entry is fitted as
-a rational function of k over GF(p) until one more value agrees, each vector
-is cleared of its denominators, and each coefficient is read back in Q by
-rational reconstruction (Wang 1981).  With no parameter, the reconstruction
-is all.  The caller proves each lifted Theta by expansion.  The lift needs
-no proof of its own.  The system's nullity over K is at most M's, and M's is
-at most rho(M)'s, since a nonzero minor of rho(M) lifts to one of M.  So when
-as many lifted vectors as rho(M)'s kernel has all pass the expansion, they
-span the system's solutions.  Each holds 1 at its own free column, 0 at the
-other free columns and 0 past its free column, so they are the reduced
-echelon basis of those solutions, which ``exact.nullspace`` scales the same
-way, and the same Theta are printed.  Otherwise the lift is dropped and the
-symbolic nullspace runs: a wrong lift costs time, never a verdict.
+parameter k and it has no relation.  The lift calls ``theta_kernel`` again
+with k at further values r (``at``, passed down to ``MPoly.x_images_mod``),
+skipping a value where an image is undefined or whose free columns differ.
+Only the fixed point is memoised: at r each image, and the list of r's
+powers, is made for the call, so the image memoised on each base and the
+registry's tables of powers stay those of the residue of k.  Each entry is
+fitted as a rational function of k over GF(p) until one more value agrees,
+each vector is cleared of its denominators, and each coefficient is read
+back in Q by rational reconstruction (Wang 1981).  With no parameter, the
+reconstruction is all.  The caller proves each lifted Theta by expansion.
+The lift needs no proof of its own.  The system's nullity over K is at most
+M's, and M's is at most rho(M)'s, since a nonzero minor of rho(M) lifts to
+one of M.  So when as many lifted vectors as rho(M)'s kernel has all pass
+the expansion, they span the system's solutions.  Each holds 1 at its own
+free column, 0 at the other free columns and 0 past its free column, so they
+are the reduced echelon basis of those solutions, which ``exact.nullspace``
+scales the same way, and the same Theta are printed.  Otherwise the lift is
+dropped and the symbolic nullspace runs: a wrong lift costs time, never a
+verdict.
 
 Witnesses.  ``condition_witness`` takes the image of the residual
 sum_j w_j A_j of a scalar condition, entry r of its functional divided by
@@ -100,7 +103,8 @@ import math
 from operator import mul
 
 from .diffop import DiffOp, XRat, _mod_p_coeffs, as_function
-from .exact import MOD_P, Rat, _image_divmod, mod_p_residue, primitive_vector
+from .exact import (MOD_P, PARAMS, Rat, _image_divmod, _image_gcd, _trim, mod_p_residue,
+                    primitive_vector)
 
 
 def _points():
@@ -122,37 +126,22 @@ def _taylor(coeffs: list, x0: int, n: int) -> list:
     return out + [0] * (n - m)
 
 
-def _mul_into(acc: list, a: list, b: list, c: int) -> None:
-    """acc += c * a * b for jets, truncated to len(acc), not reduced mod p."""
-    n = len(acc)
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            ai *= c
-            for k, bk in enumerate(b[:n - i], i):
-                acc[k] += ai * bk
-
-
-def _image(f: XRat, coeffs=_mod_p_coeffs):
+def _image(f: XRat, at=None):
     """The images of f's numerator and of its denominator, the product of its
-    bases to their exponents, as GF(MOD_P) coefficient lists; None when an
-    image is undefined.  ``coeffs`` maps an XPoly to its coefficient images,
-    by default the memoised ones at the fixed point."""
+    bases to their exponents, as GF(MOD_P) coefficient lists, at the point of
+    ``MPoly.x_images_mod(at)``; None when an image is undefined."""
     if f.is_zero():
         return [], [1]
-    num = coeffs(f.num)
+    num = _mod_p_coeffs(f.num, at)
     if num is None:
         return None
     den = [1]
     for base, e in f.factors:
-        b = coeffs(base)
+        b = _mod_p_coeffs(base, at)
         if b is None:
             return None
         for _ in range(e):
-            prod = [0] * (len(den) + len(b) - 1)
-            for i, di in enumerate(den):
-                for k, bk in enumerate(b, i):
-                    prod[k] += di * bk
-            den = [c % MOD_P for c in prod]
+            den = _mul(den, b)
     return num, den
 
 
@@ -234,10 +223,11 @@ def _columns(v_image, theta_image, powers: list, horners: list, x0: int):
 
 
 def _reduced_rows(v_image, theta_image, powers: list, horners: list, rank: int) -> dict:
-    """The rows of the ``_columns`` at successive points, one per derivative
-    order, reduced: column -> the row with 1 there and 0 at every earlier
-    pivot column.  Stops at ``rank`` pivots, or as soon as a point adds no
-    rank.  A point where a base vanishes is skipped."""
+    """The ``_kernel`` of the rows of the ``_columns`` at successive points,
+    one per derivative order, each reduced as it comes: column -> the row
+    with 1 there and 0 at every earlier pivot column.  Stops at ``rank``
+    pivots, or as soon as a point adds no rank.  A point where a base
+    vanishes is skipped."""
     pivots: dict = {}
     for x0 in _points():
         columns = _columns(v_image, theta_image, powers, horners, x0)
@@ -254,7 +244,7 @@ def _reduced_rows(v_image, theta_image, powers: list, horners: list, rank: int) 
                 inv = pow(row[lead], -1, MOD_P)
                 pivots[lead] = [x * inv % MOD_P for x in row]
         if len(pivots) in (rank, before):
-            return pivots
+            return _kernel(pivots, len(powers) * len(horners))
 
 
 def _kernel(pivots: dict, ncols: int) -> dict:
@@ -283,20 +273,7 @@ def _kernel(pivots: dict, ncols: int) -> dict:
     return kernel
 
 
-# -- polynomials in the parameter over GF(MOD_P), ascending coefficient lists --
-
-def _at(a: list, r: int) -> int:
-    v = 0
-    for c in reversed(a):
-        v = (v * r + c) % MOD_P
-    return v
-
-
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
+# -- polynomials over GF(MOD_P), ascending coefficient lists --
 
 def _mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1) if a and b else []
@@ -312,17 +289,9 @@ def _sub(a: list, b: list) -> list:
     return _trim([(x - y) % MOD_P for x, y in zip(a, b)])
 
 
-def _divmod(a: list, b: list) -> tuple:
-    q, r = _image_divmod(a, b)
-    return _trim(q), _trim(r)
-
-
 def _lcm(a: list, b: list) -> list:
     """The monic lcm of two nonzero polynomials."""
-    g, r = a, b
-    while r:
-        g, r = r, _divmod(g, r)[1]
-    lcm = _mul(a, _divmod(b, g)[0])
+    lcm = _mul(a, _image_divmod(b, _image_gcd(a, b))[0])
     inv = pow(lcm[-1], -1, MOD_P)
     return [c * inv % MOD_P for c in lcm]
 
@@ -336,18 +305,18 @@ def _rational_fit(ks: list, ys: list):
     from the interpolant itself (t = 1) down."""
     poly, basis = [], [1]  # the interpolant and prod (k - k_i) so far
     for k, y in zip(ks[:-1], ys):
-        c = (y - _at(poly, k)) * pow(_at(basis, k), -1, MOD_P) % MOD_P
+        c = (y - _taylor(poly, k, 1)[0]) * pow(_taylor(basis, k, 1)[0], -1, MOD_P) % MOD_P
         poly = _sub(poly, _mul([MOD_P - c], basis))
         basis = _mul(basis, [MOD_P - k, 1])
     k, y = ks[-1], ys[-1]
     r0, r1, t0, t1 = basis, poly, [], [1]
     while True:
-        t = _at(t1, k)
-        if t and _at(r1, k) == y * t % MOD_P:
+        t = _taylor(t1, k, 1)[0]
+        if t and _taylor(r1, k, 1)[0] == y * t % MOD_P:
             return r1, t1
         if not r1:
             return None
-        q, rem = _divmod(r0, r1)
+        q, rem = _image_divmod(r0, r1)
         r0, r1, t0, t1 = r1, rem, t1, _sub(t0, _mul(q, t1))
 
 
@@ -376,46 +345,23 @@ def no_weights(op: DiffOp, theta, orders: list) -> bool:
     if v_image is None or theta_image is None:
         return False
     horners = [_horner([(j, 1)]) for j in orders]
-    return not _kernel(_reduced_rows(v_image, theta_image, [1], horners, len(orders)), len(orders))
+    return not _reduced_rows(v_image, theta_image, [1], horners, len(orders))
 
 
-def _theta_kernel(v_image, weights: list, degrees: list, rank: int) -> dict:
-    """``_kernel`` of solve_theta's rows, which stop at ``rank`` pivots."""
-    rows = _reduced_rows(v_image, ([0, 1], [1]), degrees, [_horner(weights)], rank)
-    return _kernel(rows, len(degrees))
-
-
-def theta_kernel(op: DiffOp, w, degrees: list):
+def theta_kernel(op: DiffOp, w, degrees: list, at=None, rank=None):
     """The kernel mod p of ``solve_theta``'s system: for Theta spanned by the
     monomials x^i, i in ``degrees``, and the WeightVector w, the vectors of
-    ``_kernel`` over the columns sum_j w_j ad op^j(x^i), at the fixed point.
-    Empty when that is a rank certificate: no nonzero Theta gives
-    sum_j w_j ad op^j(Theta) = 0.  None when an image is undefined.  Raises
-    ExactError when op is not -D^2 + V."""
-    v_image = _image(op.potential())
-    weights = [(j, c.evaluate_mod()) for j, c in w.items()]
+    ``_kernel`` over the columns sum_j w_j ad op^j(x^i), at the fixed point
+    or at the point of ``MPoly.x_images_mod(at)``.  The rows stop at
+    ``rank`` pivots, by default one per column.  Empty when that is a rank
+    certificate: no nonzero Theta gives sum_j w_j ad op^j(Theta) = 0.  None
+    when an image is undefined.  Raises ExactError when op is not -D^2 + V."""
+    v_image = _image(op.potential(), at)
+    weights = [(j, c.evaluate_mod(at)) for j, c in w.items()]
     if v_image is None or any(c is None for _, c in weights):
         return None
-    return _theta_kernel(v_image, weights, degrees, len(degrees))
-
-
-def _coeffs_at(name: str, r: int):
-    """The coefficient images of an XPoly with the parameter ``name`` at r;
-    unlike _mod_p_coeffs, nothing is memoised."""
-    def coeffs(p):
-        den = p.den.x_images_at(name, r)
-        if den is None or not den[0]:
-            return None
-        return p.num.x_images_at(name, r, den[0])
-    return coeffs
-
-
-def _scalar_at(c, name: str, r: int):
-    """The image of the ParamScalar c with the parameter ``name`` at r, or None."""
-    num, den = c.num.x_images_at(name, r), c.den.x_images_at(name, r)
-    if num is None or den is None or not den[0]:
-        return None
-    return num[0] * pow(den[0], -1, MOD_P) % MOD_P
+    return _reduced_rows(v_image, ([0, 1], [1]), degrees, [_horner(weights)],
+                         len(degrees) if rank is None else rank)
 
 
 def _fit_bound(v: XRat, w, name: str, rank: int) -> int:
@@ -451,12 +397,14 @@ def lift_kernel(op: DiffOp, w, degrees: list, kernel: dict):
 
     Each entry is fitted as a rational function of k over GF(p) from its
     values at successive values of k (``_rational_fit``), until one more
-    value agrees; a value of k whose kernel has other free columns is
-    skipped.  Then each vector is cleared of its denominators over GF(p), and
-    each coefficient is read back in Q (``_rational``).  The values tried
-    are capped at twice ``_fit_bound``: a value is skipped only at a root of
-    one of finitely many nonzero polynomials (a denominator, or a minor that
-    decides a pivot).  Nothing proves the result; the caller does.
+    value agrees; each value is one call of ``theta_kernel`` with k there,
+    and a value where an image is undefined, or whose kernel has other free
+    columns, is skipped.  Then each vector is cleared of its denominators
+    over GF(p), and each coefficient is read back in Q (``_rational``).  The
+    values tried are capped at twice ``_fit_bound``: a value is skipped only
+    at a root of one of finitely many nonzero polynomials (a denominator, or
+    a minor that decides a pivot).  Nothing proves the result; the caller
+    does.
     """
     v = op.potential()
     names = _names([v], [c for _, c in w.items()])
@@ -469,21 +417,17 @@ def lift_kernel(op: DiffOp, w, degrees: list, kernel: dict):
         fits = {(f, c): ([kernel[f][c]], [1]) for f, c in entries}
     else:
         ks, samples, fits = [mod_p_residue(name)], [kernel], {}
-        cap = 2 * _fit_bound(v, w, name, ncols - len(kernel))
-        for r in itertools.islice(_points(), cap):
+        shift, rank = PARAMS.shift(name), ncols - len(kernel)
+        for r in itertools.islice(_points(), 2 * _fit_bound(v, w, name, rank)):
             if len(fits) == len(entries):
                 break
             if r == ks[0]:
                 continue
-            image = _image(v, _coeffs_at(name, r))
-            weights = [(j, _scalar_at(c, name, r)) for j, c in w.items()]
-            if image is None or any(c is None for _, c in weights):
-                continue
-            at = _theta_kernel(image, weights, degrees, ncols - len(kernel))
-            if at.keys() != kernel.keys():
+            sample = theta_kernel(op, w, degrees, {shift: r}, rank)
+            if sample is None or sample.keys() != kernel.keys():
                 continue
             ks.append(r)
-            samples.append(at)
+            samples.append(sample)
             for f, c in entries:
                 if (f, c) not in fits:
                     fit = _rational_fit(ks, [s[f][c] for s in samples])
@@ -498,7 +442,8 @@ def lift_kernel(op: DiffOp, w, degrees: list, kernel: dict):
             if c not in kernel:
                 den = _lcm(den, fits[f, c][1])
         polys = [den if c == f else [] if c in kernel
-                 else _mul(fits[f, c][0], _divmod(den, fits[f, c][1])[0]) for c in range(ncols)]
+                 else _mul(fits[f, c][0], _image_divmod(den, fits[f, c][1])[0])
+                 for c in range(ncols)]
         coeffs = [[_rational(a) for a in p] for p in polys]
         if any(q is None for p in coeffs for q in p):
             return None

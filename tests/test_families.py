@@ -1,7 +1,7 @@
 import pytest
 
 from bispec.exact import ParamScalar, Rat, ExactError, nullspace
-from bispec.diffop import XPoly, XRat
+from bispec.diffop import XPoly, XRat, is_eigenfunction
 from bispec.adcond import (WeightVector, _linear_rows, ad_tower, reach_weights, residual_from_tower,
                            solve_theta)
 from bispec.families import (
@@ -14,6 +14,7 @@ from bispec.families import (
     get_entry,
     hermite_poly,
     laguerre_catalog,
+    laguerre_phi,
     verify_entry,
     _inv_square,
     _pole,
@@ -181,3 +182,10 @@ def test_quintic_seventh_potential_keeps_squared_poles_as_factors():
 def test_unknown_catalog_id():
     with pytest.raises(ExactError, match="unknown catalog id"):
         get_entry("nope:1")
+
+
+def test_laguerre_seeds_are_eigenfunctions_of_step_0():
+    op = get_entry("laguerre-step:0").operator
+    k2 = ParamScalar.var("k") ** 2
+    for n in range(5):
+        assert is_eigenfunction(op, laguerre_phi(n)) == (k2 - 8 * n) * Rat(1, 8)

@@ -427,8 +427,9 @@ def test_lifted_basis_is_the_symbolic_basis(system):
 
 
 def test_kernel_back_substitutes_the_reduced_rows():
-    # _reduced_rows leaves each row reduced against the earlier pivots only;
-    # the kernel vector of free column 2 needs row 0 reduced by row 1 too
+    # _reduced_rows reduces each row against the earlier pivots only, then
+    # takes this kernel; the vector of free column 2 needs row 0 reduced by
+    # row 1 too
     assert modp._kernel({0: [1, 2, 3], 1: [0, 1, 5]}, 3) == {2: [7, MOD_P - 5, 1]}
     assert modp._kernel({0: [1, 4], 1: [0, 1]}, 2) == {}
 
@@ -496,6 +497,46 @@ def test_failed_lift_falls_back_to_the_symbolic_nullspace(monkeypatch, fault):
     assert len(calls) == 1
     assert [str(t) for t in result.thetas] == ["x^4 - 2*k^2*x^2"]
     assert [str(a) for a in result.assumptions] == ["k"]
+
+
+def test_lift_skips_a_value_of_k_where_an_image_is_undefined(monkeypatch):
+    # V = x^2 + 1/(k - 2^23) has no image at k = 2^23, the first value tried
+    assert next(modp._points()) == 2 ** 23
+    samples = []
+    kernel = modp.theta_kernel
+
+    def recording(op, w, degrees, at=None, rank=None):
+        samples.append((at, kernel(op, w, degrees, at, rank)))
+        return samples[-1][1]
+
+    monkeypatch.setattr(modp, "theta_kernel", recording)
+    calls = _count_nullspace(monkeypatch)
+    report = cli.run(["solve-theta", "--L", "x^2 + 1/(k - 8388608)", "--param", "k",
+                      "--weights", "3:1,1:-16", "--deg", "2"])
+    assert samples[1] == ({PARAMS.shifts["k"]: 2 ** 23}, None) and len(samples) > 2
+    assert calls == []
+    assert [(v["theta"], v["assumptions"]) for v in report["verdicts"]] == [("x^2", [])]
+
+
+def _wrong_nullspace(monkeypatch) -> None:
+    """adcond's nullspace, with 1 added to the last entry of each vector."""
+    def wrong(rows):
+        result = nullspace(rows)
+        return result._replace(basis=[[*vec[:-1], vec[-1] + 1] for vec in result.basis])
+
+    monkeypatch.setattr(adcond, "nullspace", wrong)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,1"],
+     "fitted weights fail"),
+    (["solve-theta", "--catalog", "ansatz:A5-5A3+4A1:7", "--weights", "5:1,3:-5,1:4",
+      "--deg", "4"], "solved Theta fails"),
+])
+def test_a_symbolic_vector_that_fails_its_proof_is_an_internal_error(monkeypatch, argv, message):
+    _wrong_nullspace(monkeypatch)
+    with pytest.raises(ExactError, match=message):
+        cli.run(argv)
 
 
 def test_lift_leaves_the_fixed_point_memos_alone():

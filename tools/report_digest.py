@@ -38,7 +38,8 @@ CERTIFICATES = [
     ["solve-theta", "--L", "x^2+1/(x+1)^3+2/x", "--weights", "12:1,2:3,0:1", "--deg", "8"],
     ["fit-weights", "--catalog", "laguerre-step:2", "--orders", "7,5,3,1"],
 ]
-# command lines that find a Theta: lifted from GF(p) in one parameter, and
+# command lines that find a Theta: lifted from GF(p) in one parameter (the
+# last one skips k = 2^23, the first value tried, where V has no image), and
 # found by the symbolic nullspace with two parameters or a relation-bearing one
 FINDS = [
     ["solve-theta", "--catalog", "laguerre-step:2", "--weights", "7:1,5:-14,3:49,1:-36",
@@ -49,6 +50,8 @@ FINDS = [
      "--deg", "4"],
     ["solve-theta", "--catalog", "ansatz:A4-40A2+144A0:9", "--weights", "4:1,2:-40,0:144",
      "--deg", "3"],
+    ["solve-theta", "--L", "x^2 + 1/(k - 8388608)", "--param", "k", "--weights", "3:1,1:-16",
+     "--deg", "2"],
 ]
 
 
