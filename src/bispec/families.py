@@ -3,9 +3,11 @@ package, ready for verification.
 
 Scalar entries cover the exceptional Hermite operators (log-derivative
 potentials over Hermite tau polynomials), the Darboux chain built on the
-classical Laguerre-type operator with symbolic parameter k, and the complete
-solution lists of the four low-order ad-conditions.  Matrix entries cover
-2x2 Hermite- and Laguerre-type operators with constant-matrix weights.
+classical Laguerre-type operator with symbolic parameter k, each step's
+potential, eigenvalue polynomial and tau built from the factors of its tau
+(``_chain_entry``), and the complete solution lists of the four low-order
+ad-conditions.  Matrix entries cover 2x2 Hermite- and Laguerre-type
+operators with constant-matrix weights.
 
 Where a source display disagrees with the exact computation, the catalog
 keeps the display verbatim in a flagged entry (``expect_holds=False``) and
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 from . import modp
 from .exact import PS_ONE, ParamScalar, Rat, ExactError
-from .diffop import DiffOp, QuasiRat, XPoly, XRat, _coerce_ps
+from .diffop import DiffOp, QuasiRat, XPoly, XRat, _coerce_ps, _product
 from .adcond import (
     ConditionReport,
     WeightVector,
@@ -165,32 +167,6 @@ def _inv_square(c, base: XPoly) -> XRat:
     return XRat(XPoly.const(_coerce_ps(c)), ((base, 2),))
 
 
-def _step0_v() -> XRat:
-    return (XRat.from_poly(XPoly.monomial(2, _SIXTEENTH))
-            + XRat.from_ratio(XPoly.const((_K4 + 8 * _K2 + 12) * _SIXTEENTH),
-                              XPoly.monomial(2)))
-
-
-def _step1_v() -> XRat:
-    xp = XPoly.from_list([_K, 1])
-    xm = XPoly.from_list([-_K, 1])
-    return (_inv_square(2, xp) + _inv_square(2, xm)
-            + XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (8 - 2 * _K2) * _SIXTEENTH}))
-            + XRat.from_ratio(XPoly.const((_K4 - 4) * _SIXTEENTH), XPoly.monomial(2)))
-
-
-def _step2_v() -> XRat:
-    qp = XPoly({2: PS_ONE, 0: -_K2 + 2 * _K})
-    qm = XPoly({2: PS_ONE, 0: -_K2 - 2 * _K})
-    return (XRat.from_ratio(XPoly.const(4), qp)
-            + _inv_square(8 * _K2 - 16 * _K, qp)
-            + XRat.from_ratio(XPoly.const(4), qm)
-            + _inv_square(8 * _K2 + 16 * _K, qm)
-            + XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (16 - 2 * _K2) * _SIXTEENTH}))
-            + XRat.from_ratio(XPoly.const((_K4 - 8 * _K2 + 12) * _SIXTEENTH),
-                              XPoly.monomial(2)))
-
-
 def step3_tau(constant) -> XPoly:
     """The sextic under the log of the three-step potential, with a chosen
     constant term."""
@@ -199,101 +175,76 @@ def step3_tau(constant) -> XPoly:
 
 STEP3_CONSTANT_PRINTED = 12 * _K4 - 32 * _K2 - _K
 STEP3_CONSTANT_WRONSKIAN = -_K6 + 12 * _K4 - 32 * _K2
-
-
-def _step3_v(constant) -> XRat:
-    tau = step3_tau(constant)
-    return (XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (24 - 2 * _K2) * _SIXTEENTH}))
-            + XRat.from_ratio(XPoly.const((_K4 - 16 * _K2 + 60) * _SIXTEENTH),
-                              XPoly.monomial(2))
-            - log_second_derivative(tau) * 2)
-
-
-# eigenvalue polynomials of the chain, found by solve_theta and frozen;
-# each satisfies theta' proportional to x times the tau polynomial
-_THETA0 = XPoly.monomial(2)
-_THETA1 = XPoly({4: PS_ONE, 2: -2 * _K2})
-_THETA2 = XPoly({6: PS_ONE, 4: -3 * _K2, 2: 3 * _K4 - 12 * _K2})
-_THETA3 = XPoly({8: PS_ONE, 6: -4 * _K2, 4: 6 * _K4 - 24 * _K2,
-                 2: -4 * _K6 + 48 * _K4 - 128 * _K2})
-
 STEP2_WEIGHTS_PRINTED = WeightVector({7: 1, 5: -14, 3: 49, 1: -34})
+
+
+def _chain_factors(step: int, constant=STEP3_CONSTANT_WRONSKIAN) -> tuple:
+    """The factors of tau_step over Q(k); at step 3 the sextic with the given
+    constant term."""
+    if step == 1:
+        return XPoly.from_list([_K, 1]), XPoly.from_list([-_K, 1])
+    if step == 2:
+        return XPoly({2: PS_ONE, 0: -_K2 + 2 * _K}), XPoly({2: PS_ONE, 0: -_K2 - 2 * _K})
+    return (step3_tau(constant),) if step == 3 else ()
+
+
+def _chain_entry(entry_id: str, step: int, condition, provenance: str,
+                 constant=STEP3_CONSTANT_WRONSKIAN, **fields) -> CatalogEntry:
+    """The chain entry at n = step, built from the factors f of tau_n:
+
+        V_n = x^2/16 + c_n + (k^2+2-4n)(k^2+6-4n)/(16 x^2) - 2 sum_f (log f)'',
+
+    c_0 = 0 and c_n = (8n - 2k^2)/16, and Theta_n the monic antiderivative of
+    x tau_n vanishing at 0.  Theta_3 comes from the Wronskian tau_3 whatever
+    the constant, so a printed constant changes V and tau only.  Each
+    -2 (log f)'' keeps f^2 as its factor; the terms are summed in ascending
+    degree of their bases, tau's first at a tie, so V's factors come in the
+    order x +- k, x^2 at step 1, the quadratics, x^2 at step 2, and x^2, the
+    sextic at step 3.
+    """
+    factors = _chain_factors(step, constant)
+    terms = [(f.degree(), XRat((f.derivative() ** 2 - f * f.derivative().derivative()).scale(2),
+                               ((f, 2),))) for f in factors]
+    pole = (_K2 + 2 - 4 * step) * (_K2 + 6 - 4 * step) * _SIXTEENTH
+    terms.append((2, XRat.from_ratio(XPoly.const(pole), XPoly.monomial(2))))
+    v = XRat.from_poly(XPoly({2: _SIXTEENTH, 0: (8 * step - 2 * _K2) * _SIXTEENTH if step else 0}))
+    for _, term in sorted(terms, key=lambda t: t[0]):
+        v = v + term
+    theta = XPoly({d + 2: c * Rat(1, d + 2)
+                   for d, c in _product(_chain_factors(step)).coeffs.items()}).monic()[1]
+    return CatalogEntry(id=entry_id, kind="scalar", operator=DiffOp.schrodinger(v), theta=theta,
+                        condition=condition, provenance=provenance, parameters=("k",),
+                        tau=_product(factors), **fields)
 
 
 def laguerre_catalog(step: int) -> CatalogEntry:
     """Entries of the Darboux chain on the classical Laguerre-type operator."""
     if step == 0:
-        return CatalogEntry(
-            id="laguerre-step:0", kind="scalar",
-            operator=DiffOp.schrodinger(_step0_v()),
-            theta=_THETA0,
-            condition=reach_weights(1, 1),
-            provenance="classical Laguerre-type operator at m = -(k^2+4)/4; "
-                       "three-term recursion, eigenvalue polynomial found by solve_theta",
-            parameters=("k",), tau=XPoly.one(),
-        )
+        return _chain_entry(
+            "laguerre-step:0", 0, reach_weights(1, 1),
+            "classical Laguerre-type operator at m = -(k^2+4)/4; "
+            "three-term recursion, eigenvalue polynomial found by solve_theta")
     if step == 1:
-        return CatalogEntry(
-            id="laguerre-step:1", kind="scalar",
-            operator=DiffOp.schrodinger(_step1_v()),
-            theta=_THETA1,
-            condition=reach_weights(2, 1),
-            provenance="one Darboux step from the classical Laguerre-type operator, "
-                       "seed phi_1; displayed weights 1, -5, 4",
-            parameters=("k",), tau=XPoly({2: PS_ONE, 0: -_K2}),
-        )
+        return _chain_entry(
+            "laguerre-step:1", 1, reach_weights(2, 1),
+            "one Darboux step from the classical Laguerre-type operator, "
+            "seed phi_1; displayed weights 1, -5, 4")
     if step == 2:
-        return CatalogEntry(
-            id="laguerre-step:2", kind="scalar",
-            operator=DiffOp.schrodinger(_step2_v()),
-            theta=_THETA2,
-            condition=STEP2_WEIGHTS_PRINTED,
-            provenance="two Darboux steps; weights as printed with A_1 coefficient -34",
-            parameters=("k",),
-            tau=XPoly({4: PS_ONE, 2: -2 * _K2, 0: _K4 - 4 * _K2}),
+        return _chain_entry(
+            "laguerre-step:2", 2, STEP2_WEIGHTS_PRINTED,
+            "two Darboux steps; weights as printed with A_1 coefficient -34",
             expect_holds=False,
             notes="printed A_1 weight -34 fails; the product formula gives -36 "
-                  "(see laguerre-step:2-product)",
-        )
+                  "(see laguerre-step:2-product)")
     if step == 3:
-        return CatalogEntry(
-            id="laguerre-step:3", kind="scalar",
-            operator=DiffOp.schrodinger(_step3_v(STEP3_CONSTANT_PRINTED)),
-            theta=_THETA3,
-            condition=reach_weights(4, 1),
-            provenance="three Darboux steps; tau constant term as printed, "
-                       "'12k^4 - 32k^2 - k'",
-            parameters=("k",), tau=step3_tau(STEP3_CONSTANT_PRINTED),
-            expect_holds=False,
+        return _chain_entry(
+            "laguerre-step:3", 3, reach_weights(4, 1),
+            "three Darboux steps; tau constant term as printed, '12k^4 - 32k^2 - k'",
+            constant=STEP3_CONSTANT_PRINTED, expect_holds=False,
             notes="the printed constant term admits no eigenvalue polynomial of "
                   "degree <= 8; the seed Wronskian gives -k^6 + 12k^4 - 32k^2 "
-                  "(see laguerre-step:3-wronskian)",
-        )
+                  "(see laguerre-step:3-wronskian)")
     raise ExactError("chain step must be 0, 1, 2 or 3")
-
-
-def _laguerre_step2_product_entry() -> CatalogEntry:
-    base = laguerre_catalog(2)
-    return CatalogEntry(
-        id="laguerre-step:2-product", kind="scalar",
-        operator=base.operator, theta=base.theta,
-        condition=reach_weights(3, 1),
-        provenance="two Darboux steps; weights from the ladder product formula "
-                   "(A_1 coefficient -36)",
-        parameters=("k",), tau=base.tau,
-    )
-
-
-def _laguerre_step3_wronskian_entry() -> CatalogEntry:
-    return CatalogEntry(
-        id="laguerre-step:3-wronskian", kind="scalar",
-        operator=DiffOp.schrodinger(_step3_v(STEP3_CONSTANT_WRONSKIAN)),
-        theta=_THETA3,
-        condition=reach_weights(4, 1),
-        provenance="three Darboux steps; tau from the Wronskian of the first three "
-                   "seed eigenfunctions, constant term -k^6 + 12k^4 - 32k^2",
-        parameters=("k",), tau=step3_tau(STEP3_CONSTANT_WRONSKIAN),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +538,20 @@ def _catalog() -> dict:
     for k in range(5):
         entries.append(_hermite_entry(k))
     entries.append(_hermite_p22_entry())
-    for step in range(4):
-        entries.append(laguerre_catalog(step))
-    entries.append(_laguerre_step2_product_entry())
-    entries.append(_laguerre_step3_wronskian_entry())
+    chain = [laguerre_catalog(step) for step in range(4)]
+    entries += chain
+    # the companions: step 2 with the product-formula weights, on the same
+    # operator object so that its bases' memos are shared, and step 3 with the
+    # Wronskian constant
+    entries.append(chain[2]._replace(
+        id="laguerre-step:2-product", condition=reach_weights(3, 1),
+        provenance="two Darboux steps; weights from the ladder product formula "
+                   "(A_1 coefficient -36)",
+        expect_holds=True, notes=""))
+    entries.append(_chain_entry(
+        "laguerre-step:3-wronskian", 3, reach_weights(4, 1),
+        "three Darboux steps; tau from the Wronskian of the first three "
+        "seed eigenfunctions, constant term -k^6 + 12k^4 - 32k^2"))
     for equation in _EQ_WEIGHTS:
         for index in range(1, len(_ansatz_solutions(equation)) + 1):
             entries.append(_ansatz_entry(equation, index))

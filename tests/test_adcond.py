@@ -199,6 +199,8 @@ def test_implication_chain_verifies(k):
     tower = ad_tower(op, theta, 2 * (k + 1) + 1)
     assert residual_from_tower(tower, hermite_new_weights(k)).is_zero()
     assert residual_from_tower(tower, reach_weights(k + 1, 2)).is_zero()
+    with pytest.raises(ExactError, match="weight order exceeds computed tower"):
+        residual_from_tower(tower, WeightVector({len(tower): 1}))
 
 
 def test_heisenberg_harmonic():

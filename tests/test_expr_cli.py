@@ -254,6 +254,10 @@ _USAGE_ERRORS = [
     ["hermite-new-weights", "--k", "-1"],
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,x"],
     ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,-1"],
+    ["fit-weights", "--catalog", "hermite-exc:k=1", "--orders", "3,3"],  # repeated order
+    ["solve-theta", "--L", "x^2", "--weights", "-1:1", "--deg", "2"],  # negative weight order
+    ["ad", "--L", "x^2", "--theta", "x", "--j", "-1"],
+    ["heisenberg", "--L", "x^2", "--theta", "x", "--order", "-1"],
     ["ad", "--L", "k^40000*x^2", "--param", "k", "--theta", "x", "--j", "1"],
     ["solve-theta", "--L", "x^2 + 2/x^2", "--weights", "3:1,1:-16,1:5", "--deg", "3"],
     ["fit-weights", "--L", "x^2", "--theta", "5", "--orders", "3,1"],  # theta without x

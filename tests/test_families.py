@@ -6,6 +6,8 @@ from bispec.adcond import (WeightVector, _linear_rows, ad_tower, reach_weights, 
                            solve_theta)
 from bispec.families import (
     STEP2_WEIGHTS_PRINTED,
+    STEP3_CONSTANT_PRINTED,
+    STEP3_CONSTANT_WRONSKIAN,
     ansatz_solution_catalog,
     ansatz_equations,
     ansatz_solution_count,
@@ -15,6 +17,8 @@ from bispec.families import (
     hermite_poly,
     laguerre_catalog,
     laguerre_phi,
+    log_second_derivative,
+    step3_tau,
     verify_entry,
     _inv_square,
     _pole,
@@ -26,6 +30,8 @@ def test_hermite_polynomials():
     assert hermite_poly(1) == XPoly.monomial(1, 2)
     assert hermite_poly(2) == XPoly.from_list([-2, 0, 4])
     assert hermite_poly(3) == XPoly.from_list([0, -12, 0, 8])
+    with pytest.raises(ExactError, match="Hermite index must be >= 0"):
+        hermite_poly(-1)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -104,6 +110,87 @@ def test_step2_weight_discrepancy_is_resolved_by_solve_theta():
     assert [XPoly({i: c for i, c in enumerate(vec, 1) if c}) for vec in symbolic.basis] == [theta]
 
 
+def _typed_chain() -> dict:
+    """entry id -> (V, Theta, tau) of each chain entry, written out term by
+    term: the oracle of the catalog's builder, which forms them from the
+    factors of tau."""
+    k = ParamScalar.var("k")
+    k2 = k * k
+    k4 = k2 * k2
+    one, sixteenth = ParamScalar.const(1), ParamScalar.const(Rat(1, 16))
+    x2 = XPoly.monomial(2)
+    xp, xm = XPoly.from_list([k, 1]), XPoly.from_list([-k, 1])
+    qp, qm = XPoly({2: one, 0: -k2 + 2 * k}), XPoly({2: one, 0: -k2 - 2 * k})
+    v0 = (XRat.from_poly(XPoly.monomial(2, sixteenth))
+          + XRat.from_ratio(XPoly.const((k4 + 8 * k2 + 12) * sixteenth), x2))
+    v1 = (_inv_square(2, xp) + _inv_square(2, xm)
+          + XRat.from_poly(XPoly({2: sixteenth, 0: (8 - 2 * k2) * sixteenth}))
+          + XRat.from_ratio(XPoly.const((k4 - 4) * sixteenth), x2))
+    v2 = (XRat.from_ratio(XPoly.const(4), qp) + _inv_square(8 * k2 - 16 * k, qp)
+          + XRat.from_ratio(XPoly.const(4), qm) + _inv_square(8 * k2 + 16 * k, qm)
+          + XRat.from_poly(XPoly({2: sixteenth, 0: (16 - 2 * k2) * sixteenth}))
+          + XRat.from_ratio(XPoly.const((k4 - 8 * k2 + 12) * sixteenth), x2))
+
+    def v3(constant):
+        return (XRat.from_poly(XPoly({2: sixteenth, 0: (24 - 2 * k2) * sixteenth}))
+                + XRat.from_ratio(XPoly.const((k4 - 16 * k2 + 60) * sixteenth), x2)
+                - log_second_derivative(step3_tau(constant)) * 2)
+
+    theta2 = XPoly({6: one, 4: -3 * k2, 2: 3 * k4 - 12 * k2})
+    theta3 = XPoly({8: one, 6: -4 * k2, 4: 6 * k4 - 24 * k2,
+                    2: -4 * k4 * k2 + 48 * k4 - 128 * k2})
+    tau2 = XPoly({4: one, 2: -2 * k2, 0: k4 - 4 * k2})
+    return {
+        "laguerre-step:0": (v0, x2, XPoly.one()),
+        "laguerre-step:1": (v1, XPoly({4: one, 2: -2 * k2}), XPoly({2: one, 0: -k2})),
+        "laguerre-step:2": (v2, theta2, tau2),
+        "laguerre-step:2-product": (v2, theta2, tau2),
+        "laguerre-step:3": (v3(STEP3_CONSTANT_PRINTED), theta3,
+                            step3_tau(STEP3_CONSTANT_PRINTED)),
+        "laguerre-step:3-wronskian": (v3(STEP3_CONSTANT_WRONSKIAN), theta3,
+                                      step3_tau(STEP3_CONSTANT_WRONSKIAN)),
+    }
+
+
+@pytest.mark.parametrize("entry_id", sorted(_typed_chain()))
+def test_chain_entry_equals_its_typed_oracle(entry_id):
+    v_typed, theta, tau = _typed_chain()[entry_id]
+    entry = get_entry(entry_id)
+    v = entry.operator.potential()
+    # the same bases in the same order with the same exponents: equal V alone
+    # would not pin the factor list the towers start from
+    assert [base for base, _ in v.factors] == [base for base, _ in v_typed.factors]
+    assert [exp for _, exp in v.factors] == [exp for _, exp in v_typed.factors]
+    assert v.num == v_typed.num
+    assert entry.theta == theta
+    assert entry.tau == tau
+
+
+def _det(rows: list) -> XPoly:
+    """Determinant by Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = XPoly.zero()
+    for j, entry in enumerate(rows[0]):
+        minor = _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        out = out + (entry * minor).scale((-1) ** j)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_tau_is_the_seed_wronskian(n):
+    # tau_n = Wr[p_1, ..., p_n] / x^(n(n-1)/2) made monic, p_j the polynomial
+    # factor of the seed phi_j; at n = 3 with the Wronskian constant
+    polys = [laguerre_phi(j).factors[1][0] for j in range(1, n + 1)]
+    rows = [polys]
+    for _ in range(1, n):
+        rows.append([p.derivative() for p in rows[-1]])
+    quo, rem = _det(rows).divmod(XPoly.monomial(n * (n - 1) // 2))
+    assert rem.is_zero()
+    entry_id = "laguerre-step:3-wronskian" if n == 3 else f"laguerre-step:{n}"
+    assert quo.monic()[1] == get_entry(entry_id).tau
+
+
 def test_theta_derivative_is_a_constant_multiple_of_tau():
     # theta' = c * tau on the Hermite entries and c * x * tau on the Laguerre
     # chain, c constant in x; only the printed tau of laguerre-step:3 breaks it
@@ -145,14 +232,17 @@ def test_fifth_quintic_solution_shape():
 
 
 def _squared_pole_sites():
-    """(c, base) of every squared pole the catalog enters through _inv_square."""
+    """(c, base) of every squared pole the catalog's solution lists enter
+    through _inv_square, and of the squared poles in the chain's -2 (log f)''."""
     k, c1, p1, e1, t, u = (ParamScalar.var(n) for n in ("k", "c1", "p1", "e1", "t", "u"))
     a1, a2, c0, c2 = (ParamScalar.var(n) for n in ("a1", "a2", "c0", "c2"))
     sixteenth = ParamScalar.const(Rat(1, 16))
     return [
-        (2, XPoly.from_list([k, 1])),                                   # _step1_v
+        # -2 (log f)'' of laguerre-step:1, f = x +- k
+        (2, XPoly.from_list([k, 1])),
         (2, XPoly.from_list([-k, 1])),
-        (8 * k * k - 16 * k, XPoly({2: ParamScalar.const(1), 0: -k * k + 2 * k})),  # _step2_v
+        # the squared-pole parts of -2 (log f)'' of laguerre-step:2, f = x^2 - k^2 +- 2k
+        (8 * k * k - 16 * k, XPoly({2: ParamScalar.const(1), 0: -k * k + 2 * k})),
         (8 * k * k + 16 * k, XPoly({2: ParamScalar.const(1), 0: -k * k - 2 * k})),
         (4 * p1, XPoly.from_list([c1, 2])),                             # A5 fourth
         (p1, _pole(e1)),                                                # A5 sixth
@@ -189,3 +279,5 @@ def test_laguerre_seeds_are_eigenfunctions_of_step_0():
     k2 = ParamScalar.var("k") ** 2
     for n in range(5):
         assert is_eigenfunction(op, laguerre_phi(n)) == (k2 - 8 * n) * Rat(1, 8)
+    with pytest.raises(ExactError, match="seed index must be >= 0"):
+        laguerre_phi(-1)
